@@ -487,17 +487,15 @@ impl<'scope> ThreadCtx<'scope> {
     /// an episode is released), so every thread can reach the region
     /// end without waiting for siblings that skipped the barrier.
     pub fn barrier(&self) {
-        loop {
-            self.help_tasks_while_pending();
-            if !self.team_barrier() {
-                return;
-            }
-            // After the episode, task counts are stable: creations
-            // happen-before the barrier, so all threads agree.
-            if self.team.tasks.pending() == 0 {
-                break;
-            }
-        }
+        // Every thread drains the task graph to empty before it
+        // arrives, and only a thread that has not arrived yet can
+        // create tasks, so the episode completes with nothing pending.
+        // Re-checking `pending` *after* the episode would be a race,
+        // not a safeguard: a released sibling may already have spawned
+        // the next phase's tasks, and a thread that saw them would go
+        // round again and wait in an episode nobody else joins.
+        self.help_tasks_while_pending();
+        let _ = self.team_barrier();
     }
 
     /// The implicit barrier at the end of the region body; unlike

@@ -19,7 +19,14 @@
 //! * `gen == mine, state == FREE` — race to install (first CAS wins);
 //! * `gen < mine` — the older construct must fully drain
 //!   (`done == team size`) before one arriving thread recycles the slot
-//!   by CAS-ing `state: READY → INSTALLING`.
+//!   by CAS-ing `(gen, READY) → (gen, INSTALLING)`.
+//!
+//! Generation and state live in **one** atomic word, so that CAS names
+//! the generation it recycles: a thread whose `(gen, READY)` load went
+//! stale — a sibling recycled the slot, the team ran the new construct
+//! and left it, and the slot reads `READY` again — fails the CAS and
+//! joins the newer generation instead of installing it a second time
+//! (which would wipe `done` and hang the team on the next lap).
 //!
 //! `done == size` can only be reached after *every* team thread has left
 //! the construct, so a slot is never recycled under a thread still using
@@ -40,9 +47,18 @@ use std::sync::Arc;
 /// fast threads must wait for slow ones (libomp uses 7 dispatch buffers).
 pub const WS_SLOTS: usize = 8;
 
-const STATE_FREE: u8 = 0;
-const STATE_INSTALLING: u8 = 1;
-const STATE_READY: u8 = 2;
+const STATE_FREE: u64 = 0;
+const STATE_INSTALLING: u64 = 1;
+const STATE_READY: u64 = 2;
+/// Low bits of [`WsSlot::word`] holding the state; the generation sits
+/// above them.
+const STATE_BITS: u32 = 2;
+const STATE_MASK: u64 = (1 << STATE_BITS) - 1;
+
+/// Pack a slot word.
+const fn pack(gen: u64, state: u64) -> u64 {
+    (gen << STATE_BITS) | state
+}
 
 /// Dispatch kind stored in a slot.
 pub(crate) const KIND_DYNAMIC: u8 = 0;
@@ -51,9 +67,10 @@ pub(crate) const KIND_GUIDED: u8 = 1;
 /// Shared state for one worksharing construct.
 #[derive(Debug)]
 pub(crate) struct WsSlot {
-    /// Generation currently installed in this slot.
-    gen: AtomicU64,
-    state: AtomicU8,
+    /// `generation << STATE_BITS | state`: the generation installed in
+    /// this slot and its install state, one word so a recycling CAS
+    /// cannot succeed against a generation it did not observe.
+    word: AtomicU64,
     /// Threads that have finished the installed construct.
     done: AtomicUsize,
     /// Dispatch cursor (next unclaimed iteration, normalized space).
@@ -83,8 +100,7 @@ pub(crate) struct WsSlot {
 impl WsSlot {
     fn new(initial_gen: u64) -> Self {
         WsSlot {
-            gen: AtomicU64::new(initial_gen),
-            state: AtomicU8::new(STATE_FREE),
+            word: AtomicU64::new(pack(initial_gen, STATE_FREE)),
             done: AtomicUsize::new(0),
             next: AtomicU64::new(0),
             end: AtomicU64::new(0),
@@ -120,65 +136,46 @@ impl WsSlot {
             if abort.load(Ordering::Relaxed) || cancel.load(Ordering::Relaxed) {
                 return false;
             }
-            let cur = self.gen.load(Ordering::Acquire);
-            if cur == gen {
-                #[allow(clippy::collapsible_match)] // explicit state machine
-                match self.state.load(Ordering::Acquire) {
-                    STATE_READY => return true,
-                    STATE_FREE => {
-                        if self
-                            .state
-                            .compare_exchange(
-                                STATE_FREE,
-                                STATE_INSTALLING,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_ok()
-                        {
-                            self.done.store(0, Ordering::Relaxed);
-                            // Unreachable panic: `init` is `Some` on
-                            // entry and every `take()` path returns
-                            // from `enter` immediately after running
-                            // it, so the installer can be consumed at
-                            // most once per call. (Covered by the
-                            // chaos soak's fork/join churn, which
-                            // drives this CAS race continuously.)
-                            (init.take().expect("installer runs once"))(self);
-                            self.state.store(STATE_READY, Ordering::Release);
-                            return true;
-                        }
-                    }
-                    _ => {} // being installed by someone else; spin
+            let word = self.word.load(Ordering::Acquire);
+            let (cur, state) = (word >> STATE_BITS, word & STATE_MASK);
+            // FREE slot of our generation: race to install. Older
+            // generation: recycle, but only once it fully drained.
+            let installable = if cur == gen {
+                if state == STATE_READY {
+                    return true;
                 }
+                state == STATE_FREE
             } else {
                 debug_assert!(
                     cur < gen,
                     "workshare slot generation ran backwards ({cur} > {gen}); \
                      team threads encountered different construct sequences"
                 );
-                // Recycle only once the previous construct fully drained.
-                if self.state.load(Ordering::Acquire) == STATE_READY
-                    && self.done.load(Ordering::Acquire) == team_size
-                    && self
-                        .state
-                        .compare_exchange(
-                            STATE_READY,
-                            STATE_INSTALLING,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                {
-                    self.done.store(0, Ordering::Relaxed);
-                    // Same single-consumption proof as the FREE arm
-                    // above: winning the READY→INSTALLING CAS is the
-                    // only way here, and this arm returns right after.
-                    (init.take().expect("installer runs once"))(self);
-                    self.gen.store(gen, Ordering::Relaxed);
-                    self.state.store(STATE_READY, Ordering::Release);
-                    return true;
-                }
+                state == STATE_READY && self.done.load(Ordering::Acquire) == team_size
+            };
+            // The CAS expects the exact word loaded above, generation
+            // included: if a sibling installed (and the team even
+            // finished) `gen` since that load, it fails and the next
+            // lap joins the READY construct.
+            if installable
+                && self
+                    .word
+                    .compare_exchange(
+                        word,
+                        pack(cur, STATE_INSTALLING),
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    )
+                    .is_ok()
+            {
+                self.done.store(0, Ordering::Relaxed);
+                // Unreachable panic: `init` is `Some` on entry and this
+                // arm — the only `take()` — returns right after running
+                // it. (Covered by the chaos soak's fork/join churn,
+                // which drives this CAS race continuously.)
+                (init.take().expect("installer runs once"))(self);
+                self.word.store(pack(gen, STATE_READY), Ordering::Release);
+                return true;
             }
             spins += 1;
             if spins > 10_000 {
@@ -199,8 +196,8 @@ impl WsSlot {
     /// regions, while every team thread is parked at its doorbell, so
     /// plain stores suffice (the doorbell ring publishes them).
     pub(crate) fn reset(&self, initial_gen: u64) {
-        self.gen.store(initial_gen, Ordering::Relaxed);
-        self.state.store(STATE_FREE, Ordering::Relaxed);
+        self.word
+            .store(pack(initial_gen, STATE_FREE), Ordering::Relaxed);
         self.done.store(0, Ordering::Relaxed);
     }
 }

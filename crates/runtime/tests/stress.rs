@@ -347,3 +347,76 @@ fn region_end_barrier_drains_stalled_dependents() {
         assert_eq!(hits.load(Ordering::Relaxed), 50);
     }
 }
+
+/// Run `f` on its own thread and fail — instead of hanging the suite —
+/// if it has not finished within two minutes (a wedged team never
+/// returns; its thread is abandoned).
+fn within_two_minutes(f: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(120)) {
+        Ok(()) => worker.join().expect("worker finished"),
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("worker panicked"))
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("team wedged"),
+    }
+}
+
+/// Slot-ring regression: one region laps the `WS_SLOTS` ring thousands
+/// of times with `nowait` constructs, so threads constantly race to
+/// recycle slots their siblings are about to join. A slot installed
+/// twice re-runs its loop (the iteration total overshoots) and wipes a
+/// `leave`, after which the ring never drains and the team hangs.
+#[test]
+fn slot_ring_survives_thousands_of_nowait_constructs() {
+    const CONSTRUCTS: u64 = 10_000;
+    const TRIP: u64 = 6;
+    for threads in [2, 4] {
+        within_two_minutes(move || {
+            let singles = AtomicU64::new(0);
+            let iterations = AtomicU64::new(0);
+            fork(ForkSpec::with_num_threads(threads), |ctx| {
+                for _ in 0..CONSTRUCTS {
+                    ctx.single(true, || singles.fetch_add(1, Ordering::Relaxed));
+                    ctx.ws_for(0..TRIP as usize, Schedule::dynamic_chunk(1), true, |_| {
+                        iterations.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+            });
+            assert_eq!(singles.load(Ordering::Relaxed), CONSTRUCTS);
+            assert_eq!(iterations.load(Ordering::Relaxed), CONSTRUCTS * TRIP);
+        });
+    }
+}
+
+/// A barrier must be exactly one episode per thread, whatever its
+/// siblings do next. Every thread spawns a task right after each
+/// barrier: a thread that is slow out of the episode sees those
+/// next-phase tasks as pending, and if it took them for work the
+/// barrier still owed, it would wait in a second episode that no
+/// sibling ever joins (oversubscribed here so threads do get
+/// descheduled between the release and their next step).
+#[test]
+fn barrier_is_one_episode_even_when_siblings_spawn_right_after() {
+    const ROUNDS: u64 = 20_000;
+    within_two_minutes(|| {
+        let threads = icv::hardware_threads() * 2;
+        let ran = AtomicU64::new(0);
+        let granted = AtomicUsize::new(0);
+        fork(ForkSpec::with_num_threads(threads), |ctx| {
+            granted.store(ctx.num_threads(), Ordering::Relaxed);
+            for _ in 0..ROUNDS {
+                ctx.barrier();
+                ctx.task(|| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+        });
+        let team = granted.load(Ordering::Relaxed) as u64;
+        assert_eq!(ran.load(Ordering::Relaxed), ROUNDS * team);
+    });
+}

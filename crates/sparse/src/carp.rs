@@ -34,6 +34,7 @@
 use crate::kacz::{Direction, SweepMat};
 use romp_core::prelude::*;
 use romp_core::slice::SharedSlice;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Solver knobs.
@@ -161,6 +162,51 @@ pub fn carp_cg_seq(
     }
 }
 
+/// `span` of a shared vector as a plain slice.
+///
+/// # Safety
+///
+/// No thread may write an element of `span` while the borrow lives.
+unsafe fn chunk<'a>(v: &'a SharedSlice<'_, f64>, span: Range<usize>) -> &'a [f64] {
+    assert!(span.start <= span.end && span.end <= v.len());
+    // SAFETY: in bounds (checked above); no concurrent writer (caller).
+    unsafe { std::slice::from_raw_parts(v.as_ptr().add(span.start), span.len()) }
+}
+
+/// `span` of a shared vector as a mutable slice.
+///
+/// # Safety
+///
+/// No other thread may access an element of `span`, and the caller
+/// must hold no other borrow of it, while the borrow lives.
+#[allow(clippy::mut_from_ref)] // the SharedSlice contract, span-wide
+unsafe fn chunk_mut<'a>(v: &'a SharedSlice<'_, f64>, span: Range<usize>) -> &'a mut [f64] {
+    assert!(span.start <= span.end && span.end <= v.len());
+    // SAFETY: in bounds (checked above); the view wraps a `&mut [f64]`,
+    // so writing through its pointer is allowed, and the caller
+    // guarantees exclusivity.
+    unsafe { std::slice::from_raw_parts_mut(v.as_ptr().add(span.start).cast_mut(), span.len()) }
+}
+
+/// Team dot product over `0..n`: every thread sums its static block
+/// strictly left to right, then the team reduction combines the
+/// per-thread partials. `spans` hands out the two operands' slices for
+/// a block; the loop is `nowait`, the reduction synchronizes.
+fn team_dot<'v>(
+    ctx: &ThreadCtx,
+    n: usize,
+    spans: impl Fn(Range<usize>) -> (&'v [f64], &'v [f64]),
+) -> f64 {
+    let mut part = 0.0;
+    ctx.ws_for_chunks(0..n, Schedule::static_block(), true, |span| {
+        let (u, v) = spans(span);
+        for (a, c) in u.iter().zip(v) {
+            part += a * c;
+        }
+    });
+    ctx.reduce_value(SumOp, part)
+}
+
 /// Parallel CARP-CG: one region, in-region colored sweeps, team
 /// reductions, cancellation-based convergence exit. See the module
 /// docs for structure and the verification contract.
@@ -187,46 +233,52 @@ pub fn carp_cg(op: &SweepMat<'_>, norms: &[f64], b: &[f64], opts: &CarpOptions) 
         // so each construct reads only vectors published by the
         // previous one.
         parallel().num_threads(opts.threads).run(|ctx| {
-            let dot = |f: &dyn Fn(usize) -> f64| {
-                let mut part = 0.0;
-                ctx.ws_for(0..n, Schedule::static_block(), true, |i| part += f(i));
-                ctx.reduce_value(SumOp, part)
-            };
+            let block = Schedule::static_block();
             // r = DKSWP(0, b).
-            ctx.ws_for(0..n, Schedule::static_block(), false, |i| {
-                // SAFETY: worksharing assigns i to one thread.
-                unsafe { rs.write(i, 0.0) };
+            ctx.ws_for_chunks(0..n, block, false, |span| {
+                // SAFETY: worksharing hands each span to one thread.
+                unsafe { chunk_mut(&rs, span) }.fill(0.0);
             });
             op.sweep_ctx(ctx, norms, &rs, b, omega, Direction::Forward, sched);
             op.sweep_ctx(ctx, norms, &rs, b, omega, Direction::Backward, sched);
             // p = r.
-            ctx.ws_for(0..n, Schedule::static_block(), false, |i| {
+            ctx.ws_for_chunks(0..n, block, false, |span| {
                 // SAFETY: as above; rs published by the sweep barrier.
-                unsafe { ps.write(i, rs.read(i)) };
+                unsafe { chunk_mut(&ps, span.clone()).copy_from_slice(chunk(&rs, span)) };
             });
-            let bb = dot(&|i| b[i] * b[i]);
+            let bb = team_dot(ctx, n, |span| (&b[span.clone()], &b[span]));
             let thresh = if bb > 0.0 {
                 opts.tol * opts.tol * bb
             } else {
                 opts.tol * opts.tol
             };
-            let mut rho = dot(&|i| unsafe { rs.read(i) * rs.read(i) });
+            // SAFETY (every `team_dot` below): the operands were
+            // published by the previous construct's barrier, and no
+            // thread writes a vector before the dot's reduction.
+            let mut rho = team_dot(ctx, n, |span| unsafe {
+                (chunk(&rs, span.clone()), chunk(&rs, span))
+            });
             let mut iters = 0usize;
             let mut converged = rho <= thresh;
             let mut fired = false;
             while !converged && iters < opts.max_iters {
                 // q = p − DKSWP(p, 0), computed in place on q.
-                ctx.ws_for(0..n, Schedule::static_block(), false, |i| {
-                    // SAFETY: disjoint slots; ps published.
-                    unsafe { qs.write(i, ps.read(i)) };
+                ctx.ws_for_chunks(0..n, block, false, |span| {
+                    // SAFETY: disjoint spans; ps published.
+                    unsafe { chunk_mut(&qs, span.clone()).copy_from_slice(chunk(&ps, span)) };
                 });
                 op.sweep_ctx(ctx, norms, &qs, &zeros, omega, Direction::Forward, sched);
                 op.sweep_ctx(ctx, norms, &qs, &zeros, omega, Direction::Backward, sched);
-                ctx.ws_for(0..n, Schedule::static_block(), false, |i| {
-                    // SAFETY: disjoint slots; qs published by the sweep.
-                    unsafe { qs.write(i, ps.read(i) - qs.read(i)) };
+                ctx.ws_for_chunks(0..n, block, false, |span| {
+                    // SAFETY: disjoint spans; qs published by the sweep.
+                    let (q, p) = unsafe { (chunk_mut(&qs, span.clone()), chunk(&ps, span)) };
+                    for (qi, pi) in q.iter_mut().zip(p) {
+                        *qi = pi - *qi;
+                    }
                 });
-                let pq = dot(&|i| unsafe { ps.read(i) * qs.read(i) });
+                let pq = team_dot(ctx, n, |span| unsafe {
+                    (chunk(&ps, span.clone()), chunk(&qs, span))
+                });
                 if !pq.is_finite() || pq == 0.0 {
                     // Breakdown: every thread sees the same pq (the
                     // reduction hands all threads one combined value),
@@ -234,19 +286,30 @@ pub fn carp_cg(op: &SweepMat<'_>, norms: &[f64], b: &[f64], opts: &CarpOptions) 
                     break;
                 }
                 let alpha = rho / pq;
-                ctx.ws_for(0..n, Schedule::static_block(), false, |i| {
-                    // SAFETY: disjoint slots; inputs published.
-                    unsafe {
-                        xs.write(i, xs.read(i) + alpha * ps.read(i));
-                        rs.write(i, rs.read(i) - alpha * qs.read(i));
+                ctx.ws_for_chunks(0..n, block, false, |span| {
+                    // SAFETY: disjoint spans; inputs published.
+                    let (x, p) =
+                        unsafe { (chunk_mut(&xs, span.clone()), chunk(&ps, span.clone())) };
+                    for (xi, pi) in x.iter_mut().zip(p) {
+                        *xi += alpha * pi;
+                    }
+                    // SAFETY: as above.
+                    let (r, q) = unsafe { (chunk_mut(&rs, span.clone()), chunk(&qs, span)) };
+                    for (ri, qi) in r.iter_mut().zip(q) {
+                        *ri -= alpha * qi;
                     }
                 });
-                let rho_new = dot(&|i| unsafe { rs.read(i) * rs.read(i) });
+                let rho_new = team_dot(ctx, n, |span| unsafe {
+                    (chunk(&rs, span.clone()), chunk(&rs, span))
+                });
                 let beta = rho_new / rho;
                 rho = rho_new;
-                ctx.ws_for(0..n, Schedule::static_block(), false, |i| {
-                    // SAFETY: disjoint slots; rs published.
-                    unsafe { ps.write(i, rs.read(i) + beta * ps.read(i)) };
+                ctx.ws_for_chunks(0..n, block, false, |span| {
+                    // SAFETY: disjoint spans; rs published.
+                    let (p, r) = unsafe { (chunk_mut(&ps, span.clone()), chunk(&rs, span)) };
+                    for (pi, ri) in p.iter_mut().zip(r) {
+                        *pi = ri + beta * *pi;
+                    }
                 });
                 iters += 1;
                 converged = rho <= thresh;

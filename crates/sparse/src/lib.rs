@@ -8,18 +8,39 @@
 //! * [`csr`] — the CSR baseline format (construction, spmv, the
 //!   bitwise accumulation contract every other kernel inherits);
 //! * [`sell`] — SELL-C-σ (σ-window sorting, chunk-height-C tiles,
-//!   padding stats, row-permutation map) plus the format-adaptive
-//!   spmv entry;
+//!   padding stats, row-permutation map, 32-bit column indices), the
+//!   **lockstep** tile kernel and the format-adaptive spmv entry;
 //! * [`color`] — coloring/zoning passes (greedy multicolor, red-black
 //!   zones) with *exact* disjointness validation;
 //! * [`kacz`] — forward/backward colored Kaczmarz sweeps over both
 //!   formats through all three front ends, bitwise-verified against a
-//!   sequential reference;
+//!   sequential reference; SELL tiles are projected in lockstep where
+//!   a per-chunk proof allows it;
 //! * [`carp`] — the CARP-CG (CGMN) solver: one parallel region,
 //!   `site("kacz")` `schedule(runtime)` sweeps the romp-tune learner
-//!   can adapt, team reductions, `omp_cancel!` convergence exit;
+//!   can adapt, slice-loop vector kernels, team reductions,
+//!   `omp_cancel!` convergence exit;
 //! * [`matgen`] — deterministic banded/random test matrices and
 //!   consistent right-hand sides.
+//!
+//! ## The lockstep contract
+//!
+//! A row's dot product is a serial chain of floating-point adds, so a
+//! kernel that finishes one row before starting the next runs at add
+//! *latency*. The SELL kernels instead walk a `C × chunk_len` tile
+//! column-major with one accumulator per lane — `C` independent chains
+//! — each lane masked by its true row length, so every row still
+//! accumulates strictly in CSR order and results stay **bitwise**
+//! those of the CSR kernels ([`sell`] has the details, including why
+//! padding slots must be readable). For Kaczmarz the same walk
+//! projects `C` rows at once (`C` dots → `C` scales → `C`
+//! scatter-updates), which is exact iff the chunk's lanes are pairwise
+//! column-disjoint: multicolorings give that by construction, zonings
+//! through a stride-interleaved layout, and in both cases
+//! [`ColoredSell::build`] **proves** it per chunk with the stamp pass
+//! [`Coloring::validate`] uses ([`Sell::lanes_disjoint`]); a chunk
+//! that fails keeps the one-lane walk. There is one code path and no
+//! knob: plain Rust, const-generic over `C`, no ISA dispatch.
 //!
 //! ```
 //! use romp_sparse::prelude::*;

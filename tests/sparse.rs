@@ -9,10 +9,14 @@
 //! * the permuted SELL-C-σ layout visits exactly the same row set as
 //!   the CSR reference within every color phase;
 //! * the parallel colored sweep stays bitwise equal to the sequential
-//!   reference under arbitrary matrices, schedules and team sizes.
+//!   reference under arbitrary matrices, schedules and team sizes —
+//!   including the lockstep chunk kernels, across chunk heights,
+//!   sorting windows, both colorings and both directions;
+//! * SELL spmv is bitwise the CSR product.
 
 use proptest::prelude::*;
 use romp::prelude::*;
+use romp_core::slice::SharedSlice;
 use romp_sparse::prelude::*;
 use romp_sparse::sell::PAD;
 use std::collections::{HashMap, HashSet};
@@ -198,5 +202,127 @@ proptest! {
         let mut got_sell = x0.clone();
         cs.sweep_builder(&norms, &mut got_sell, &b, 1.0, dir, threads, sched);
         prop_assert_eq!(got_sell, want_sell, "SELL sweep diverged");
+    }
+}
+
+/// One in-region sweep through `op` (the path CARP-CG takes: lockstep
+/// chunk kernels for SELL, lockstep row groups for multicolored CSR).
+fn sweep_in_region(
+    op: &SweepMat<'_>,
+    norms: &[f64],
+    x0: &[f64],
+    b: &[f64],
+    dir: Direction,
+    threads: usize,
+    sched: Schedule,
+) -> Vec<f64> {
+    let mut x = x0.to_vec();
+    let view = SharedSlice::new(&mut x);
+    parallel()
+        .num_threads(threads)
+        .run(|ctx| op.sweep_ctx(ctx, norms, &view, b, 1.0, dir, sched));
+    x
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|f| f.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// The lockstep contract: whatever the chunk height, sorting
+    /// window, coloring, direction, team size and schedule, an
+    /// in-region sweep is bitwise `sweep_seq` on `sweep_order()` —
+    /// chunks run in lockstep only where their lanes were proven
+    /// disjoint, and disjoint rows commute exactly.
+    #[test]
+    fn lockstep_sweeps_stay_bitwise_sequential(
+        n in 24usize..200,
+        seed in 1u64..1_000_000,
+        banded in proptest::bool::ANY,
+        density in 1usize..6,
+        c_pick in 0usize..5,
+        sigma_pick in 0usize..3,
+        threads_pick in 0usize..3,
+        sched_pick in 0usize..3,
+        backward in proptest::bool::ANY,
+    ) {
+        let c = [1usize, 2, 4, 8, 16][c_pick];
+        let sigma = [1usize, 8, 32][sigma_pick];
+        let threads = [1usize, 2, 4][threads_pick];
+        let sched = [
+            Schedule::static_block(),
+            Schedule::dynamic_chunk(1),
+            Schedule::guided(),
+        ][sched_pick];
+        let dir = if backward { Direction::Backward } else { Direction::Forward };
+        // Banded → red-black zones (interleaved units; `auto` falls
+        // back to colors when the zones are too narrow for the band),
+        // random → multicoloring (chunk units).
+        let (mat, coloring) = if banded {
+            let mat = matgen::banded(n, density);
+            let coloring = color::auto(&mat, 2);
+            (mat, coloring)
+        } else {
+            let mat = matgen::random_sparse(n, density, seed);
+            let coloring = greedy_multicolor(&mat);
+            (mat, coloring)
+        };
+        let norms = mat.row_norms_sq();
+        let b = matgen::consistent_rhs(&mat);
+        let x0: Vec<f64> = (0..n).map(|i| ((i as u64 ^ seed) % 9) as f64 * 0.25 - 1.0).collect();
+
+        let cs = ColoredSell::build(&mat, &coloring, c, sigma);
+        prop_assert_eq!(cs.lockstep_chunks().len(), cs.sell.nchunks());
+        if coloring.singleton_blocks() {
+            prop_assert!(cs.lockstep_chunks().iter().all(|&ok| ok), "one color, shared column");
+        }
+        let ops = [SweepMat::Sell(&cs), SweepMat::Csr { mat: &mat, coloring: &coloring }];
+        for op in &ops {
+            let mut want = x0.clone();
+            sweep_seq(&mat, &norms, &op.sweep_order(), &mut want, &b, 1.0, dir);
+            let got = sweep_in_region(op, &norms, &x0, &b, dir, threads, sched);
+            prop_assert_eq!(bits(&got), bits(&want), "{:?} diverged", op);
+        }
+    }
+
+    /// SELL spmv inherits CSR's per-row accumulation order through the
+    /// lockstep mask: serial and parallel products are bitwise
+    /// `Csr::mul`, ragged rows, empty rows and filler lanes included.
+    #[test]
+    fn sell_spmv_is_bitwise_the_csr_product(
+        n in 8usize..200,
+        extra in 0usize..9,
+        seed in 1u64..1_000_000,
+        c_pick in 0usize..6,
+        sigma_pick in 0usize..3,
+        threads in 1usize..5,
+        sched_pick in 0usize..3,
+    ) {
+        let c = [1usize, 2, 3, 4, 8, 16][c_pick];
+        let sigma = [1usize, 8, 32][sigma_pick];
+        let sched = [
+            Schedule::static_block(),
+            Schedule::dynamic_chunk(1),
+            Schedule::guided(),
+        ][sched_pick];
+        // Knock out every seventh row so empty rows are always present.
+        let full = matgen::random_sparse(n, extra, seed);
+        let mut triplets = Vec::new();
+        for i in (0..n).filter(|i| i % 7 != 3) {
+            let (cols, vals) = full.row(i);
+            triplets.extend(cols.iter().zip(vals).map(|(&col, &v)| (i, col, v)));
+        }
+        let mat = Csr::from_triplets(n, &triplets);
+        let x: Vec<f64> = (0..n).map(|i| 0.1 + ((i as u64 * 31 + seed) % 101) as f64 / 7.0).collect();
+        let want = bits(&mat.mul(&x));
+        let sell = Sell::from_csr(&mat, c, sigma);
+        let mut y = vec![f64::NAN; n];
+        sell.spmv_serial(&x, &mut y);
+        prop_assert_eq!(bits(&y), want.clone(), "serial C={} sigma={}", c, sigma);
+        let mut y = vec![f64::NAN; n];
+        sell.spmv(&x, &mut y, threads, sched);
+        prop_assert_eq!(bits(&y), want, "parallel C={} sigma={}", c, sigma);
     }
 }

@@ -213,3 +213,94 @@ fn convergence_exit_cancels_when_armed_breaks_when_not() {
         "disarmed cancel must report false and fall back to the break"
     );
 }
+
+/// Slot-protocol regression at the workload shape that exposed it: a
+/// dynamic-schedule sweep is one slot construct per coloring phase, so
+/// 200 sweeps over a 40+-phase coloring lap the team's slot ring a
+/// thousand times inside one region. A slot installed twice re-runs
+/// rows (the iterate diverges from the sequential one) and then hangs
+/// the team.
+#[test]
+fn dynamic_sweeps_lap_the_slot_ring_and_stay_exact() {
+    let mat = matgen::random_sparse(3000, 12, 20_240_925);
+    let coloring = greedy_multicolor(&mat);
+    assert!(coloring.nphases() >= 40, "{} phases", coloring.nphases());
+    let cs = ColoredSell::build(&mat, &coloring, 8, 32);
+    let norms = mat.row_norms_sq();
+    let b = matgen::consistent_rhs(&mat);
+    let ops = [
+        SweepMat::Sell(&cs),
+        SweepMat::Csr {
+            mat: &mat,
+            coloring: &coloring,
+        },
+    ];
+    const SWEEPS: usize = 200;
+    for (op, threads) in ops.iter().zip([2, 4]) {
+        let order = op.sweep_order();
+        let mut want = vec![0.0; mat.n];
+        let mut got = vec![0.0; mat.n];
+        {
+            let view = SharedSlice::new(&mut got);
+            parallel().num_threads(threads).run(|ctx| {
+                for k in 0..SWEEPS {
+                    let dir = [Direction::Forward, Direction::Backward][k % 2];
+                    op.sweep_ctx(ctx, &norms, &view, &b, 1.0, dir, Schedule::dynamic_chunk(1));
+                }
+            });
+        }
+        for k in 0..SWEEPS {
+            let dir = [Direction::Forward, Direction::Backward][k % 2];
+            sweep_seq(&mat, &norms, &order, &mut want, &b, 1.0, dir);
+        }
+        let same = got
+            .iter()
+            .zip(&want)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same, "{threads} threads: sweeps diverged from sweep_seq");
+    }
+}
+
+/// CARP-CG iteration counts on a banded zoning, CSR (zones swept in
+/// natural row order — the order the SELL layout had before zones were
+/// stride-interleaved) against SELL (interleaved): the interleave
+/// reorders rows *within* a zone only, and must not cost iterations.
+fn banded_carp_iters(n: usize, half_bw: usize) -> (usize, usize) {
+    let mat = matgen::banded(n, half_bw);
+    let coloring = color::auto(&mat, 4);
+    assert!(!coloring.singleton_blocks(), "expected a zoning");
+    let cs = ColoredSell::build(&mat, &coloring, 8, 32);
+    let norms = mat.row_norms_sq();
+    let b = matgen::consistent_rhs(&mat);
+    let opts = CarpOptions {
+        threads: 2,
+        ..Default::default()
+    };
+    let csr_op = SweepMat::Csr {
+        mat: &mat,
+        coloring: &coloring,
+    };
+    let csr = carp_cg(&csr_op, &norms, &b, &opts);
+    let sell = carp_cg(&SweepMat::Sell(&cs), &norms, &b, &opts);
+    for out in [&csr, &sell] {
+        assert!(
+            out.converged && out.rel_residual < 1e-7,
+            "{}",
+            out.rel_residual
+        );
+    }
+    (csr.iters, sell.iters)
+}
+
+#[test]
+fn zone_interleave_keeps_carp_iteration_counts() {
+    assert_eq!(banded_carp_iters(9_000, 4), (11, 11));
+}
+
+/// The same pin at the benchmark's `sparse-banded` size (release
+/// builds only: the 2.5 M-nonzero solves are slow unoptimized).
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn zone_interleave_keeps_carp_iteration_counts_at_bench_size() {
+    assert_eq!(banded_carp_iters(150_000, 8), (13, 13));
+}
