@@ -15,14 +15,15 @@
 //! [`ParFor::write_chunks_into`](crate::builder::ParFor::write_chunks_into)
 //! cover the common shapes of this pattern — one output slot per
 //! iteration, or whole output rows per claimed chunk — with zero
-//! caller-side `unsafe` (the NPB IS/CG/Mandelbrot kernels and the heat
-//! example have all been migrated onto them). `SharedSlice` remains
-//! for what those cannot express: scatters to schedule-unrelated
-//! indices, or cross-barrier read/write phases inside one long-lived
-//! `parallel` region.
+//! caller-side `unsafe` (NPB CG, Mandelbrot, the IS key generation and
+//! the heat example are written with them). `SharedSlice` remains for
+//! what those cannot express: scatters to schedule-unrelated indices,
+//! or cross-barrier read/write phases inside one long-lived `parallel`
+//! region (the NPB IS ranking is both).
 
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
+use std::ops::Range;
 
 /// A `Sync` view over `&mut [T]` permitting disjoint unsynchronized
 /// element writes from a team.
@@ -129,6 +130,55 @@ impl<'a, T> SharedSlice<'a, T> {
         // SAFETY: caller guarantees exclusivity for element i.
         unsafe { &mut *(*self.ptr.add(i)).get() }
     }
+
+    /// Read-only view of the elements in `range` — a thread reading a
+    /// block other threads filled before the last barrier.
+    ///
+    /// # Safety
+    ///
+    /// No thread may write any element of `range` while the returned
+    /// borrow lives.
+    ///
+    /// # Panics
+    ///
+    /// If `range` is not within the slice.
+    #[inline]
+    pub unsafe fn slice(&self, range: Range<usize>) -> &[T] {
+        self.check(&range);
+        // SAFETY: in bounds (checked); the caller guarantees no writer.
+        unsafe { std::slice::from_raw_parts(self.as_ptr().add(range.start), range.len()) }
+    }
+
+    /// Exclusive view of the elements in `range` — a thread's own block
+    /// of a shared work array, as an ordinary `&mut [T]`.
+    ///
+    /// # Safety
+    ///
+    /// No other thread may access any element of `range` while the
+    /// returned borrow lives.
+    ///
+    /// # Panics
+    ///
+    /// If `range` is not within the slice.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn slice_mut(&self, range: Range<usize>) -> &mut [T] {
+        self.check(&range);
+        // SAFETY: in bounds (checked); the pointer comes from the
+        // `&mut [T]` this view froze, and the caller guarantees the
+        // block is this thread's alone.
+        unsafe {
+            std::slice::from_raw_parts_mut((self.ptr as *mut T).add(range.start), range.len())
+        }
+    }
+
+    fn check(&self, range: &Range<usize>) {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "SharedSlice range {range:?} out of {}",
+            self.len
+        );
+    }
 }
 
 #[cfg(test)]
@@ -179,6 +229,38 @@ mod tests {
         for (i, &v) in mirror.iter().enumerate() {
             assert_eq!(v, 256 - i);
         }
+    }
+
+    #[test]
+    fn blocks_are_ordinary_slices_across_a_barrier() {
+        // Each thread fills its own block, then (after the barrier)
+        // sums everyone's: 4 blocks of 8.
+        let mut data = vec![0u32; 32];
+        let mut sums = vec![0u32; 4];
+        {
+            let d = SharedSlice::new(&mut data);
+            let s = SharedSlice::new(&mut sums);
+            parallel().num_threads(4).run(|ctx| {
+                let t = ctx.thread_num();
+                // Team may be smaller than asked: cover every block.
+                for b in (t..4).step_by(ctx.num_threads()) {
+                    unsafe { d.slice_mut(8 * b..8 * b + 8) }.fill(b as u32 + 1);
+                }
+                ctx.barrier();
+                for b in (t..4).step_by(ctx.num_threads()) {
+                    unsafe { s.write(b, d.slice(0..32).iter().sum()) };
+                }
+            });
+        }
+        assert_eq!(sums, [8 * (1 + 2 + 3 + 4); 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of 4")]
+    fn block_out_of_range_panics() {
+        let mut data = vec![0u8; 4];
+        let view = SharedSlice::new(&mut data);
+        let _ = unsafe { view.slice_mut(2..5) };
     }
 
     #[test]

@@ -65,6 +65,8 @@ pub enum ArgRef<'a> {
     F64Slice(&'a [f64]),
     /// `DOUBLE PRECISION` array, writable.
     F64SliceMut(&'a mut [f64]),
+    /// `INTEGER*4` array, read-only (a default-kind `integer a(n)`).
+    I32Slice(&'a [i32]),
     /// `INTEGER*8` array, read-only.
     I64Slice(&'a [i64]),
     /// `INTEGER*8` array, writable.
@@ -125,6 +127,18 @@ impl ArgRef<'_> {
         match self {
             ArgRef::F64SliceMut(v) => v,
             other => panic!("Fortran argument not a writable REAL*8 array: {other:?}"),
+        }
+    }
+
+    /// Read-only view of an `INTEGER*4` array argument. Array widths do
+    /// not coerce (unlike scalars): the callee indexes the caller's
+    /// storage in place.
+    pub fn as_i32_slice(&self) -> &[i32] {
+        match self {
+            ArgRef::I32Slice(v) => v,
+            other => {
+                panic!("Fortran argument type mismatch: expected INTEGER*4 array, got {other:?}")
+            }
         }
     }
 
@@ -314,6 +328,42 @@ mod tests {
         let mut w = ArgVal::I32(0);
         w.by_ref_mut().set_i64(123);
         assert_eq!(w, ArgVal::I32(123));
+    }
+
+    #[test]
+    fn i32_array_is_passed_in_place() {
+        let r = Registry::new();
+        // ISUM(N, IA(N), SUM, ADDR): the callee sees the caller's storage.
+        r.register("ISUM", |args| {
+            let n = args[0].as_i64() as usize;
+            let ia = args[1].as_i32_slice();
+            let sum: i64 = ia[..n].iter().map(|&v| v as i64).sum();
+            let addr = ia.as_ptr() as i64;
+            args[2].set_i64(sum);
+            args[3].set_i64(addr);
+        });
+        let ia = [3i32, -1, 40];
+        let n = ArgVal::I32(3);
+        let (mut sum, mut addr) = (ArgVal::I64(0), ArgVal::I64(0));
+        r.call(
+            "isum_",
+            &mut [
+                n.by_ref(),
+                ArgRef::I32Slice(&ia),
+                sum.by_ref_mut(),
+                addr.by_ref_mut(),
+            ],
+        )
+        .unwrap();
+        assert_eq!(sum, ArgVal::I64(42));
+        assert_eq!(addr, ArgVal::I64(ia.as_ptr() as i64), "no copy was made");
+    }
+
+    #[test]
+    #[should_panic(expected = "expected INTEGER*4 array")]
+    fn i32_array_does_not_coerce_from_i64() {
+        let wide = [1i64, 2];
+        ArgRef::I64Slice(&wide).as_i32_slice();
     }
 
     #[test]

@@ -35,15 +35,19 @@ pub const EPSILON: f64 = 1e-10;
 pub const CGITMAX: usize = 25;
 const RCOND: f64 = 0.1;
 
-/// Sparse matrix in CSR form (0-based).
+/// Sparse matrix in CSR form (0-based). The index arrays are
+/// `INTEGER*4`, as `cg.f` declares them (`integer colidx(nz),
+/// rowstr(na+1)`): the spmv is bandwidth-bound, and 12 bytes per
+/// nonzero instead of 16 is a quarter less to stream. [`makea`]
+/// refuses sizes the width cannot hold.
 #[derive(Debug, Clone)]
 pub struct CsrMatrix {
     /// Matrix order.
     pub n: usize,
     /// Row start offsets, `n + 1` entries.
-    pub rowstr: Vec<usize>,
+    pub rowstr: Vec<i32>,
     /// Column indices per stored element.
-    pub colidx: Vec<usize>,
+    pub colidx: Vec<i32>,
     /// Element values.
     pub a: Vec<f64>,
 }
@@ -54,12 +58,48 @@ impl CsrMatrix {
         self.a.len()
     }
 
-    /// `(A·p)[row]`.
+    /// The three arrays, borrowed: what the solvers take, and what
+    /// crosses the Fortran boundary by reference.
+    pub fn view(&self) -> CsrView<'_> {
+        CsrView {
+            rowstr: &self.rowstr,
+            colidx: &self.colidx,
+            a: &self.a,
+        }
+    }
+}
+
+/// A borrowed CSR matrix (0-based, `INTEGER*4` indices).
+#[derive(Debug, Clone, Copy)]
+pub struct CsrView<'a> {
+    /// Row start offsets, `n + 1` entries.
+    pub rowstr: &'a [i32],
+    /// Column indices per stored element.
+    pub colidx: &'a [i32],
+    /// Element values.
+    pub a: &'a [f64],
+}
+
+impl CsrView<'_> {
+    /// Matrix order.
+    pub fn n(&self) -> usize {
+        self.rowstr.len() - 1
+    }
+
+    /// Positions of `row`'s stored elements in `colidx` / `a`.
+    #[inline]
+    pub fn row_range(&self, row: usize) -> std::ops::Range<usize> {
+        self.rowstr[row] as usize..self.rowstr[row + 1] as usize
+    }
+
+    /// `(A·p)[row]`: one accumulator, elements in stored order (ζ is
+    /// pinned bitwise by the tests, so neither may change).
     #[inline]
     pub fn row_dot(&self, row: usize, p: &[f64]) -> f64 {
+        let r = self.row_range(row);
         let mut sum = 0.0;
-        for k in self.rowstr[row]..self.rowstr[row + 1] {
-            sum += self.a[k] * p[self.colidx[k]];
+        for (&v, &c) in self.a[r.clone()].iter().zip(&self.colidx[r]) {
+            sum += v * p[c as usize];
         }
         sum
     }
@@ -155,8 +195,17 @@ pub fn makea(tran: &mut Randlc, params: &CgParams) -> CsrMatrix {
 /// The `sparse` assembly: bucket triplets by row, then squeeze
 /// duplicate columns by summation, preserving first-occurrence column
 /// order (as the Fortran's mark/nzloc pass does).
+///
+/// # Panics
+///
+/// If `n` or the triplet count does not fit the `INTEGER*4` index
+/// arrays.
 fn sparse(n: usize, arow: &[u32], acol: &[u32], aelt: &[f64]) -> CsrMatrix {
     let nnza = arow.len();
+    assert!(
+        n < i32::MAX as usize && nnza <= i32::MAX as usize,
+        "NPB CG stores INTEGER*4 indices: n = {n} / {nnza} triplets do not fit 31 bits"
+    );
     // Row bucket offsets.
     let mut rowstr = vec![0usize; n + 2];
     for &r in arow {
@@ -182,7 +231,7 @@ fn sparse(n: usize, arow: &[u32], acol: &[u32], aelt: &[f64]) -> CsrMatrix {
     let mut nzloc = Vec::with_capacity(64);
     let mut a = Vec::with_capacity(nnza / 2);
     let mut colidx = Vec::with_capacity(nnza / 2);
-    let mut out_rowstr = vec![0usize; n + 1];
+    let mut out_rowstr = vec![0i32; n + 1];
     for row in 1..=n {
         nzloc.clear();
         for k in rowstr[row]..rowstr[row + 1] {
@@ -199,10 +248,10 @@ fn sparse(n: usize, arow: &[u32], acol: &[u32], aelt: &[f64]) -> CsrMatrix {
             x[c] = 0.0;
             if xi != 0.0 {
                 a.push(xi);
-                colidx.push(c - 1); // to 0-based
+                colidx.push((c - 1) as i32); // to 0-based
             }
         }
-        out_rowstr[row] = a.len();
+        out_rowstr[row] = a.len() as i32;
     }
     CsrMatrix {
         n,
@@ -235,8 +284,8 @@ pub fn setup(class: Class) -> CgSetup {
 /// Serial inner CG solve: 25 iterations of unpreconditioned CG on
 /// `A z = x`; returns `‖x − A·z‖`.
 #[allow(clippy::needless_range_loop)] // keeps the Fortran loop shape
-pub fn conj_grad_serial(mat: &CsrMatrix, x: &[f64], z: &mut [f64]) -> f64 {
-    let n = mat.n;
+pub fn conj_grad_serial(mat: CsrView<'_>, x: &[f64], z: &mut [f64]) -> f64 {
+    let n = mat.n();
     let mut r = x.to_vec();
     let mut p = r.clone();
     let mut q = vec![0.0f64; n];
@@ -276,16 +325,11 @@ pub fn conj_grad_serial(mat: &CsrMatrix, x: &[f64], z: &mut [f64]) -> f64 {
 /// previous join — which is exactly what the borrow checker verifies
 /// (shared `&` reads vs. the one `&mut` output).
 ///
-/// Cost note: this trades the old single-region structure (one fork,
-/// many in-region barriers, `SharedSlice` writes) for one fork-join
-/// per loop (~6·CGITMAX per solve). With the pooled runtime a fork is
-/// a barrier pair, so the synchronization count is comparable, and
-/// both Table-1 configurations share this solver, so the
-/// paper-reproduction ratios are unaffected — but if the fork path
-/// ever shows up in `benches/`, a region-scoped fast path can be
-/// reintroduced on top of the same `IterSpace` lowering.
-pub fn conj_grad_parallel(mat: &CsrMatrix, x: &[f64], z: &mut [f64], threads: usize) -> f64 {
-    let n = mat.n;
+/// One fork-join per loop is ~6·CGITMAX forks per solve; with the
+/// pooled runtime a fork is a barrier pair, and both Table-1
+/// configurations share this solver.
+pub fn conj_grad_parallel(mat: CsrView<'_>, x: &[f64], z: &mut [f64], threads: usize) -> f64 {
+    let n = mat.n();
     let pf = || {
         par_for(0..n)
             .num_threads(threads)
@@ -399,7 +443,7 @@ fn result(setup: &CgSetup, variant: Variant, threads: usize, zeta: f64, secs: f6
 /// Serial CG (speedup baseline). Reuses a prebuilt setup so benchmarks
 /// don't regenerate the matrix.
 pub fn run_serial_with(setup: &CgSetup) -> KernelResult {
-    let (zeta, secs) = power_iterations(setup, |x, z| conj_grad_serial(&setup.mat, x, z));
+    let (zeta, secs) = power_iterations(setup, |x, z| conj_grad_serial(setup.mat.view(), x, z));
     result(setup, Variant::Serial, 1, zeta, secs)
 }
 
@@ -413,14 +457,15 @@ pub mod romp {
     use super::*;
 
     /// One parallel inner solve — see [`super::conj_grad_parallel`].
-    pub fn conj_grad_parallel(mat: &CsrMatrix, x: &[f64], z: &mut [f64], threads: usize) -> f64 {
+    pub fn conj_grad_parallel(mat: CsrView<'_>, x: &[f64], z: &mut [f64], threads: usize) -> f64 {
         super::conj_grad_parallel(mat, x, z, threads)
     }
 
     /// Run CG with a prebuilt problem.
     pub fn run_with(setup: &CgSetup, threads: usize) -> KernelResult {
-        let (zeta, secs) =
-            power_iterations(setup, |x, z| conj_grad_parallel(&setup.mat, x, z, threads));
+        let (zeta, secs) = power_iterations(setup, |x, z| {
+            conj_grad_parallel(setup.mat.view(), x, z, threads)
+        });
         result(setup, Variant::Romp, threads, zeta, secs)
     }
 
@@ -441,26 +486,22 @@ pub mod reference {
         ONCE.call_once(|| {
             // CONJ_GRAD(N, NNZ, ROWSTR(N+1), COLIDX(NNZ), A(NNZ),
             //           X(N), Z(N), RNORM, NTHREADS)
+            // The arrays arrive by reference and are used in place:
+            // N and NNZ are their extents, as in any f77 interface.
             global_registry().register("CONJ_GRAD", |args| {
                 let (head, tail) = args.split_at_mut(6);
                 let n = head[0].as_i64() as usize;
-                let _nnz = head[1].as_i64() as usize;
-                let rowstr64 = head[2].as_i64_slice();
-                let colidx64 = head[3].as_i64_slice();
-                let a = head[4].as_f64_slice();
+                let nnz = head[1].as_i64() as usize;
+                let mat = CsrView {
+                    rowstr: &head[2].as_i32_slice()[..n + 1],
+                    colidx: &head[3].as_i32_slice()[..nnz],
+                    a: &head[4].as_f64_slice()[..nnz],
+                };
                 let x = head[5].as_f64_slice();
                 let (z_arg, rest) = tail.split_first_mut().expect("z argument");
                 let z = z_arg.as_f64_slice_mut();
                 let threads = rest[1].as_i64() as usize;
-                // Rebuild the CSR view (index width conversion is the
-                // marshalling price of the Fortran boundary).
-                let mat = CsrMatrix {
-                    n,
-                    rowstr: rowstr64.iter().map(|&v| v as usize).collect(),
-                    colidx: colidx64.iter().map(|&v| v as usize).collect(),
-                    a: a.to_vec(),
-                };
-                let rn = super::romp::conj_grad_parallel(&mat, x, z, threads);
+                let rn = super::romp::conj_grad_parallel(mat, x, z, threads);
                 rest[0].set_f64(rn);
             });
         });
@@ -470,8 +511,6 @@ pub mod reference {
     pub fn run_with(setup: &CgSetup, threads: usize) -> KernelResult {
         register();
         let mat = &setup.mat;
-        let rowstr64: Vec<i64> = mat.rowstr.iter().map(|&v| v as i64).collect();
-        let colidx64: Vec<i64> = mat.colidx.iter().map(|&v| v as i64).collect();
         let n_arg = ArgVal::I64(mat.n as i64);
         let nnz_arg = ArgVal::I64(mat.nnz() as i64);
         let t_arg = ArgVal::I64(threads as i64);
@@ -483,8 +522,8 @@ pub mod reference {
                     &mut [
                         n_arg.by_ref(),
                         nnz_arg.by_ref(),
-                        ArgRef::I64Slice(&rowstr64),
-                        ArgRef::I64Slice(&colidx64),
+                        ArgRef::I32Slice(&mat.rowstr),
+                        ArgRef::I32Slice(&mat.colidx),
                         ArgRef::F64Slice(&mat.a),
                         ArgRef::F64Slice(x),
                         ArgRef::F64SliceMut(z),
@@ -548,7 +587,11 @@ mod tests {
             assert!(s.mat.rowstr[row + 1] > s.mat.rowstr[row], "empty row {row}");
         }
         // All column indices in range.
-        assert!(s.mat.colidx.iter().all(|&c| c < s.mat.n));
+        assert!(s
+            .mat
+            .colidx
+            .iter()
+            .all(|&c| (0..s.mat.n as i32).contains(&c)));
     }
 
     #[test]
@@ -557,8 +600,8 @@ mod tests {
         let x = vec![1.0f64; s.mat.n];
         let mut z1 = vec![0.0; s.mat.n];
         let mut z2 = vec![0.0; s.mat.n];
-        let r1 = conj_grad_serial(&s.mat, &x, &mut z1);
-        let r2 = romp::conj_grad_parallel(&s.mat, &x, &mut z2, 4);
+        let r1 = conj_grad_serial(s.mat.view(), &x, &mut z1);
+        let r2 = romp::conj_grad_parallel(s.mat.view(), &x, &mut z2, 4);
         assert!((r1 - r2).abs() < 1e-9, "rnorm {r1} vs {r2}");
         for (a, b) in z1.iter().zip(&z2) {
             assert!((a - b).abs() < 1e-9);
@@ -570,19 +613,16 @@ mod tests {
         // makea builds A as a sum of scaled outer products v vT plus a
         // diagonal, so A is symmetric (up to multiplication ordering).
         let s = setup(Class::S);
-        let m = &s.mat;
-        for row in (0..m.n).step_by(97) {
-            for k in m.rowstr[row]..m.rowstr[row + 1] {
-                let col = m.colidx[k];
+        let m = s.mat.view();
+        for row in (0..m.n()).step_by(97) {
+            for k in m.row_range(row) {
+                let col = m.colidx[k] as usize;
                 let v = m.a[k];
                 // find (col, row)
-                let mut found = None;
-                for k2 in m.rowstr[col]..m.rowstr[col + 1] {
-                    if m.colidx[k2] == row {
-                        found = Some(m.a[k2]);
-                        break;
-                    }
-                }
+                let found = m
+                    .row_range(col)
+                    .find(|&k2| m.colidx[k2] as usize == row)
+                    .map(|k2| m.a[k2]);
                 // scale*v_i*v_j is computed in different association
                 // orders for (i,j) and (j,i): equal to 1 ulp, not bitwise.
                 let got = found.unwrap_or_else(|| panic!("missing A[{col}][{row}]"));
@@ -599,10 +639,11 @@ mod tests {
         // Every diagonal entry contains the rcond - shift term, making
         // it large and negative for class S (shift = 10).
         let s = setup(Class::S);
-        let m = &s.mat;
-        for row in (0..m.n).step_by(131) {
-            let diag = (m.rowstr[row]..m.rowstr[row + 1])
-                .find(|&k| m.colidx[k] == row)
+        let m = s.mat.view();
+        for row in (0..m.n()).step_by(131) {
+            let diag = m
+                .row_range(row)
+                .find(|&k| m.colidx[k] as usize == row)
                 .map(|k| m.a[k])
                 .expect("diagonal entry present");
             assert!(diag < -8.0, "row {row}: diag = {diag}");
@@ -614,7 +655,33 @@ mod tests {
         // Two triplets on the same (row, col) must sum.
         let m = sparse(2, &[1, 1, 2], &[1, 1, 2], &[1.5, 2.5, 3.0]);
         assert_eq!(m.nnz(), 2);
-        assert_eq!(m.row_dot(0, &[1.0, 0.0]), 4.0);
-        assert_eq!(m.row_dot(1, &[0.0, 1.0]), 3.0);
+        assert_eq!(m.view().row_dot(0, &[1.0, 0.0]), 4.0);
+        assert_eq!(m.view().row_dot(1, &[0.0, 1.0]), 3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "INTEGER*4 indices")]
+    fn sparse_rejects_orders_beyond_the_index_width() {
+        // Must fail on the check, before anything of size n is allocated.
+        sparse(1usize << 32, &[], &[], &[]);
+    }
+
+    #[test]
+    fn serial_zeta_is_bit_stable() {
+        // The bits the 64-bit-index, indexed-loop `row_dot` produced:
+        // index width and loop shape may not change the arithmetic.
+        for (class, bits) in [
+            (Class::S, 0x4021_31c1_4014_5f4d_u64),
+            (Class::W, 0x4024_b9a6_1031_c699),
+        ] {
+            let r = run_serial(class);
+            assert!(r.verified, "{r}");
+            assert_eq!(
+                r.checksum.to_bits(),
+                bits,
+                "class {class:?} zeta {}",
+                r.checksum
+            );
+        }
     }
 }
