@@ -13,6 +13,18 @@
 //! leapfrogging `ep.f` does with its `randlc(t2, t2)` doubling loop.
 //! That makes every block independent, which is the whole point of the
 //! benchmark ("embarrassingly parallel").
+//!
+//! Inside a block, [`accumulate_blocks`] works in stack batches of
+//! pairs rather than pair by pair, so independent work is no longer
+//! queued behind one dependency chain: the batch's uniforms come from
+//! the multi-chain [`Randlc::fill`]; the acceptance test is applied
+//! without a branch, compacting the accepted pairs to a dense prefix;
+//! `ln`/`sqrt` run over that prefix with nothing waiting on them; and
+//! only then are the deviates added into `sx`, `sy` and `q`. Every pair
+//! is evaluated with the same expressions as `ep.f`, and the last pass
+//! adds the accepted pairs in stream order into the same single
+//! accumulators, so `sx`, `sy` and `q` are bitwise those of the
+//! pair-at-a-time loop (pinned by a test for classes S and W).
 
 use crate::classes::Class;
 use crate::rng::{skip_ahead, Randlc, SEED_EP};
@@ -71,19 +83,43 @@ pub fn verify(class: Class, out: &EpOutput) -> bool {
     close(out.sx, sx_ref, EPSILON) && close(out.sy, sy_ref, EPSILON)
 }
 
-/// Process blocks `[block_lo, block_hi)` of `NK` pairs each, exactly as
-/// `ep.f`'s inner loop does.
+/// Pairs per batch of [`accumulate_blocks`]: the batch's uniforms and
+/// accepted pairs live on the stack (`2·B + 3·B` doubles = 10 KB).
+const BATCH: usize = 256;
+
+/// Process blocks `[block_lo, block_hi)` of `NK` pairs each, with
+/// `ep.f`'s arithmetic and accumulation order, one batch of `BATCH` pairs
+/// at a time in three passes: fill the batch's uniforms
+/// ([`Randlc::fill`], the `vranlc` call), keep the pairs that pass the
+/// acceptance test and transform them, then accumulate them in stream
+/// order into the one running `sx`/`sy`/`q`.
 pub fn accumulate_blocks(block_lo: u64, block_hi: u64) -> EpOutput {
     let nk_pairs = 1u64 << MK;
     let mut acc = EpOutput::zero();
+    let mut u = [0.0f64; 2 * BATCH];
+    let mut x1s = [0.0f64; BATCH];
+    let mut x2s = [0.0f64; BATCH];
+    let mut ts = [0.0f64; BATCH];
     for k in block_lo..block_hi {
         let mut rng = Randlc::new(skip_ahead(SEED_EP, 2 * nk_pairs * k));
-        for _ in 0..nk_pairs {
-            let x1 = 2.0 * rng.next_f64() - 1.0;
-            let x2 = 2.0 * rng.next_f64() - 1.0;
-            let t = x1 * x1 + x2 * x2;
-            if t <= 1.0 {
-                let t2 = (-2.0 * t.ln() / t).sqrt();
+        for _ in 0..nk_pairs / BATCH as u64 {
+            rng.fill(&mut u);
+            // Branch-free compaction: every pair is written at slot `n`,
+            // which only advances past an accepted one.
+            let mut n = 0;
+            for pair in u.chunks_exact(2) {
+                let x1 = 2.0 * pair[0] - 1.0;
+                let x2 = 2.0 * pair[1] - 1.0;
+                let t = x1 * x1 + x2 * x2;
+                x1s[n] = x1;
+                x2s[n] = x2;
+                ts[n] = t;
+                n += (t <= 1.0) as usize;
+            }
+            for t in &mut ts[..n] {
+                *t = (-2.0 * t.ln() / *t).sqrt();
+            }
+            for ((&x1, &x2), &t2) in x1s[..n].iter().zip(&x2s[..n]).zip(&ts[..n]) {
                 let t3 = x1 * t2;
                 let t4 = x2 * t2;
                 let l = t3.abs().max(t4.abs()) as usize;
@@ -121,6 +157,21 @@ pub mod romp {
 
     /// Run EP with `threads` threads.
     pub fn run(class: Class, threads: usize) -> KernelResult {
+        let (out, secs) = run_output(class, threads);
+        KernelResult {
+            name: "EP",
+            class,
+            variant: Variant::Romp,
+            threads,
+            time_s: secs,
+            mops: mops(class, secs),
+            verified: verify(class, &out),
+            checksum: out.sx,
+        }
+    }
+
+    /// The accumulators of a [`run`] and its seconds.
+    pub(crate) fn run_output(class: Class, threads: usize) -> (EpOutput, f64) {
         let nn = blocks(class) as usize;
         let q_total: Mutex<[u64; 10]> = Mutex::new([0; 10]);
         let ((sx, sy), secs) = romp_runtime::wtime::timed(|| {
@@ -148,16 +199,7 @@ pub mod romp {
             sy,
             q: q_total.into_inner().unwrap(),
         };
-        KernelResult {
-            name: "EP",
-            class,
-            variant: Variant::Romp,
-            threads,
-            time_s: secs,
-            mops: mops(class, secs),
-            verified: verify(class, &out),
-            checksum: out.sx,
-        }
+        (out, secs)
     }
 }
 
@@ -310,9 +352,41 @@ mod tests {
     fn thread_counts_agree_exactly_on_gc() {
         let (serial, _) = run_serial(Class::S);
         for threads in [1, 2, 3, 8] {
-            let r = romp::run(Class::S, threads);
-            assert!(r.verified, "threads={threads}");
-            let _ = serial; // gc equality is implied by q equality below
+            let (out, _) = romp::run_output(Class::S, threads);
+            assert!(verify(Class::S, &out), "threads={threads}");
+            assert_eq!(out.q, serial.q, "threads={threads}");
+            assert!(close(out.sx, serial.sx, 1e-12), "threads={threads}");
+            assert!(close(out.sy, serial.sy, 1e-12), "threads={threads}");
+        }
+    }
+
+    /// The batched kernel against the values the pair-at-a-time loop
+    /// produced: every bit of `sx`/`sy` and every annulus count.
+    #[test]
+    fn accumulators_are_pinned_bitwise() {
+        let pins = [
+            (
+                Class::S,
+                0xc0a9_5fab_5782_f17c_u64,
+                0xc0bb_2e68_3649_f2e2_u64,
+                [
+                    6_140_517, 5_865_300, 1_100_361, 68_546, 1_648, 17, 0, 0, 0, 0,
+                ],
+            ),
+            (
+                Class::W,
+                0xc0a6_5ea3_b3dd_c402,
+                0xc0b8_b00d_bdea_0365,
+                [
+                    12_281_576, 11_729_692, 2_202_726, 137_368, 3_371, 36, 0, 0, 0, 0,
+                ],
+            ),
+        ];
+        for (class, sx, sy, q) in pins {
+            let out = accumulate_blocks(0, blocks(class));
+            assert_eq!(out.sx.to_bits(), sx, "{class:?} sx={:e}", out.sx);
+            assert_eq!(out.sy.to_bits(), sy, "{class:?} sy={:e}", out.sy);
+            assert_eq!(out.q, q, "{class:?}");
         }
     }
 

@@ -13,6 +13,12 @@
 //! implementations give each thread an independent, *deterministically
 //! placed* slice of the global stream — the same leapfrogging the NPB
 //! reference codes do with their `randlc(t2, t2)` doubling loops.
+//!
+//! The same leapfrog, at stride `L = FILL_CHAINS` (4) instead of a block,
+//! drives [`Randlc::fill`] (`vranlc`): `L` chains stepping by `A^L`
+//! produce the values `x_{j+1}, x_{j+1+L}, …` interleaved, which is the
+//! serial sequence itself, so a batch fill costs `L` overlapping
+//! multiplies per `L` values instead of `L` dependent ones.
 
 /// The NPB multiplier, `5^13`.
 pub const A: u64 = 1_220_703_125;
@@ -23,6 +29,19 @@ pub const SEED_EP: u64 = 271_828_183;
 
 const MOD_MASK: u64 = (1 << 46) - 1;
 const R46: f64 = 1.0 / (1u64 << 46) as f64;
+
+/// Interleaved generator chains in [`Randlc::fill`].
+const FILL_CHAINS: usize = 4;
+/// The chain stride multiplier `A^FILL_CHAINS mod 2^46`.
+const A_FILL: u64 = pow_mod46(A, FILL_CHAINS as u64);
+
+/// A state as the uniform `x · 2^-46`. States are below 2^46, so the
+/// conversion is exact and the signed one (a single instruction) gives
+/// the same bits as the unsigned one.
+#[inline]
+fn to_unit(x: u64) -> f64 {
+    x as i64 as f64 * R46
+}
 
 /// The generator state (the Fortran code keeps this in a `DOUBLE
 /// PRECISION` variable; we keep the integer).
@@ -47,7 +66,7 @@ impl Randlc {
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
         self.x = mul_mod46(self.x, A);
-        self.x as f64 * R46
+        to_unit(self.x)
     }
 
     /// Advance once with an arbitrary multiplier (used by the seed
@@ -55,14 +74,37 @@ impl Randlc {
     #[inline]
     pub fn next_with(&mut self, mult: u64) -> f64 {
         self.x = mul_mod46(self.x, mult);
-        self.x as f64 * R46
+        to_unit(self.x)
     }
 
     /// Fill `out` with consecutive uniforms — the `vranlc` call.
+    ///
+    /// The values are produced by `L = FILL_CHAINS` interleaved LCG
+    /// chains: chain `j` starts at `x_{j+1}` and steps by the multiplier
+    /// `A^L` (`x_{k+L} = x_k · A^L mod 2^46`), so chain `j` writes
+    /// `out[j], out[j+L], …`. The chains are independent, so their
+    /// multiplies overlap instead of forming one serial dependency; the
+    /// integer sequence — and hence every output bit and the state left
+    /// behind — is exactly that of calling [`Randlc::next_f64`]
+    /// `out.len()` times.
     pub fn fill(&mut self, out: &mut [f64]) {
-        for v in out.iter_mut() {
-            *v = self.next_f64();
+        let mut chains = [0u64; FILL_CHAINS];
+        let mut x = self.x;
+        for c in chains.iter_mut() {
+            x = mul_mod46(x, A);
+            *c = x;
         }
+        let mut blocks = out.chunks_exact_mut(FILL_CHAINS);
+        for block in &mut blocks {
+            for (v, c) in block.iter_mut().zip(chains.iter_mut()) {
+                *v = to_unit(*c);
+                *c = mul_mod46(*c, A_FILL);
+            }
+        }
+        for (v, &c) in blocks.into_remainder().iter_mut().zip(&chains) {
+            *v = to_unit(c);
+        }
+        self.skip(out.len() as u64);
     }
 
     /// Jump the stream forward by `n` steps in O(log n).
@@ -73,12 +115,12 @@ impl Randlc {
 
 /// `(a * b) mod 2^46` exactly.
 #[inline]
-pub fn mul_mod46(a: u64, b: u64) -> u64 {
+pub const fn mul_mod46(a: u64, b: u64) -> u64 {
     ((a as u128 * b as u128) & MOD_MASK as u128) as u64
 }
 
 /// `a^n mod 2^46` by square-and-multiply.
-pub fn pow_mod46(a: u64, mut n: u64) -> u64 {
+pub const fn pow_mod46(a: u64, mut n: u64) -> u64 {
     let mut base = a & MOD_MASK;
     let mut acc: u64 = 1;
     while n > 0 {
@@ -176,12 +218,22 @@ mod tests {
 
     #[test]
     fn fill_matches_individual_draws() {
-        let mut a = Randlc::new(SEED_EP);
-        let mut b = Randlc::new(SEED_EP);
-        let mut buf = vec![0.0; 257];
-        a.fill(&mut buf);
-        for (i, &v) in buf.iter().enumerate() {
-            assert_eq!(v.to_bits(), b.next_f64().to_bits(), "index {i}");
+        const L: usize = FILL_CHAINS;
+        for len in [0, 1, L - 1, L, L + 1, 2 * L + 3, 257] {
+            let mut a = Randlc::new(SEED_EP);
+            let mut b = Randlc::new(SEED_EP);
+            let mut buf = vec![0.0; len];
+            a.fill(&mut buf);
+            for (i, &v) in buf.iter().enumerate() {
+                assert_eq!(v.to_bits(), b.next_f64().to_bits(), "len {len}, index {i}");
+            }
+            assert_eq!(a.state(), b.state(), "state after len {len}");
+            // A second fill continues the stream where the first stopped.
+            let mut more = [0.0; 3];
+            a.fill(&mut more);
+            for &v in &more {
+                assert_eq!(v.to_bits(), b.next_f64().to_bits(), "after len {len}");
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 //! expressed through the `romp_core` macros, which expand to exactly
 //! the `fork`/worksharing calls the Zig implementation inserts directly.
 
-use crate::diag::{line_col, Diag};
+use crate::diag::{Diag, LineIndex};
 use crate::directive::{Clause, Directive, DirectiveKind, RedOp, ScheduleKind};
 use crate::source::{
     find_directives, match_brace, next_construct, skip_trivia, FoundDirective, NextConstruct,
@@ -19,6 +19,7 @@ use crate::source::{
 pub fn translate(src: &str) -> Result<String, Vec<Diag>> {
     let mut cx = Cx {
         src,
+        lines: LineIndex::new(src),
         diags: Vec::new(),
     };
     let out = transform_range(&mut cx, 0, src.len(), None, 0);
@@ -31,12 +32,13 @@ pub fn translate(src: &str) -> Result<String, Vec<Diag>> {
 
 struct Cx<'a> {
     src: &'a str,
+    lines: LineIndex<'a>,
     diags: Vec<Diag>,
 }
 
 impl Cx<'_> {
     fn diag(&mut self, offset: usize, message: impl Into<String>) {
-        let (line, col) = line_col(self.src, offset);
+        let (line, col) = self.lines.line_col(offset);
         self.diags.push(Diag::new(line, col, message));
     }
 }
@@ -314,7 +316,7 @@ fn site_clause_text(cx: &Cx<'_>, d: &Directive, at: usize) -> Option<String> {
         )
     });
     adaptive.then(|| {
-        let (line, _) = line_col(cx.src, at);
+        let (line, _) = cx.lines.line_col(at);
         format!("site(\"rompcc:{line}\"), ")
     })
 }

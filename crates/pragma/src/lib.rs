@@ -54,11 +54,12 @@ pub fn pipeline_stages(src: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "==== stage 1: directive comments located ====");
     let found = find_directives(src);
+    let lines = diag::LineIndex::new(src);
     if found.is_empty() {
         let _ = writeln!(out, "(none)");
     }
     for f in &found {
-        let (line, col) = diag::line_col(src, f.start);
+        let (line, col) = lines.line_col(f.start);
         let _ = writeln!(out, "  line {line:>4}, col {col:>3}:  //#omp {}", f.text);
     }
 
