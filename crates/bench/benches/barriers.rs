@@ -1,11 +1,11 @@
-//! Ablation A2 — barrier algorithm: centralized sense-reversing vs
-//! dissemination, across team sizes.
+//! Ablation A2 — the team barrier (centralized sense-reversing) across
+//! team sizes.
 //!
 //! Measures 100 barrier episodes per region (amortizing the fork), the
 //! dominant synchronization cost of barrier-heavy codes like CG.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use romp_runtime::{fork, icv, BarrierKind, ForkSpec};
+use romp_runtime::{fork, ForkSpec};
 
 fn bench_barriers(c: &mut Criterion) {
     let hw = std::thread::available_parallelism()
@@ -16,25 +16,17 @@ fn bench_barriers(c: &mut Criterion) {
     let mut teams = vec![2usize, 4, hw.max(2)];
     teams.sort_unstable();
     teams.dedup();
-    for kind in [BarrierKind::Central, BarrierKind::Dissemination] {
-        for &team in &teams {
-            let label = format!("{kind:?}/{team}t");
-            g.bench_with_input(
-                BenchmarkId::from_parameter(label),
-                &(kind, team),
-                |b, &(k, t)| {
-                    icv::with_global_mut(|i| i.barrier_kind = k);
-                    b.iter(|| {
-                        fork(ForkSpec::with_num_threads(t), |ctx| {
-                            for _ in 0..100 {
-                                ctx.barrier();
-                            }
-                        });
-                    });
-                    icv::with_global_mut(|i| i.barrier_kind = BarrierKind::Central);
-                },
-            );
-        }
+    for &team in &teams {
+        let label = format!("Central/{team}t");
+        g.bench_with_input(BenchmarkId::from_parameter(label), &team, |b, &t| {
+            b.iter(|| {
+                fork(ForkSpec::with_num_threads(t), |ctx| {
+                    for _ in 0..100 {
+                        ctx.barrier();
+                    }
+                });
+            });
+        });
     }
     g.finish();
 }

@@ -18,10 +18,11 @@
 //! tasks into a taskgroup and cancelling it before they run (discard
 //! latency).
 //!
-//! The `parallel` rows are measured twice: with the **hot-team** fast
-//! path enabled (the default) and with `ROMP_HOT_TEAMS=0` semantics
-//! (the cold pool path, toggled hermetically in-process), so the
-//! fork/join fast path is pinned against its own baseline. Results are
+//! The `parallel` rows are measured twice: with the **hot-team** cache
+//! enabled (the default) and with `ROMP_HOT_TEAMS=0` semantics (the
+//! `cold` rows: every fork leases its workers from the pool for one
+//! region and hands them back, toggled in-process), so the cached
+//! fork/join path is pinned against a fresh lease per region. Results are
 //! printed as a table and written as machine-readable JSON (default
 //! `BENCH_syncbench.json`) to seed the perf trajectory; the JSON's
 //! `summary` block carries the headline `parallel@4` cold/hot ratio.
@@ -36,17 +37,12 @@
 //! **Server mode** measures many-master fork *throughput*: M
 //! concurrent masters (default M = 1/2/4/8) each drive a tight loop of
 //! small parallel regions, and the suite reports aggregate regions/sec
-//! plus the p99 per-fork latency across all masters, cold and hot.
-//! This is the workload the sharded idle-worker pool exists for, so
-//! each run also re-executes itself as a subprocess with
-//! `ROMP_POOL_SHARDS=1` (the pre-sharding global free list — the shard
-//! count is frozen per process, hence the subprocess) and records the
-//! single-shard numbers alongside, giving a same-run sharded-vs-global
-//! comparison in the `server_mode` JSON section.
+//! plus the p99 per-fork latency across all masters, cold and hot —
+//! the workload the sharded idle-worker pool exists for.
 //!
 //! Usage: `syncbench [--reps N] [--outer N] [--out PATH]
 //! [--server-m 1,2,4,8] [--server-regions N] [--server-threads T]
-//! [--no-server]`. `--server-only` is internal (the baseline child).
+//! [--no-server]`.
 
 use romp_bench::{render_table, Args};
 use romp_core::prelude::*;
@@ -352,73 +348,6 @@ fn run_server_mode(ms: &[usize], threads: usize, regions: usize) -> Vec<ServerCe
     cells
 }
 
-/// Re-run this binary with `ROMP_POOL_SHARDS=1` to measure the
-/// pre-sharding global free list in the same run. The shard count is
-/// frozen at first pool use, so the baseline needs its own process.
-fn run_single_shard_baseline(
-    ms: &[usize],
-    threads: usize,
-    regions: usize,
-) -> Option<Vec<ServerCell>> {
-    let exe = std::env::current_exe().ok()?;
-    let m_list = ms
-        .iter()
-        .map(|m| m.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let out = std::process::Command::new(exe)
-        .args([
-            "--server-only",
-            "--server-m",
-            &m_list,
-            "--server-regions",
-            &regions.to_string(),
-            "--server-threads",
-            &threads.to_string(),
-        ])
-        .env("ROMP_POOL_SHARDS", "1")
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        eprintln!(
-            "single-shard baseline child failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        return None;
-    }
-    let mut cells = Vec::new();
-    for line in String::from_utf8_lossy(&out.stdout).lines() {
-        let Some(rest) = line.strip_prefix("SERVER_RESULT ") else {
-            continue;
-        };
-        let mut masters = 0usize;
-        let mut mode = "";
-        let mut rps = f64::NAN;
-        let mut p99 = f64::NAN;
-        for kv in rest.split_whitespace() {
-            let Some((k, v)) = kv.split_once('=') else {
-                continue;
-            };
-            match k {
-                "masters" => masters = v.parse().unwrap_or(0),
-                "mode" => mode = if v == "hot" { "hot" } else { "cold" },
-                "rps" => rps = v.parse().unwrap_or(f64::NAN),
-                "p99_us" => p99 = v.parse().unwrap_or(f64::NAN),
-                _ => {}
-            }
-        }
-        if masters > 0 && !mode.is_empty() {
-            cells.push(ServerCell {
-                masters,
-                mode: if mode == "hot" { "hot" } else { "cold" },
-                regions_per_sec: rps,
-                p99_fork_us: p99,
-            });
-        }
-    }
-    (!cells.is_empty()).then_some(cells)
-}
-
 fn main() {
     let args = Args::parse();
     let reps: usize = args
@@ -446,19 +375,6 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(2)
         .max(1);
-
-    if args.has("server-only") {
-        // Baseline child: measure server mode only and report on stdout
-        // in a line format the parent parses (see
-        // `run_single_shard_baseline`).
-        for c in run_server_mode(&server_ms, server_threads, server_regions) {
-            println!(
-                "SERVER_RESULT masters={} mode={} rps={:.4} p99_us={:.4}",
-                c.masters, c.mode, c.regions_per_sec, c.p99_fork_us
-            );
-        }
-        return;
-    }
 
     let thread_counts = [1usize, 2, 4];
     let mut cells: Vec<Cell> = Vec::new();
@@ -609,7 +525,7 @@ fn main() {
     println!(
         "{}",
         render_table(
-            "syncbench — per-construct overhead (us), cold pool vs hot team",
+            "syncbench — per-construct overhead (us), one-region lease (cold) vs hot team",
             &["construct", "threads", "cold (us)", "hot (us)", "cold/hot"],
             &rows,
         )
@@ -696,7 +612,7 @@ fn main() {
             "{}",
             render_table(
                 "syncbench nested probe — 2x2 nested parallel (max-active-levels=2), \
-                 cold pool vs hierarchical hot teams",
+                 one-region leases (cold) vs hierarchical hot teams",
                 &["bind", "cold (us)", "hot (us)", "cold/hot"],
                 &rows,
             )
@@ -713,32 +629,19 @@ fn main() {
     }
 
     // ---------------- server mode ----------------
-    let (server_cells, baseline_cells) = if args.has("no-server") || server_ms.is_empty() {
-        (Vec::new(), None)
+    let server_cells = if args.has("no-server") || server_ms.is_empty() {
+        Vec::new()
     } else {
-        let cells = run_server_mode(&server_ms, server_threads, server_regions);
-        let baseline = run_single_shard_baseline(&server_ms, server_threads, server_regions);
-        (cells, baseline)
-    };
-    let baseline_lookup = |masters: usize, mode: &str| {
-        baseline_cells.as_ref().and_then(|cs| {
-            cs.iter()
-                .find(|c| c.masters == masters && c.mode == mode)
-                .map(|c| (c.regions_per_sec, c.p99_fork_us))
-        })
+        run_server_mode(&server_ms, server_threads, server_regions)
     };
     if !server_cells.is_empty() {
         let mut rows = Vec::new();
         for c in &server_cells {
-            let (b_rps, b_p99) = baseline_lookup(c.masters, c.mode).unwrap_or((f64::NAN, f64::NAN));
             rows.push(vec![
                 c.masters.to_string(),
                 c.mode.to_string(),
                 format!("{:.0}", c.regions_per_sec),
                 format!("{:.2}", c.p99_fork_us),
-                format!("{b_rps:.0}"),
-                format!("{b_p99:.2}"),
-                format!("{:.2}x", c.regions_per_sec / b_rps),
             ]);
         }
         println!(
@@ -746,7 +649,7 @@ fn main() {
             render_table(
                 &format!(
                     "syncbench server mode — {} masters x {} regions of parallel@{} \
-                     ({} pool shards vs single-shard baseline)",
+                     ({} pool shards)",
                     server_ms
                         .iter()
                         .map(|m| m.to_string())
@@ -756,15 +659,7 @@ fn main() {
                     server_threads,
                     pool::shard_count(),
                 ),
-                &[
-                    "masters",
-                    "mode",
-                    "regions/s",
-                    "p99 fork (us)",
-                    "1-shard regions/s",
-                    "1-shard p99 (us)",
-                    "sharded/1-shard",
-                ],
+                &["masters", "mode", "regions/s", "p99 fork (us)"],
                 &rows,
             )
         );
@@ -893,31 +788,18 @@ fn main() {
         let _ = writeln!(json, "  \"server_mode\": {{");
         let _ = writeln!(json, "    \"threads_per_region\": {server_threads},");
         let _ = writeln!(json, "    \"regions_per_master\": {server_regions},");
-        let _ = writeln!(json, "    \"pool_shards\": {},", pool::shard_count());
-        let _ = writeln!(
-            json,
-            "    \"baseline_pool_shards\": {},",
-            if baseline_cells.is_some() {
-                "1"
-            } else {
-                "null"
-            }
-        );
+        let _ = writeln!(json, "    \"pool_shard_count\": {},", pool::shard_count());
         let _ = writeln!(json, "    \"results\": [");
         for (i, c) in server_cells.iter().enumerate() {
             let comma = if i + 1 == server_cells.len() { "" } else { "," };
-            let (b_rps, b_p99) = baseline_lookup(c.masters, c.mode).unwrap_or((f64::NAN, f64::NAN));
             let _ = writeln!(
                 json,
                 "      {{\"masters\": {}, \"mode\": \"{}\", \"regions_per_sec\": {}, \
-                 \"p99_fork_us\": {}, \"single_shard_regions_per_sec\": {}, \
-                 \"single_shard_p99_fork_us\": {}}}{comma}",
+                 \"p99_fork_us\": {}}}{comma}",
                 c.masters,
                 c.mode,
                 json_escape_f(c.regions_per_sec),
-                json_escape_f(c.p99_fork_us),
-                json_escape_f(b_rps),
-                json_escape_f(b_p99)
+                json_escape_f(c.p99_fork_us)
             );
         }
         let _ = writeln!(json, "    ],");
@@ -926,24 +808,11 @@ fn main() {
             .find(|c| c.masters == 4 && c.mode == "cold")
             .map(|c| c.regions_per_sec)
             .unwrap_or(f64::NAN);
-        let m4_base = baseline_lookup(4, "cold")
-            .map(|(r, _)| r)
-            .unwrap_or(f64::NAN);
         let _ = writeln!(json, "    \"summary\": {{");
         let _ = writeln!(
             json,
-            "      \"m4_cold_regions_per_sec\": {},",
+            "      \"m4_cold_regions_per_sec\": {}",
             json_escape_f(m4)
-        );
-        let _ = writeln!(
-            json,
-            "      \"m4_cold_single_shard_regions_per_sec\": {},",
-            json_escape_f(m4_base)
-        );
-        let _ = writeln!(
-            json,
-            "      \"m4_cold_sharded_over_single_shard\": {}",
-            json_escape_f(m4 / m4_base)
         );
         let _ = writeln!(json, "    }}");
         let _ = writeln!(json, "  }},");

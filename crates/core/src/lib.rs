@@ -77,7 +77,7 @@ pub use romp_runtime::{
     omp_get_max_active_levels, omp_get_max_threads, omp_get_num_procs, omp_get_num_threads,
     omp_get_schedule, omp_get_team_size, omp_get_thread_limit, omp_get_thread_num, omp_get_wtick,
     omp_get_wtime, omp_in_parallel, omp_set_dynamic, omp_set_max_active_levels,
-    omp_set_num_threads, omp_set_schedule, variants, BarrierKind, BitAndOp, BitOrOp, BitXorOp,
-    CancelKind, ForkSpec, LogAndOp, LogOrOp, MaxOp, MinOp, NestLock, OmpLock, ProdOp, ReduceOp,
-    Schedule, SumOp, TaskDeps, TaskSpec, TaskloopSpec, ThreadCtx,
+    omp_set_num_threads, omp_set_schedule, variants, BitAndOp, BitOrOp, BitXorOp, CancelKind,
+    ForkSpec, LogAndOp, LogOrOp, MaxOp, MinOp, NestLock, OmpLock, ProdOp, ReduceOp, Schedule,
+    SumOp, TaskDeps, TaskSpec, TaskloopSpec, ThreadCtx,
 };

@@ -1,89 +1,60 @@
-//! Team barriers.
+//! The team barrier: a centralized sense-reversing counter barrier.
 //!
-//! Two algorithms, selectable via `ROMP_BARRIER` (ablation experiment A2):
+//! Each thread decrements a shared counter; the last arrival resets it
+//! and flips the global sense. One hot cache line, but minimal memory
+//! and cheap at the team sizes a fork-per-loop runtime runs.
 //!
-//! * **Central** — a sense-reversing counter barrier: each thread
-//!   decrements a shared counter; the last arrival flips the global sense
-//!   and wakes everyone. O(n) contention on one cache line, but minimal
-//!   memory and great at small team sizes.
-//! * **Dissemination** — ⌈log₂ n⌉ rounds; in round `r`, thread `t`
-//!   signals thread `(t + 2^r) mod n` and waits for its own signal.
-//!   No single hot line; scales better at large team sizes.
-//!
-//! Both spin for the wait policy's budget, then fall back to parking
-//! (central) or yielding (dissemination). Every wait loop watches an
-//! abort flag so that a panicking sibling unwinds the whole team instead
-//! of deadlocking it (see [`crate::pool`]).
+//! Waiters spin for the wait policy's budget, then park; the release
+//! takes the park lock and wakes the parked only when there are any, so
+//! an episode whose waiters are all still spinning costs no system call.
+//! Every wait loop watches an abort flag so that a panicking sibling
+//! unwinds the whole team instead of deadlocking it (see
+//! [`crate::pool`]).
 
 use crate::icv::WaitPolicy;
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
-
-/// Barrier algorithm selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BarrierKind {
-    /// Centralized sense-reversing counter barrier.
-    #[default]
-    Central,
-    /// Dissemination barrier (log-round pairwise signalling).
-    Dissemination,
-}
 
 /// Per-thread barrier bookkeeping, owned by the thread's context.
 #[derive(Debug, Clone)]
 pub struct BarrierLocal {
     sense: bool,
-    epoch: u64,
 }
 
 impl Default for BarrierLocal {
     fn default() -> Self {
-        BarrierLocal {
-            sense: true,
-            epoch: 0,
-        }
+        BarrierLocal { sense: true }
     }
 }
 
 /// A reusable barrier for a fixed-size team.
 #[derive(Debug)]
 pub struct TeamBarrier {
-    kind: BarrierKind,
     size: usize,
     spin_budget: u32,
-    // Central state.
     count: AtomicUsize,
     sense: AtomicBool,
     park_lock: Mutex<()>,
     park_cv: Condvar,
-    // Dissemination state: flags[round][thread] counts completed episodes.
-    flags: Vec<Vec<AtomicU64>>,
+    /// Waiters in the park phase. A waiter counts itself in (holding the
+    /// park lock) before its last look at `sense`, and the releaser
+    /// looks at this count after flipping `sense` — both `SeqCst` — so
+    /// either the waiter sees the flip or the releaser sees the waiter.
+    parked: AtomicUsize,
 }
 
 impl TeamBarrier {
     /// Build a barrier for `size` threads.
-    pub fn new(size: usize, kind: BarrierKind, policy: WaitPolicy) -> Self {
-        let rounds = if size <= 1 {
-            0
-        } else {
-            usize::BITS as usize - (size - 1).leading_zeros() as usize
-        };
-        let flags = match kind {
-            BarrierKind::Central => Vec::new(),
-            BarrierKind::Dissemination => (0..rounds)
-                .map(|_| (0..size).map(|_| AtomicU64::new(0)).collect())
-                .collect(),
-        };
+    pub fn new(size: usize, policy: WaitPolicy) -> Self {
         TeamBarrier {
-            kind,
             size,
             spin_budget: policy.spin_budget(),
             count: AtomicUsize::new(size),
             sense: AtomicBool::new(true),
             park_lock: Mutex::new(()),
             park_cv: Condvar::new(),
-            flags,
+            parked: AtomicUsize::new(0),
         }
     }
 
@@ -94,8 +65,8 @@ impl TeamBarrier {
 
     /// Return the barrier to its just-constructed state so a recycled
     /// hot team can reuse it with fresh per-thread [`BarrierLocal`]s
-    /// (every region hands its threads default locals: `sense = true`,
-    /// `epoch = 0`, so the shared side must match).
+    /// (every region hands its threads default locals, `sense = true`,
+    /// so the shared side must match).
     ///
     /// Contract: no thread is inside [`wait`](Self::wait). The hot-team
     /// master calls this between its join (all workers signalled region
@@ -104,11 +75,6 @@ impl TeamBarrier {
     pub(crate) fn reset(&self) {
         self.count.store(self.size, Ordering::Relaxed);
         self.sense.store(true, Ordering::Relaxed);
-        for round in &self.flags {
-            for f in round {
-                f.store(0, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Wait at the barrier. Returns `true` when the episode completed
@@ -118,15 +84,9 @@ impl TeamBarrier {
     /// blocked thread must be released to proceed to the region end).
     /// Once either flag is up the barrier state may be left mid-episode;
     /// that is fine because no further episode runs before the team is
-    /// discarded (cold) or `reset` (hot recycle).
+    /// discarded or `reset` (hot recycle).
     #[must_use]
-    pub fn wait(
-        &self,
-        thread_num: usize,
-        local: &mut BarrierLocal,
-        abort: &AtomicBool,
-        cancel: &AtomicBool,
-    ) -> bool {
+    pub fn wait(&self, local: &mut BarrierLocal, abort: &AtomicBool, cancel: &AtomicBool) -> bool {
         crate::stats::bump(&crate::stats::stats().barriers);
         // Chaos: delay-only site (a panic here could fire outside a
         // region body's catch scope) — staggered arrival is the
@@ -140,27 +100,18 @@ impl TeamBarrier {
         if abort.load(Ordering::Relaxed) || cancel.load(Ordering::Relaxed) {
             return false;
         }
-        match self.kind {
-            BarrierKind::Central => self.wait_central(local, abort, cancel),
-            BarrierKind::Dissemination => self.wait_dissemination(thread_num, local, abort, cancel),
-        }
-    }
-
-    fn wait_central(
-        &self,
-        local: &mut BarrierLocal,
-        abort: &AtomicBool,
-        cancel: &AtomicBool,
-    ) -> bool {
         let my_sense = local.sense;
         local.sense = !local.sense;
         if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last arrival: reset and release the episode.
             self.count.store(self.size, Ordering::Relaxed);
-            let _guard = self.park_lock.lock();
-            self.sense.store(!my_sense, Ordering::Release);
-            drop(_guard);
-            self.park_cv.notify_all();
+            self.sense.store(!my_sense, Ordering::SeqCst);
+            if self.parked.load(Ordering::SeqCst) > 0 {
+                // A parked waiter either already saw the flip or is
+                // inside `wait_for` once we get the lock.
+                drop(self.park_lock.lock());
+                self.park_cv.notify_all();
+            }
             return !abort.load(Ordering::Relaxed) && !cancel.load(Ordering::Relaxed);
         }
         // Spin phase.
@@ -177,45 +128,19 @@ impl TeamBarrier {
         }
         // Park phase.
         let mut guard = self.park_lock.lock();
-        while self.sense.load(Ordering::Acquire) == my_sense {
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        let mut released = true;
+        while self.sense.load(Ordering::SeqCst) == my_sense {
             if abort.load(Ordering::Relaxed) || cancel.load(Ordering::Relaxed) {
-                return false;
+                released = false;
+                break;
             }
             // Timed wait so we re-check the abort flag even if the wakeup
             // notification raced ahead of our park.
             self.park_cv.wait_for(&mut guard, Duration::from_millis(1));
         }
-        !abort.load(Ordering::Relaxed) && !cancel.load(Ordering::Relaxed)
-    }
-
-    fn wait_dissemination(
-        &self,
-        thread_num: usize,
-        local: &mut BarrierLocal,
-        abort: &AtomicBool,
-        cancel: &AtomicBool,
-    ) -> bool {
-        local.epoch += 1;
-        let e = local.epoch;
-        let n = self.size;
-        for (r, round) in self.flags.iter().enumerate() {
-            let partner = (thread_num + (1 << r)) % n;
-            round[partner].fetch_add(1, Ordering::AcqRel);
-            let mine = &round[thread_num];
-            let mut spins = 0u32;
-            while mine.load(Ordering::Acquire) < e {
-                if abort.load(Ordering::Relaxed) || cancel.load(Ordering::Relaxed) {
-                    return false;
-                }
-                spins += 1;
-                if spins >= self.spin_budget {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        }
-        !abort.load(Ordering::Relaxed)
+        self.parked.fetch_sub(1, Ordering::Relaxed);
+        released && !abort.load(Ordering::Relaxed) && !cancel.load(Ordering::Relaxed)
     }
 }
 
@@ -225,8 +150,8 @@ mod tests {
     use std::sync::atomic::AtomicU32;
     use std::sync::Arc;
 
-    fn exercise(kind: BarrierKind, n: usize, episodes: u32) {
-        let barrier = Arc::new(TeamBarrier::new(n, kind, WaitPolicy::Hybrid));
+    fn exercise(n: usize, episodes: u32) {
+        let barrier = Arc::new(TeamBarrier::new(n, WaitPolicy::Hybrid));
         let abort = Arc::new(AtomicBool::new(false));
         let phase = Arc::new(AtomicU32::new(0));
         let mut handles = vec![];
@@ -241,11 +166,11 @@ mod tests {
                     // Everybody must observe the phase of the current
                     // episode before anyone moves past the barrier.
                     assert_eq!(phase.load(Ordering::SeqCst), e);
-                    assert!(barrier.wait(t, &mut local, &abort, &cancel));
+                    assert!(barrier.wait(&mut local, &abort, &cancel));
                     if t == 0 {
                         phase.store(e + 1, Ordering::SeqCst);
                     }
-                    assert!(barrier.wait(t, &mut local, &abort, &cancel));
+                    assert!(barrier.wait(&mut local, &abort, &cancel));
                 }
             }));
         }
@@ -256,25 +181,14 @@ mod tests {
 
     #[test]
     fn central_synchronizes_repeatedly() {
-        for n in [1, 2, 3, 4, 8] {
-            exercise(BarrierKind::Central, n, 20);
-        }
-    }
-
-    #[test]
-    fn dissemination_synchronizes_repeatedly() {
         for n in [1, 2, 3, 4, 5, 8, 13] {
-            exercise(BarrierKind::Dissemination, n, 20);
+            exercise(n, 20);
         }
     }
 
     #[test]
     fn abort_unblocks_waiters() {
-        let barrier = Arc::new(TeamBarrier::new(
-            2,
-            BarrierKind::Central,
-            WaitPolicy::Passive,
-        ));
+        let barrier = Arc::new(TeamBarrier::new(2, WaitPolicy::Passive));
         let abort = Arc::new(AtomicBool::new(false));
         let b = barrier.clone();
         let a = abort.clone();
@@ -282,7 +196,7 @@ mod tests {
             let cancel = AtomicBool::new(false);
             let mut local = BarrierLocal::default();
             // Partner never arrives; abort must release us with `false`.
-            b.wait(0, &mut local, &a, &cancel)
+            b.wait(&mut local, &a, &cancel)
         });
         std::thread::sleep(Duration::from_millis(20));
         abort.store(true, Ordering::SeqCst);
@@ -291,19 +205,21 @@ mod tests {
 
     #[test]
     fn single_thread_barrier_is_noop() {
-        let barrier = TeamBarrier::new(1, BarrierKind::Central, WaitPolicy::Active);
+        let barrier = TeamBarrier::new(1, WaitPolicy::Active);
         let abort = AtomicBool::new(false);
         let cancel = AtomicBool::new(false);
         let mut local = BarrierLocal::default();
         for _ in 0..100 {
-            assert!(barrier.wait(0, &mut local, &abort, &cancel));
+            assert!(barrier.wait(&mut local, &abort, &cancel));
         }
     }
 
+    /// Both kinds of wait: `active` stays in the spin loop, `passive`
+    /// goes straight to the park loop; each must watch the cancel flag.
     #[test]
     fn cancel_unblocks_waiters_on_both_kinds() {
-        for kind in [BarrierKind::Central, BarrierKind::Dissemination] {
-            let barrier = Arc::new(TeamBarrier::new(2, kind, WaitPolicy::Passive));
+        for policy in [WaitPolicy::Active, WaitPolicy::Passive] {
+            let barrier = Arc::new(TeamBarrier::new(2, policy));
             let cancel = Arc::new(AtomicBool::new(false));
             let b = barrier.clone();
             let c = cancel.clone();
@@ -311,57 +227,45 @@ mod tests {
                 let abort = AtomicBool::new(false);
                 let mut local = BarrierLocal::default();
                 // Partner never arrives; cancellation must release us.
-                b.wait(0, &mut local, &abort, &c)
+                b.wait(&mut local, &abort, &c)
             });
             std::thread::sleep(Duration::from_millis(20));
             cancel.store(true, Ordering::SeqCst);
-            assert!(!waiter.join().unwrap(), "{kind:?}");
+            assert!(!waiter.join().unwrap(), "{policy:?}");
             // With the flag already up, a fresh wait returns early
             // without touching episode state.
             let abort = AtomicBool::new(false);
             let mut local = BarrierLocal::default();
-            assert!(!barrier.wait(1, &mut local, &abort, &cancel));
+            assert!(!barrier.wait(&mut local, &abort, &cancel));
         }
     }
 
     #[test]
     fn reset_restores_fresh_local_compatibility() {
-        for kind in [BarrierKind::Central, BarrierKind::Dissemination] {
-            let barrier = Arc::new(TeamBarrier::new(3, kind, WaitPolicy::Hybrid));
-            // Run an odd number of episodes so central's sense is
-            // flipped and dissemination's epochs are non-zero.
-            exercise_shared(&barrier, 3);
-            barrier.reset();
-            // Fresh locals (the per-region state) must work again.
-            exercise_shared(&barrier, 2);
-        }
+        let barrier = Arc::new(TeamBarrier::new(3, WaitPolicy::Hybrid));
+        // Run an odd number of episodes so the sense is flipped.
+        exercise_shared(&barrier, 3);
+        barrier.reset();
+        // Fresh locals (the per-region state) must work again.
+        exercise_shared(&barrier, 2);
     }
 
     fn exercise_shared(barrier: &Arc<TeamBarrier>, episodes: u32) {
         let abort = Arc::new(AtomicBool::new(false));
         let mut handles = vec![];
-        for t in 0..barrier.size() {
+        for _ in 0..barrier.size() {
             let barrier = barrier.clone();
             let abort = abort.clone();
             handles.push(std::thread::spawn(move || {
                 let cancel = AtomicBool::new(false);
                 let mut local = BarrierLocal::default();
                 for _ in 0..episodes {
-                    assert!(barrier.wait(t, &mut local, &abort, &cancel));
+                    assert!(barrier.wait(&mut local, &abort, &cancel));
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn dissemination_round_count() {
-        // 5 threads -> 3 rounds, 8 threads -> 3 rounds, 9 -> 4.
-        for (n, rounds) in [(2usize, 1usize), (3, 2), (4, 2), (5, 3), (8, 3), (9, 4)] {
-            let b = TeamBarrier::new(n, BarrierKind::Dissemination, WaitPolicy::Hybrid);
-            assert_eq!(b.flags.len(), rounds, "n={n}");
         }
     }
 }

@@ -48,8 +48,8 @@ pub(crate) fn forking_position() -> (usize, usize) {
 
 /// Ancestor chain for a team forked from the current position:
 /// `(thread_num, team_size)` from the initial implicit task down to
-/// here. Separate from [`forking_position`] so the hot fast path never
-/// pays the clone — only cold team construction needs the chain.
+/// here. Separate from [`forking_position`] so a recycled hot team never
+/// pays the clone — only building a new `Team` needs the chain.
 pub(crate) fn forking_ancestors() -> Vec<(usize, usize)> {
     REGION_STACK.with(|s| {
         let stack = s.borrow();
@@ -463,7 +463,6 @@ impl<'scope> ThreadCtx<'scope> {
             self.cancel(CancelKind::Parallel);
         }
         let ok = self.team.barrier.wait(
-            self.thread_num,
             &mut self.barrier_local.borrow_mut(),
             &self.team.abort,
             &self.team.cancel_parallel,
@@ -498,48 +497,23 @@ impl<'scope> ThreadCtx<'scope> {
         let _ = self.team_barrier();
     }
 
-    /// The implicit barrier at the end of the region body; unlike
-    /// [`barrier`](Self::barrier) it does not panic on abort (the region
-    /// is ending anyway and the master rethrows the real payload).
-    ///
-    /// **Hot teams** skip the closing barrier episode entirely: each
-    /// thread drains the task graph and leaves; the master's join on
+    /// The end of the region body: drain the task graph and leave. There
+    /// is no closing barrier episode: the master's join on
     /// `Team::remaining` is the region-end rendezvous (no thread can
     /// observe the region as finished before every thread has signalled
     /// completion), and the next fork's doorbell ring is the release.
-    /// That saves one full barrier episode — with its wake-everyone
-    /// broadcast — per parallel region on the fast path.
+    /// A team of one has no join, so unless cancelled it still closes
+    /// with its barrier episode — trivial, but counted like any other.
+    /// Unlike [`barrier`](Self::barrier) this never panics on abort (the
+    /// region is ending anyway and the master rethrows the real payload).
     pub(crate) fn end_of_region_barrier(&self) {
-        if self.team.hot {
-            self.help_tasks_while_pending();
-            return;
-        }
-        loop {
-            self.help_tasks_while_pending();
-            if self.team.cancel_parallel.load(Ordering::Relaxed) {
-                // Cancelled region: threads skipped mid-region barriers
-                // unevenly, so closing episodes could never line up.
-                // The task drain above (remaining tasks discard) is the
-                // thread's whole obligation; the cold join's remaining
-                // counter is the actual rendezvous.
-                return;
-            }
-            let ok = self.team.barrier.wait(
-                self.thread_num,
+        self.help_tasks_while_pending();
+        if self.team.size == 1 && !self.team.cancel_parallel.load(Ordering::Relaxed) {
+            let _ = self.team.barrier.wait(
                 &mut self.barrier_local.borrow_mut(),
                 &self.team.abort,
                 &self.team.cancel_parallel,
             );
-            if !ok {
-                if self.team.abort.load(Ordering::Relaxed) {
-                    return;
-                }
-                // Cancelled mid-wait: drain-and-leave via the check above.
-                continue;
-            }
-            if self.team.tasks.pending() == 0 {
-                return;
-            }
         }
     }
 

@@ -16,10 +16,8 @@
 //! | `OMP_PLACES` | `place-partition-var` | `threads`/`cores`/`sockets` or `{a,b},{lo:count[:stride]},…` |
 //! | `OMP_STACKSIZE` | `stacksize-var` | `n[B|K|M|G]` (default KiB) |
 //! | `OMP_CANCELLATION` | `cancel-var` | `true`/`false` (default false) |
-//! | `ROMP_BARRIER` | barrier algorithm | `central`/`dissemination` |
-//! | `ROMP_HOT_TEAMS` | hot-team caching | `true`/`false` (default true) |
+//! | `ROMP_HOT_TEAMS` | keep the team's lease between regions | `true`/`false` (default true) |
 //! | `ROMP_CANCELLATION` | `cancel-var` override | `true`/`false` (wins over `OMP_CANCELLATION`) |
-//! | `ROMP_POOL_SHARDS` | worker-pool shard count | positive integer (default auto) |
 //! | `ROMP_TUNE` | schedule autotuner | `0`/`off`/`1`/`greedy` (default greedy) |
 //!
 //! Malformed values are ignored (with the spec-sanctioned fallback to the
@@ -29,8 +27,8 @@
 //! For the values where silent fallback is most likely to surprise —
 //! `OMP_THREAD_LIMIT=0` would quietly serialize every region if honored
 //! (the spec requires a *positive* thread limit, so `0` is rejected),
-//! and a malformed `ROMP_POOL_SHARDS` silently changes scaling behavior
-//! — the rejection is additionally reported: once on stderr at startup,
+//! and a malformed `ROMP_TUNE` silently leaves the autotuner armed —
+//! the rejection is additionally reported: once on stderr at startup,
 //! and in a `ROMP WARNINGS` block of the [`display_env`] banner.
 //!
 //! Defaults derived from hardware concurrency (`nthreads-var` with no
@@ -40,7 +38,6 @@
 //! after startup (container resize) is not observed. Set
 //! `OMP_NUM_THREADS`/`OMP_THREAD_LIMIT` explicitly where that matters.
 
-use crate::barrier::BarrierKind;
 use crate::icv::{Icvs, ProcBind, TuneMode, WaitPolicy};
 use crate::sched::Schedule;
 
@@ -201,27 +198,12 @@ pub fn parse_wait_policy(s: &str) -> Option<WaitPolicy> {
     }
 }
 
-/// Parse `ROMP_BARRIER`.
-pub fn parse_barrier_kind(s: &str) -> Option<BarrierKind> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "central" | "centralized" => Some(BarrierKind::Central),
-        "dissemination" | "dissem" => Some(BarrierKind::Dissemination),
-        _ => None,
-    }
-}
-
 /// Parse `OMP_THREAD_LIMIT`: a **positive** integer, per the spec
 /// (`thread-limit-var` bounds the whole contention group; `0` would
 /// mean "no threads at all" and, if honored, silently serialize every
 /// region through the `saturating_sub(1)` worker cap). `0`, negative
 /// and garbage values are all rejected.
 pub fn parse_thread_limit(s: &str) -> Option<usize> {
-    s.trim().parse::<usize>().ok().filter(|&v| v > 0)
-}
-
-/// Parse `ROMP_POOL_SHARDS`: a positive shard count (`0` is rejected —
-/// "auto" is spelled by leaving the variable unset).
-pub fn parse_pool_shards(s: &str) -> Option<usize> {
     s.trim().parse::<usize>().ok().filter(|&v| v > 0)
 }
 
@@ -308,9 +290,6 @@ pub fn icvs_from_lookup_with_warnings(get: impl Fn(&str) -> Option<String>) -> (
     if let Some(v) = get("OMP_STACKSIZE").as_deref().and_then(parse_stacksize) {
         icvs.stacksize = Some(v);
     }
-    if let Some(v) = get("ROMP_BARRIER").as_deref().and_then(parse_barrier_kind) {
-        icvs.barrier_kind = v;
-    }
     if let Some(v) = get("ROMP_HOT_TEAMS").as_deref().and_then(parse_bool) {
         icvs.hot_teams = v;
     }
@@ -321,16 +300,6 @@ pub fn icvs_from_lookup_with_warnings(get: impl Fn(&str) -> Option<String>) -> (
     // profile cannot disarm (or arm) romp cancellation by accident.
     if let Some(v) = get("ROMP_CANCELLATION").as_deref().and_then(parse_bool) {
         icvs.cancellation = v;
-    }
-    if let Some(raw) = get("ROMP_POOL_SHARDS") {
-        match parse_pool_shards(&raw) {
-            Some(v) => icvs.pool_shards = v,
-            None => warnings.push(format!(
-                "ROMP_POOL_SHARDS='{}' ignored: the shard count must be a \
-                 positive integer (keeping auto)",
-                raw.trim()
-            )),
-        }
     }
     if let Some(raw) = get("ROMP_TUNE") {
         match parse_tune(&raw) {
@@ -441,17 +410,7 @@ pub fn display_env(icvs: &Icvs) -> String {
             .unwrap_or_else(|| "default".into())
     );
     let _ = writeln!(out, "  OMP_CANCELLATION = '{}'", icvs.cancellation);
-    let _ = writeln!(out, "  ROMP_BARRIER = '{:?}'", icvs.barrier_kind);
     let _ = writeln!(out, "  ROMP_HOT_TEAMS = '{}'", icvs.hot_teams);
-    let _ = writeln!(
-        out,
-        "  ROMP_POOL_SHARDS = '{}'",
-        if icvs.pool_shards == 0 {
-            "auto".to_string()
-        } else {
-            icvs.pool_shards.to_string()
-        }
-    );
     let _ = writeln!(
         out,
         "  ROMP_TUNE = '{}'",
@@ -531,7 +490,6 @@ mod tests {
             ("OMP_WAIT_POLICY", "passive"),
             ("OMP_PROC_BIND", "spread"),
             ("OMP_STACKSIZE", "8M"),
-            ("ROMP_BARRIER", "dissemination"),
             ("ROMP_HOT_TEAMS", "false"),
             ("OMP_CANCELLATION", "true"),
         ]);
@@ -543,7 +501,6 @@ mod tests {
         assert_eq!(icvs.wait_policy, WaitPolicy::Passive);
         assert_eq!(icvs.proc_bind, vec![ProcBind::Spread]);
         assert_eq!(icvs.stacksize, Some(8 * 1024 * 1024));
-        assert_eq!(icvs.barrier_kind, BarrierKind::Dissemination);
         assert!(!icvs.hot_teams);
         assert!(icvs.cancellation);
     }
@@ -600,7 +557,6 @@ mod tests {
             "OMP_PROC_BIND",
             "OMP_STACKSIZE",
             "OMP_CANCELLATION",
-            "ROMP_BARRIER",
             "ROMP_HOT_TEAMS",
         ] {
             assert!(banner.contains(key), "missing {key} in:\n{banner}");
@@ -651,21 +607,6 @@ mod tests {
         let (icvs, warnings) = env_warn(&[("OMP_THREAD_LIMIT", "16")]);
         assert_eq!(icvs.thread_limit, 16);
         assert!(warnings.is_empty(), "{warnings:?}");
-    }
-
-    #[test]
-    fn pool_shards_parses_positive_and_warns_on_invalid() {
-        assert_eq!(parse_pool_shards("4"), Some(4));
-        assert_eq!(parse_pool_shards(" 16 "), Some(16));
-        assert_eq!(parse_pool_shards("0"), None);
-        assert_eq!(parse_pool_shards("-2"), None);
-        assert_eq!(parse_pool_shards("many"), None);
-        let icvs = env(&[("ROMP_POOL_SHARDS", "4")]);
-        assert_eq!(icvs.pool_shards, 4);
-        let (icvs, warnings) = env_warn(&[("ROMP_POOL_SHARDS", "0")]);
-        assert_eq!(icvs.pool_shards, 0, "0 must fall back to auto");
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("ROMP_POOL_SHARDS"), "{warnings:?}");
     }
 
     #[test]
@@ -764,14 +705,6 @@ mod tests {
             "{banner}"
         );
         assert!(banner.contains("OMP_PLACES = '{0,1},{2,3}'"), "{banner}");
-    }
-
-    #[test]
-    fn display_env_renders_pool_shards() {
-        let banner = display_env(&Icvs::default());
-        assert!(banner.contains("ROMP_POOL_SHARDS = 'auto'"), "{banner}");
-        let banner = display_env(&env(&[("ROMP_POOL_SHARDS", "8")]));
-        assert!(banner.contains("ROMP_POOL_SHARDS = '8'"), "{banner}");
     }
 
     #[test]

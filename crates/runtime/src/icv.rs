@@ -14,7 +14,6 @@
 //! difference would only show up when a task changes an ICV and expects
 //! siblings not to see it.
 
-use crate::barrier::BarrierKind;
 use crate::sched::Schedule;
 use parking_lot::RwLock;
 use std::cell::RefCell;
@@ -106,14 +105,13 @@ pub struct Icvs {
     /// `stacksize-var` (`OMP_STACKSIZE`), bytes; applied to spawned
     /// workers.
     pub stacksize: Option<usize>,
-    /// Which barrier algorithm teams use (romp extension,
-    /// `ROMP_BARRIER=central|dissemination`).
-    pub barrier_kind: BarrierKind,
-    /// May the runtime cache **hot teams** — the master's last team,
-    /// kept bound to its workers between consecutive parallel regions
-    /// so a fork is a doorbell ring instead of a pool round-trip (romp
-    /// extension, `ROMP_HOT_TEAMS=true|false`, default true; the
-    /// analogue of libomp's `KMP_HOT_TEAMS_MODE`).
+    /// May the master **keep** its team's lease between consecutive
+    /// parallel regions — workers stay bound to their doorbells, so the
+    /// next same-shape fork is a ring instead of a pool round-trip
+    /// (romp extension, `ROMP_HOT_TEAMS=true|false`, default true; the
+    /// analogue of libomp's `KMP_HOT_TEAMS_MODE`). When false every
+    /// fork still runs through the doorbell protocol, on a lease that
+    /// ends with its one region.
     pub hot_teams: bool,
     /// `cancel-var` (`OMP_CANCELLATION`, default false): is the
     /// cancellation machinery armed? When false, `cancel` is a no-op
@@ -122,16 +120,6 @@ pub struct Icvs {
     /// `OMP_CANCELLATION` when both are set (romp extension, so the
     /// romp knob wins in environments with a site-wide OpenMP profile).
     pub cancellation: bool,
-    /// Number of idle-worker pool shards (romp extension,
-    /// `ROMP_POOL_SHARDS`; 0 = auto-size from the hardware thread
-    /// count). Each forking master hashes to a home shard, so
-    /// concurrent masters acquire and release workers without
-    /// serializing on one global lock. Read **once**, at first pool
-    /// use, and frozen for the process lifetime; later changes are not
-    /// observed. `ROMP_POOL_SHARDS=1` restores the pre-sharding global
-    /// free list (the baseline the syncbench server mode measures
-    /// against).
-    pub pool_shards: usize,
     /// Schedule-autotuner mode (romp extension,
     /// `ROMP_TUNE=0|1|off|greedy`, default greedy): whether
     /// `schedule(auto)` loops are measured and adapted by
@@ -169,10 +157,8 @@ impl Default for Icvs {
             proc_bind: Vec::new(),
             places: None,
             stacksize: None,
-            barrier_kind: BarrierKind::Central,
             hot_teams: true,
             cancellation: false,
-            pool_shards: 0,
             tune: TuneMode::default(),
         }
     }
@@ -258,7 +244,7 @@ pub(crate) struct TlsOverride {
     pub max_active_levels: Option<usize>,
     pub run_sched: Option<Schedule>,
     /// Per-thread hot-team opt-out. No `omp_set_*` sets this; it lets
-    /// tests drive the cold path hermetically without mutating the
+    /// tests drive one-region leases hermetically without mutating the
     /// process-global block out from under concurrently-running tests.
     pub hot_teams: Option<bool>,
     /// Per-thread `cancel-var` override (see

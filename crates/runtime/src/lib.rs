@@ -19,8 +19,8 @@
 //!   nested parallelism, serialization when resources are exhausted.
 //! * **Worksharing loops** — `static`, `static,chunk`, `dynamic`,
 //!   `guided`, `runtime`, `auto` schedules ([`sched`], [`loops`]).
-//! * **Barriers** — centralized sense-reversing and dissemination
-//!   implementations with a spin-then-park wait policy ([`barrier`]).
+//! * **Barriers** — a centralized sense-reversing barrier with a
+//!   spin-then-park wait policy ([`barrier`]).
 //! * **Reductions** — operator lattice and a team reduction slot
 //!   ([`reduction`]).
 //! * **Synchronization** — `omp_lock`/`omp_nest_lock` equivalents,
@@ -90,7 +90,6 @@ pub mod wtime;
 
 pub use api::*;
 pub use atomic::AtomicF64;
-pub use barrier::BarrierKind;
 pub use critical::{critical, critical_named};
 pub use ctx::{
     cancel_taskgroup, cancellation_point_taskgroup, CancelKind, SiblingPanic, TaskSpec,

@@ -11,46 +11,51 @@
 //! home shard, acquires from it first (stealing from the other shards
 //! only when it runs dry) and releases back to it, so many concurrent
 //! masters — the "server" scenario of the syncbench server mode — fork
-//! without serializing on one global lock. Thread-limit accounting is a
-//! lock-free atomic reservation counter with a rollback path for failed
-//! spawns. See `Pool` (private) for the design notes and
-//! `ROMP_POOL_SHARDS` for the knob.
+//! without serializing on one global lock. The shard count is derived
+//! from the hardware. Thread-limit accounting is a lock-free atomic
+//! reservation counter with a rollback path for failed spawns. See
+//! `Pool` (private) for the design notes.
 //!
-//! ## The hot-team fast path
+//! ## One fork protocol: doorbell leases
 //!
 //! The paper's whole premise is that the fork call is cheap enough to
-//! wrap *every* loop. Re-acquiring workers from the process-global pool
-//! under a lock and handing them assignments through per-worker
-//! mutex+condvar mailboxes — the **cold path** below — is not that: it
-//! pays a pool round-trip, a fresh `Arc<Team>` allocation (task deques,
-//! barrier, worksharing slots) and a mailbox dance per worker per
-//! region. Like libomp's *hot teams* (`KMP_HOT_TEAMS_MODE`), the master
-//! therefore caches its last team: workers stay **bound** between
-//! regions, parked at a per-worker `HotChannel` doorbell, and a
-//! consecutive fork of the same shape is
+//! wrap *every* loop. Every multi-thread fork therefore runs on a
+//! **lease**: the master takes workers from the pool and binds each one
+//! to a per-worker `HotChannel` doorbell (one mailbox hand-off per
+//! worker), after which a region is
 //!
 //! 1. `Team::recycle` — reset the previous region's barrier,
-//!    worksharing-slot, reduction and task-graph state in place;
-//! 2. a doorbell **ring** per worker — publish the new job pointer and
+//!    worksharing-slot, reduction and task-graph state in place (a
+//!    fresh lease starts from a new `Team`);
+//! 2. a doorbell **ring** per worker — publish the job pointer and
 //!    bump the channel epoch (spin-then-park wait on the worker side,
 //!    gated by `OMP_WAIT_POLICY`);
 //! 3. the master's own trip through the region;
 //! 4. `hot_join` — wait for the workers' completion signals, helping
 //!    with any still-pending tasks.
 //!
-//! Hot teams also drop the closing barrier episode: the join counter
-//! *is* the region-end rendezvous (no thread can leave [`fork`] before
-//! every member signalled completion) and the next ring is the release,
-//! saving a wake-everyone broadcast per region.
+//! There is no closing barrier episode: the join counter *is* the
+//! region-end rendezvous (no thread can leave [`fork`] before every
+//! member signalled completion) and the next ring is the release.
 //!
-//! The cache lives in a thread-local on the master (`HOT_TEAM`) and is
+//! Like libomp's *hot teams* (`KMP_HOT_TEAMS_MODE`), the master normally
+//! **keeps** the lease, so a consecutive fork of the same shape is steps
+//! 1–4 only: no pool round-trip, no allocation, no mailbox. The cache
+//! lives in a thread-local on the master (`HOT_TEAMS_TLS`, one lease per
+//! forking level, so nested forks lease their own sub-teams) and is
 //! invalidated — workers released back to the pool — when the requested
-//! team shape changes (`num_threads`, wait policy, barrier kind,
-//! `dyn-var`), when a region panics, when `ROMP_HOT_TEAMS` is turned
-//! off, or when the master thread exits (TLS drop). Nested forks and
-//! forks from inside a `final` task always take the cold path. The cold
-//! path is kept fully intact both as the fallback and as the measured
-//! baseline for the syncbench overhead suite (`ROMP_HOT_TEAMS=0`).
+//! team shape changes (`num_threads`, wait policy, `dyn-var`), when a
+//! region panics, when `ROMP_HOT_TEAMS` is turned off, or when the
+//! master thread exits (TLS drop).
+//!
+//! A lease that is not kept ends with its one region: after the join the
+//! master rings every doorbell with a release and hands the slots back
+//! to its shard synchronously. That is how forks run with
+//! `ROMP_HOT_TEAMS=0`, forks from inside a `final` task (every implicit
+//! task of such a region is final — a property of the region, not of a
+//! reusable team), forks nested deeper than `MAX_HOT_LEVELS`, and teams
+//! the pool delivered short. A serialized region (a team of one) runs
+//! inline on the master and touches neither the pool nor the cache.
 //!
 //! ## Safety of the lifetime erasure
 //!
@@ -61,9 +66,10 @@
 //! and everything it borrows — strictly outlives all worker access.
 //! The paper's Zig implementation relies on the identical contract when
 //! it passes function pointers plus pointers into the enclosing stack
-//! frame to the LLVM OpenMP runtime. The hot path preserves the
-//! contract: a bound worker reads the job pointer only between a ring
-//! and its completion signal, and the master rings only between joins.
+//! frame to the LLVM OpenMP runtime. The doorbell protocol preserves
+//! the contract: a bound worker reads the job pointer only between a
+//! ring and its completion signal, and the master rings only between
+//! joins.
 //!
 //! ## Panic handling
 //!
@@ -72,8 +78,8 @@
 //! observe the flag and unwind with a [`SiblingPanic`] marker. After the
 //! join, the master rethrows the first real payload, so a panic inside a
 //! parallel region behaves like a panic in serial code. A panic also
-//! invalidates the hot team — the next fork rebuilds from the pool — so
-//! a poisoned cache can never serve a later region.
+//! ends the lease — the next fork rebuilds from the pool — so a
+//! poisoned cache can never serve a later region.
 
 use crate::ctx::{
     forking_ancestors, forking_position, RegionInfo, SiblingPanic, ThreadCtx, REGION_STACK,
@@ -185,31 +191,19 @@ where
     }
 }
 
-/// What a pooled worker finds in its mailbox.
-enum Assignment {
-    /// Cold path: run one region as `thread_num` of `team`, then return
-    /// to the pool.
-    Run {
-        team: Arc<Team>,
-        thread_num: usize,
-        job: Job,
-    },
-    /// Hot path: bind to a master's cached team and serve regions from
-    /// the channel's doorbell until released.
-    Bind(Arc<HotChannel>),
-}
-
 struct WorkerSlot {
-    mailbox: Mutex<Option<Assignment>>,
+    /// The doorbell of the lease this worker is to bind to next: it
+    /// serves regions from that channel until the lease releases it.
+    mailbox: Mutex<Option<Arc<HotChannel>>>,
     cv: Condvar,
     /// Index of the shard this slot is released to — the **home shard of
     /// the master that last acquired it** (written at acquire time, read
-    /// at release time). Keeping release affinity with the acquiring
-    /// master means a master that forks repeatedly keeps finding its own
-    /// workers in its own shard, uncontended, and a hot-team resize
-    /// re-acquires the just-released slots without touching other shards.
-    /// Relaxed ordering suffices: every read is separated from the write
-    /// by the shard mutex or by the mailbox handshake.
+    /// when the lease ends, both on that master's thread). Keeping
+    /// release affinity with the acquiring master means a master that
+    /// forks repeatedly keeps finding its own workers in its own shard,
+    /// uncontended, and a hot-team resize re-acquires the just-released
+    /// slots without touching other shards. Relaxed ordering suffices:
+    /// other masters only see the slot again through the shard mutex.
     home: AtomicUsize,
 }
 
@@ -233,14 +227,14 @@ struct Shard {
 /// one atomic thread-limit account.
 ///
 /// The pre-sharding design — a single `Mutex<Vec<WorkerSlot>>` — made
-/// every cold fork and every hot-team resize in the process serialize on
-/// one lock, which is exactly the wrong shape for the "server" scenario
-/// of many concurrent masters forking small regions. Here each master
-/// hashes to a **home shard** ([`Pool::home_index`]); acquire pops from
-/// the home shard first and sweeps the other shards only when it runs
-/// dry (work-stealing fallback, so a worker parked in any shard is
-/// always reachable and none can strand); release pushes to the slot's
-/// recorded home. Thread-limit accounting was already lock-free
+/// every lease build in the process serialize on one lock, which is
+/// exactly the wrong shape for the "server" scenario of many concurrent
+/// masters forking small regions. Here each master hashes to a **home
+/// shard** ([`Pool::home_index`]); acquire pops from the home shard
+/// first and sweeps the other shards only when it runs dry
+/// (work-stealing fallback, so a worker parked in any shard is always
+/// reachable and none can strand); a lease's release pushes to its
+/// slots' recorded home. Thread-limit accounting was already lock-free
 /// (`total` is an atomic reservation counter) and stays that way; a
 /// failed reservation is simply not taken, and a reservation whose
 /// spawn fails is **rolled back** (see [`Pool::acquire`]).
@@ -249,25 +243,19 @@ struct Pool {
     total: AtomicUsize,
 }
 
-/// Shard count resolution: `ROMP_POOL_SHARDS` if set (≥1), otherwise
-/// the hardware thread count rounded up to a power of two, floored at 8
-/// — contention comes from concurrent *masters*, which may well
-/// outnumber cores on an oversubscribed host — and capped at 64. Frozen
-/// for the process lifetime at first pool use (like
+/// Shard count: the hardware thread count rounded up to a power of two,
+/// floored at 8 — contention comes from concurrent *masters*, which may
+/// well outnumber cores on an oversubscribed host — and capped at 64.
+/// Frozen for the process lifetime at first pool use (like
 /// [`icv::hardware_threads`]).
-fn resolved_shard_count() -> usize {
-    let configured = icv::current().pool_shards;
-    if configured > 0 {
-        configured.min(1024)
-    } else {
-        icv::hardware_threads().next_power_of_two().clamp(8, 64)
-    }
+fn shard_count_for_hardware() -> usize {
+    icv::hardware_threads().next_power_of_two().clamp(8, 64)
 }
 
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| {
-        let shards = (0..resolved_shard_count())
+        let shards = (0..shard_count_for_hardware())
             .map(|_| Shard {
                 idle: Mutex::new(Vec::new()),
                 acquired: AtomicU64::new(0),
@@ -404,20 +392,6 @@ impl Pool {
         }
         got
     }
-
-    fn release(&self, slot: Arc<WorkerSlot>) {
-        let idx = slot.home.load(Ordering::Relaxed) % self.shards.len();
-        let shard = &self.shards[idx];
-        let mut idle = match shard.idle.try_lock() {
-            Some(g) => g,
-            None => {
-                shard.contended.fetch_add(1, Ordering::Relaxed);
-                bump(&stats().pool_shard_contention);
-                shard.idle.lock()
-            }
-        };
-        idle.push(slot);
-    }
 }
 
 /// Test hook: make the next `n` worker spawns *from this thread's
@@ -489,76 +463,40 @@ fn spawn_worker(stacksize: Option<usize>, shard: usize) -> std::io::Result<Arc<W
 
 fn worker_main(slot: Arc<WorkerSlot>) {
     loop {
-        let assignment = {
+        let channel = {
             let mut mb = slot.mailbox.lock();
             loop {
-                if let Some(a) = mb.take() {
-                    break a;
+                if let Some(ch) = mb.take() {
+                    break ch;
                 }
                 slot.cv.wait(&mut mb);
             }
         };
-        match assignment {
-            Assignment::Run {
-                team,
-                thread_num,
-                job,
-            } => {
-                // Fresh implicit-task data environment: `omp_set_*`
-                // overrides from regions this worker served earlier must
-                // not leak in.
-                icv::tls_clear_overrides();
-                run_region(&team, thread_num, job);
-                // Signal completion, then return to the pool. Nothing
-                // after the decrement may touch the job or team borrows.
-                signal_completion(&team);
-                drop(team);
-                // A worker must never carry nested sub-team leases into
-                // the idle pool: their cache keys pin the identity of a
-                // parent team this worker is no longer part of.
-                drop_hot_leases_from(0);
-            }
-            Assignment::Bind(channel) => {
-                hot_worker_loop(&channel);
-                // Release order matters: leases this worker grew while
-                // bound (it was a nested master) are parented by
-                // `channel.team`, which the channel Arc keeps alive
-                // until the line after next.
-                drop_hot_leases_from(0);
-                drop(channel);
-                // The releasing master already pushed this slot back to
-                // the idle list (`HotTeam::drop`); self-releasing too
-                // would duplicate it and let two masters acquire the
-                // same worker. Go straight back to the mailbox wait —
-                // an assignment may even be waiting there already.
-                continue;
-            }
-        }
-        pool().release(slot.clone());
+        hot_worker_loop(&channel);
+        // Release order matters: leases this worker grew while bound
+        // (it was a nested master) are parented by `channel.team`, which
+        // the channel Arc keeps alive until the line after next — and a
+        // worker must never carry them into the idle pool.
+        drop_hot_leases_from(0);
+        drop(channel);
+        // The lease already pushed this slot back to the idle list
+        // (`HotTeam::drop`); go straight back to the mailbox wait — the
+        // next binding may even be waiting there already.
     }
 }
 
-/// Decrement the team's outstanding-worker count and wake the joining
-/// master if this was the last one. Hot teams use the master's park
-/// token (`hot_join` idles through [`IdleWait`]); cold teams use the
-/// join condvar.
+/// Decrement the team's outstanding-worker count and, if this was the
+/// last one, wake the joining master (`hot_join` idles through
+/// [`IdleWait`], whose park rung this `unpark` ends).
 fn signal_completion(team: &Team) {
-    let prev = team.remaining.fetch_sub(1, Ordering::AcqRel);
-    if prev == 1 {
-        if team.hot {
-            team.master.unpark();
-        } else {
-            let _g = team.join_lock.lock();
-            drop(_g);
-            team.join_cv.notify_one();
-        }
+    if team.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+        team.master.unpark();
     }
 }
 
 /// Run a region body as `thread_num` of `team` on the current thread:
-/// maintain the region TLS stack, catch panics into the team, and execute
-/// the implicit end-of-region barrier (which drains deferred tasks; for
-/// hot teams it degenerates to the task drain — see
+/// maintain the region TLS stack, catch panics into the team, and run
+/// the region end (the deferred-task drain — see
 /// `ThreadCtx::end_of_region_barrier`).
 fn run_region(team: &Arc<Team>, thread_num: usize, job: Job) {
     REGION_STACK.with(|s| {
@@ -580,7 +518,7 @@ fn run_region(team: &Arc<Team>, thread_num: usize, job: Job) {
     let _final = team.parent_final.then(crate::task::FinalGuard::enter);
     let ctx: ThreadCtx<'_> = ThreadCtx::new(team.clone(), thread_num);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // SAFETY: the master blocks in `join` until every team thread has
+        // SAFETY: the master blocks in `hot_join` until every team thread has
         // finished with the job, so the closure behind `job.data` (and
         // everything it borrows) outlives this call.
         unsafe { (job.call)(job.data, &ctx as *const ThreadCtx<'_> as *const ()) };
@@ -595,7 +533,7 @@ fn run_region(team: &Arc<Team>, thread_num: usize, job: Job) {
 }
 
 // ---------------------------------------------------------------------
-// Hot-team machinery
+// Doorbell leases
 // ---------------------------------------------------------------------
 
 /// Spin → yield → park idle ladder, derived from `OMP_WAIT_POLICY`.
@@ -729,7 +667,7 @@ struct HotChannel {
     job: UnsafeCell<Option<Job>>,
     /// The bound worker's thread handle, registered when it first
     /// services the channel; `ring` unparks it. (The first region's job
-    /// is pre-armed before the `Bind` is mailed, so the master never
+    /// is pre-armed before the channel is mailed, so the master never
     /// needs to ring before registration.)
     worker: OnceLock<std::thread::Thread>,
     /// The next sibling in the team's **wake chain**: the master
@@ -855,7 +793,6 @@ fn hot_worker_loop(ch: &HotChannel) {
 struct HotKey {
     /// Requested team size (post `if`/nesting/limit clamping).
     n: usize,
-    barrier_kind: crate::barrier::BarrierKind,
     /// The **raw** `OMP_WAIT_POLICY` ICV — deliberately not the
     /// oversubscription-adjusted effective policy (see [`hot_fork`]), so
     /// a policy change always rebuilds even when oversubscription would
@@ -876,8 +813,8 @@ struct HotKey {
     parent_thread: usize,
 }
 
-/// The master's cached team: the `Team` allocation plus the doorbells
-/// and pool slots of the workers still bound to it.
+/// A lease: the `Team` allocation plus the doorbells and pool slots of
+/// the workers bound to it.
 struct HotTeam {
     key: HotKey,
     team: Arc<Team>,
@@ -888,18 +825,19 @@ struct HotTeam {
 }
 
 impl Drop for HotTeam {
-    /// Release every bound worker back to the global pool (on cache
-    /// invalidation, `ROMP_HOT_TEAMS=0`, or master thread exit).
+    /// End the lease: release every bound worker back to the global pool
+    /// (after the one region of a lease that is not kept; on cache
+    /// invalidation or master thread exit for a kept one).
     ///
     /// The slots are pushed back to the idle list *here*, synchronously,
-    /// rather than by the workers themselves once they wake: a resize
-    /// calls `acquire` immediately after this drop, and an
-    /// asynchronous return would make it spawn fresh OS threads (creep
-    /// toward `thread-limit-var` on alternating shapes) or deliver a
-    /// short team under a tight limit even though enough workers exist
-    /// in flight. Re-acquiring a slot before its worker has woken is
-    /// safe: the next assignment just waits in the mailbox, which the
-    /// worker checks before blocking on the condvar.
+    /// rather than by the workers themselves once they wake: a resize or
+    /// the next one-region lease calls `acquire` right after this drop,
+    /// and an asynchronous return would make it spawn fresh OS threads
+    /// (creep toward `thread-limit-var`) or deliver a short team under a
+    /// tight limit even though enough workers exist in flight.
+    /// Re-acquiring a slot before its worker has woken is safe: the next
+    /// binding just waits in the mailbox, which the worker checks before
+    /// blocking on the condvar.
     fn drop(&mut self) {
         for ch in &self.channels {
             ch.release.store(true, Ordering::SeqCst);
@@ -921,7 +859,7 @@ impl Drop for HotTeam {
 
 /// Deepest forking level the hot cache serves. The busy mask is one
 /// machine word; forks nested deeper than this (absurd in practice)
-/// take the cold pool path.
+/// run on leases that are not kept.
 const MAX_HOT_LEVELS: usize = 64;
 
 thread_local! {
@@ -934,10 +872,11 @@ thread_local! {
     /// is owned by the thread that is its master.
     ///
     /// Teardown discipline (what makes the raw parent pointer in
-    /// [`HotKey`] sound): rebuilding or evicting the lease at level `L`
-    /// first drops all deeper leases (they are parented by the team
-    /// being torn down), and a worker drops its whole vector before
-    /// releasing the channel that keeps its parent team alive.
+    /// [`HotKey`] sound): rebuilding or evicting the lease at level `L`,
+    /// or ending a lease at `L` that was not kept, first drops all
+    /// deeper leases (they may be parented by the team being torn down),
+    /// and a worker drops its whole vector before releasing the channel
+    /// that keeps its parent team alive.
     static HOT_TEAMS_TLS: RefCell<Vec<Option<HotTeam>>> = const { RefCell::new(Vec::new()) };
     /// Re-entrancy backstop, one bit per forking level: bit `L` is set
     /// while this thread is between a hot ring at level `L` and the
@@ -983,15 +922,21 @@ fn effective_wait_policy(size: usize, icvs: &Icvs) -> WaitPolicy {
     }
 }
 
-/// Fork through the hot-team cache at forking level `level` (0 =
-/// outermost; a nested master leases its own sub-team at its level).
-/// Returns the team so the caller can rethrow a recorded panic.
+/// Fork on a doorbell lease at forking level `level` (0 = outermost; a
+/// nested master leases its own sub-team at its level) and run the
+/// region. With `keep` the lease comes from, and stays in, this
+/// thread's cache; otherwise it is built for this one region and ended
+/// after the join. Returns the team so the caller can rethrow a
+/// recorded panic.
+#[allow(clippy::too_many_arguments)] // the fork's resolved clauses
 fn hot_fork(
     n: usize,
     level: usize,
     active_level: usize,
     icvs: &Icvs,
     snap: ForkSnap,
+    parent_final: bool,
+    keep: bool,
     job: Job,
 ) -> Arc<Team> {
     // The barrier and idle ladders adjust per the oversubscription
@@ -1003,140 +948,97 @@ fn hot_fork(
         crate::ctx::with_current(|r| (Arc::as_ptr(&r.team) as usize, r.thread_num), || (0, 0));
     let key = HotKey {
         n,
-        barrier_kind: icvs.barrier_kind,
         wait_policy: icvs.wait_policy,
         dynamic: icvs.dynamic,
         parent,
         parent_thread,
     };
-    // A team that the pool delivered short (thread-limit pressure) is
-    // never cached — it could never hit (a hit requires delivered size
-    // == requested), so caching it would only make every subsequent
-    // same-shape fork tear it down as a bogus "resize". It still runs
-    // through the hot machinery; the lease is dropped after the join.
+    // The lease to end after this region, if it is not kept.
     let mut uncached: Option<HotTeam> = None;
-    let team = HOT_TEAMS_TLS.with(|cell| {
-        let mut cache = cell.borrow_mut();
-        if cache.len() <= level {
-            cache.resize_with(level + 1, || None);
-        }
-        // A hit requires the cached team to have actually delivered the
-        // requested size (short teams are not cached — see above), so a
-        // capped build retries acquisition on every fork, like the cold
-        // path does.
-        if let Some(ht) = cache[level].as_ref().filter(|ht| ht.key == key) {
-            // Hit: recycle in place and ring the doorbells. Prime in
-            // *reverse* chain order: a still-spinning worker can observe
-            // its own epoch bump the instant it lands and immediately
-            // forward the chain wake to its successor, so the successor's
-            // channel must already be primed by then — otherwise the
-            // forwarded unpark token is consumed by a stale-epoch
-            // re-park and, the doorbell park being untimed, the worker
-            // is stranded forever (and the join with it).
-            bump(&stats().hot_team_hits);
+    let team = if keep {
+        HOT_TEAMS_TLS.with(|cell| {
+            let mut cache = cell.borrow_mut();
+            if cache.len() <= level {
+                cache.resize_with(level + 1, || None);
+            }
+            // A hit requires the cached team to have actually delivered
+            // the requested size (short teams are not cached — see
+            // below), so a capped build retries acquisition on every
+            // fork.
+            if let Some(ht) = cache[level].as_ref().filter(|ht| ht.key == key) {
+                // Hit: recycle in place and ring the doorbells. Prime in
+                // *reverse* chain order: a still-spinning worker can
+                // observe its own epoch bump the instant it lands and
+                // immediately forward the chain wake to its successor,
+                // so the successor's channel must already be primed by
+                // then — otherwise the forwarded unpark token is
+                // consumed by a stale-epoch re-park and, the doorbell
+                // park being untimed, the worker is stranded forever
+                // (and the join with it).
+                bump(&stats().hot_team_hits);
+                if level > 0 {
+                    bump(&stats().hot_team_nested_hits);
+                }
+                ht.team.recycle(snap);
+                for ch in ht.channels.iter().rev() {
+                    prime(ch, Some(job));
+                }
+                if let Some(first) = ht.channels.first() {
+                    // Chaos: delay between the last prime and the
+                    // chain-head wake — the lost-wakeup-critical edge
+                    // this path's reverse-order priming exists to
+                    // protect.
+                    let _ = crate::chaos::chaos_point!(crate::chaos::Site::DoorbellRing);
+                    first.wake();
+                }
+                return ht.team.clone();
+            }
+            // Rebuild: leases deeper than this level are parented by the
+            // team about to be dropped, so they must go first (deepest
+            // first — see `drop_hot_leases_from`).
+            while cache.len() > level + 1 {
+                cache.pop();
+            }
+            if cache[level].take().is_some() {
+                // Shape changed: drop the lease (workers return to the
+                // pool, possibly to be re-acquired two lines down).
+                bump(&stats().hot_team_resizes);
+            } else {
+                bump(&stats().hot_team_misses);
+            }
             if level > 0 {
-                bump(&stats().hot_team_nested_hits);
+                bump(&stats().hot_team_nested_misses);
             }
-            ht.team.recycle(snap);
-            for ch in ht.channels.iter().rev() {
-                prime(ch, Some(job));
+            let ht = new_lease(key, level, active_level, icvs, snap, false, job);
+            let team = ht.team.clone();
+            // A team that the pool delivered short (thread-limit
+            // pressure) is never cached — it could never hit (a hit
+            // requires delivered size == requested), so caching it would
+            // only make every subsequent same-shape fork tear it down as
+            // a bogus "resize".
+            if team.size() == n {
+                cache[level] = Some(ht);
+            } else {
+                uncached = Some(ht);
             }
-            if let Some(first) = ht.channels.first() {
-                // Chaos: delay between the last prime and the chain-head
-                // wake — the lost-wakeup-critical edge this path's
-                // reverse-order priming exists to protect.
-                let _ = crate::chaos::chaos_point!(crate::chaos::Site::DoorbellRing);
-                first.wake();
-            }
-            return ht.team.clone();
-        }
-        // Rebuild: leases deeper than this level are parented by the
-        // team about to be dropped, so they must go first (deepest
-        // first — see `drop_hot_leases_from`).
-        while cache.len() > level + 1 {
-            cache.pop();
-        }
-        if cache[level].take().is_some() {
-            // Shape changed: drop the lease (workers return to the
-            // pool, possibly to be re-acquired two lines down).
-            bump(&stats().hot_team_resizes);
-        } else {
-            bump(&stats().hot_team_misses);
-        }
-        if level > 0 {
-            bump(&stats().hot_team_nested_misses);
-        }
-        let workers = pool().acquire(n.saturating_sub(1), icvs);
-        let size = workers.len() + 1;
-        // Oversubscription keys on the *delivered* size, like the cold
-        // path: a thread-limit-capped team that fits the cores must not
-        // get park-early wait behavior just because more was requested.
-        let barrier_policy = effective_wait_policy(size, icvs);
-        let bell = IdleWait::doorbell(icvs.wait_policy, size > icv::hardware_threads());
-        let team = Arc::new(Team::new(
-            size,
-            level + 1,
-            // Same active-level rule as the cold path: a team delivered
-            // short at size 1 is not an active region.
-            active_level + usize::from(size > 1),
-            icvs.barrier_kind,
-            barrier_policy,
-            forking_ancestors(),
-            snap,
-            false,
-            true,
-        ));
-        // Built back to front so each channel can point at its wake-chain
-        // successor; the `Bind` mails (which wake every worker through
-        // its pool mailbox) then go out in any order.
-        let mut channels: Vec<Arc<HotChannel>> = Vec::with_capacity(workers.len());
-        let mut next: Option<Arc<HotChannel>> = None;
-        for (i, _) in workers.iter().enumerate().rev() {
-            // Pre-arm the doorbell with the first region's job so the
-            // worker starts it straight out of the `Bind`.
-            let ch = Arc::new(HotChannel {
-                team: team.clone(),
-                thread_num: i + 1,
-                epoch: AtomicU64::new(1),
-                release: AtomicBool::new(false),
-                job: UnsafeCell::new(Some(job)),
-                worker: OnceLock::new(),
-                next: next.take(),
-                idle: bell,
-            });
-            next = Some(ch.clone());
-            channels.push(ch);
-        }
-        channels.reverse();
-        for (w, ch) in workers.iter().zip(&channels) {
-            let mut mb = w.mailbox.lock();
-            *mb = Some(Assignment::Bind(ch.clone()));
-            drop(mb);
-            w.cv.notify_one();
-        }
-        let ht = HotTeam {
-            key,
-            team: team.clone(),
-            channels,
-            slots: workers,
-        };
-        if size == key.n {
-            cache[level] = Some(ht);
-        } else {
-            uncached = Some(ht);
-        }
+            team
+        })
+    } else {
+        let ht = new_lease(key, level, active_level, icvs, snap, parent_final, job);
+        let team = ht.team.clone();
+        uncached = Some(ht);
         team
-    });
+    };
     if team.size() == 1 {
         bump(&stats().serialized_forks);
     }
     let join_idle = IdleWait::join(icvs.wait_policy, team.size() > icv::hardware_threads());
     run_region(&team, 0, job);
     hot_join(&team, join_idle);
-    // A short team's lease ends with its one region (Drop rings the
+    // A lease that is not kept ends with its one region (Drop rings the
     // release and hands the slots back) — safe only now, after the join.
     // Any deeper leases this master grew *inside* the region are
-    // parented by the uncached team: deepest first, parent last.
+    // parented by its team: deepest first, parent last.
     if uncached.is_some() {
         drop_hot_leases_from(level + 1);
         drop(uncached);
@@ -1144,12 +1046,76 @@ fn hot_fork(
     team
 }
 
+/// Take up to `key.n - 1` workers from the pool, build the team they
+/// deliver and bind each worker to a doorbell pre-armed with the first
+/// region's `job`.
+fn new_lease(
+    key: HotKey,
+    level: usize,
+    active_level: usize,
+    icvs: &Icvs,
+    snap: ForkSnap,
+    parent_final: bool,
+    job: Job,
+) -> HotTeam {
+    let workers = pool().acquire(key.n.saturating_sub(1), icvs);
+    let size = workers.len() + 1;
+    // Oversubscription keys on the *delivered* size: a
+    // thread-limit-capped team that fits the cores must not get
+    // park-early wait behavior just because more was requested.
+    let bell = IdleWait::doorbell(icvs.wait_policy, size > icv::hardware_threads());
+    let team = Arc::new(Team::new(
+        size,
+        level + 1,
+        // A region only counts as active when it actually has more than
+        // one thread (OpenMP 5.2 §1.2.2): a team delivered short at size
+        // 1 under pool pressure is not an active region.
+        active_level + usize::from(size > 1),
+        effective_wait_policy(size, icvs),
+        forking_ancestors(),
+        snap,
+        parent_final,
+    ));
+    // Built back to front so each channel can point at its wake-chain
+    // successor; the mails (which wake every worker through its pool
+    // mailbox) then go out in any order.
+    let mut channels: Vec<Arc<HotChannel>> = Vec::with_capacity(workers.len());
+    let mut next: Option<Arc<HotChannel>> = None;
+    for i in (1..size).rev() {
+        // Pre-arm the doorbell with the first region's job so the worker
+        // starts it straight out of the mailbox.
+        let ch = Arc::new(HotChannel {
+            team: team.clone(),
+            thread_num: i,
+            epoch: AtomicU64::new(1),
+            release: AtomicBool::new(false),
+            job: UnsafeCell::new(Some(job)),
+            worker: OnceLock::new(),
+            next: next.take(),
+            idle: bell,
+        });
+        next = Some(ch.clone());
+        channels.push(ch);
+    }
+    channels.reverse();
+    for (w, ch) in workers.iter().zip(&channels) {
+        *w.mailbox.lock() = Some(ch.clone());
+        w.cv.notify_one();
+    }
+    HotTeam {
+        key,
+        team,
+        channels,
+        slots: workers,
+    }
+}
+
 /// The hot master's join: wait until every bound worker has signalled
 /// completion *and* the task graph is drained, helping to execute
 /// pending tasks meanwhile (a worker may have left its share of the
 /// graph behind, and tasks the master spawned after the workers finished
-/// are its own to run). Doubles as the region-end rendezvous — hot
-/// regions have no closing barrier episode.
+/// are its own to run). Doubles as the region-end rendezvous — regions
+/// have no closing barrier episode.
 fn hot_join(team: &Arc<Team>, idle: IdleWait) {
     let mut seed = crate::lock::os_thread_id() | 1;
     let mut rounds = 0u32;
@@ -1208,12 +1174,13 @@ fn execute_joining_task(team: &Arc<Team>, task: crate::task::RawTask) {
 /// by `thread-limit-var` and by how many workers the pool can actually
 /// deliver.
 ///
-/// Forks go through the hot-team cache (see the module docs) unless
-/// `ROMP_HOT_TEAMS=0` — including **nested** forks: a thread that is
-/// already inside a hot region leases its own sub-team at its forking
-/// level, so after warmup an inner region is as cheap as an outer one.
-/// Forks from final tasks, forks whose enclosing team is cold, and
-/// forks nested deeper than `MAX_HOT_LEVELS` take the cold pool path.
+/// Every multi-thread fork runs on a doorbell lease (see the module
+/// docs), kept in the hot-team cache unless `ROMP_HOT_TEAMS=0` —
+/// including **nested** forks: a thread that is already inside a region
+/// leases its own sub-team at its forking level, so after warmup an
+/// inner region is as cheap as an outer one. Forks from final tasks and
+/// forks nested deeper than `MAX_HOT_LEVELS` run on a lease that ends
+/// with the region.
 ///
 /// The `'env` lifetime plays the role of `std::thread::scope`'s
 /// environment lifetime: closures handed to
@@ -1278,119 +1245,60 @@ where
         tune: icvs.tune != crate::icv::TuneMode::Off,
     };
 
-    // Hot fast path: actual teams only, at any nesting level whose
-    // enclosing team is itself hot (a cold or final-task parent cannot
-    // guarantee the lease's parent-identity key stays alive — see
-    // [`HotKey`]). Serialized regions (`if(false)`, `num_threads(1)`,
-    // nesting beyond `max-active-levels`) fall through to the inline
-    // path below *without touching the cache* — evicting a
-    // multi-thread lease for a team of one would thrash workers on
-    // every serial/parallel alternation, and a serial region gains
-    // nothing from cached workers anyway.
-    let parent_hot = level == 0 || crate::ctx::with_current(|r| r.team.hot, || false);
-    if !parent_final
-        && parent_hot
+    // May this fork keep its lease? Not from a final task, and not at a
+    // level the busy mask cannot track (the bound check comes first: it
+    // guards the shift) or whose lease is mid-region on this thread.
+    let cacheable = !parent_final
         && level < MAX_HOT_LEVELS
-        && HOT_BUSY.with(|b| b.get()) & (1u64 << level) == 0
-    {
-        if icvs.hot_teams && n > 1 {
-            struct BusyGuard(usize);
-            impl Drop for BusyGuard {
-                fn drop(&mut self) {
-                    HOT_BUSY.with(|b| b.set(b.get() & !(1u64 << self.0)));
-                }
-            }
-            HOT_BUSY.with(|b| b.set(b.get() | (1u64 << level)));
-            let _busy = BusyGuard(level);
-            let team = hot_fork(n, level, active_level, &icvs, snap, job);
-            if team.abort.load(Ordering::Acquire) {
-                // Never reuse a team a panic tore through: release the
-                // workers (and any sub-leases parented by them) and
-                // rebuild cold state on the next fork.
-                drop_hot_leases_from(level);
-                rethrow(&team);
-            }
-            return;
-        }
-        if !icvs.hot_teams {
-            // Hot teams were switched off between regions: stop
-            // hoarding the bound workers at this level and deeper
-            // (shallower leases belong to still-active enclosing
-            // regions).
-            drop_hot_leases_from(level);
-        }
+        && HOT_BUSY.with(|b| b.get()) & (1u64 << level) == 0;
+    if cacheable && !icvs.hot_teams {
+        // Hot teams were switched off between regions: stop hoarding the
+        // bound workers at this level and deeper (shallower leases
+        // belong to still-active enclosing regions).
+        drop_hot_leases_from(level);
     }
 
+    // Serialized regions (`if(false)`, `num_threads(1)`, nesting beyond
+    // `max-active-levels`) run inline *without touching the cache* —
+    // evicting a multi-thread lease for a team of one would thrash
+    // workers on every serial/parallel alternation, and a serial region
+    // gains nothing from bound workers anyway.
     if n == 1 {
         bump(&stats().serialized_forks);
         let team = Arc::new(Team::new(
             1,
             level + 1,
             active_level,
-            icvs.barrier_kind,
             icvs.wait_policy,
             forking_ancestors(),
             snap,
             parent_final,
-            false,
         ));
         run_region(&team, 0, job);
         rethrow(&team);
         return;
     }
 
-    let workers = pool().acquire(n - 1, &icvs);
-    let size = workers.len() + 1;
-    if size == 1 {
-        bump(&stats().serialized_forks);
-    }
-    let wait_policy = effective_wait_policy(size, &icvs);
-    let team = Arc::new(Team::new(
-        size,
-        level + 1,
-        // A region only counts as active when it actually has more than
-        // one thread (OpenMP 5.2 §1.2.2) — a team delivered short at
-        // size 1 under pool pressure must report the same
-        // omp_in_parallel()/active-level as the hot path does.
-        active_level + usize::from(size > 1),
-        icvs.barrier_kind,
-        wait_policy,
-        forking_ancestors(),
-        snap,
-        parent_final,
-        false,
-    ));
-    for (i, w) in workers.iter().enumerate() {
-        let mut mb = w.mailbox.lock();
-        *mb = Some(Assignment::Run {
-            team: team.clone(),
-            thread_num: i + 1,
-            job,
-        });
-        drop(mb);
-        w.cv.notify_one();
-    }
-    run_region(&team, 0, job);
-    join(&team, &icvs);
-    rethrow(&team);
-}
-
-/// Block until every worker of `team` has signalled completion (the
-/// cold-path join; hot teams use [`hot_join`]).
-fn join(team: &Arc<Team>, icvs: &Icvs) {
-    let spin_budget = icvs.wait_policy.spin_budget();
-    let mut spins = 0u32;
-    while team.remaining.load(Ordering::Acquire) > 0 {
-        spins += 1;
-        if spins >= spin_budget {
-            break;
+    let keep = cacheable && icvs.hot_teams;
+    struct BusyGuard(usize);
+    impl Drop for BusyGuard {
+        fn drop(&mut self) {
+            HOT_BUSY.with(|b| b.set(b.get() & !(1u64 << self.0)));
         }
-        std::hint::spin_loop();
     }
-    let mut guard = team.join_lock.lock();
-    while team.remaining.load(Ordering::Acquire) > 0 {
-        team.join_cv
-            .wait_for(&mut guard, std::time::Duration::from_millis(1));
+    let _busy = keep.then(|| {
+        HOT_BUSY.with(|b| b.set(b.get() | (1u64 << level)));
+        BusyGuard(level)
+    });
+    let team = hot_fork(n, level, active_level, &icvs, snap, parent_final, keep, job);
+    if team.abort.load(Ordering::Acquire) {
+        // Never reuse a team a panic tore through: release the workers
+        // (and any sub-leases parented by them) and rebuild on the next
+        // fork. A lease that was not kept is already gone.
+        if keep {
+            drop_hot_leases_from(level);
+        }
+        rethrow(&team);
     }
 }
 
@@ -1528,9 +1436,9 @@ mod tests {
     }
 
     #[test]
-    fn hot_team_disabled_takes_cold_path() {
+    fn hot_team_disabled_runs_one_region_leases() {
         std::thread::spawn(|| {
-            // Drive the cold path hermetically through this thread's TLS
+            // Drive one-region leases hermetically through this thread's TLS
             // override: the global block stays untouched, so sibling
             // tests asserting hot-team hit counts never see a
             // hot_teams=false window.
@@ -1664,17 +1572,13 @@ mod tests {
 
     #[test]
     fn released_workers_are_reacquired_from_the_home_shard() {
-        // A fresh master thread: its cold forks release workers to its
-        // home shard, and the next acquire must find them there instead
-        // of spawning (local-acquire counter moves, spawn counter not).
+        // A fresh master thread: its one-region leases release workers
+        // to its home shard, and the next acquire must find them there
+        // instead of spawning (local-acquire counter moves, spawn
+        // counter not).
         std::thread::spawn(|| {
             icv::tls_override_mut(|o| o.hot_teams = Some(false));
             fork(ForkSpec::with_num_threads(3), |_| {});
-            // Wait for the workers' asynchronous self-release to land.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while idle_workers() < 2 && std::time::Instant::now() < deadline {
-                std::thread::yield_now();
-            }
             let before = stats().snapshot();
             fork(ForkSpec::with_num_threads(3), |_| {});
             let d = before.delta(&stats().snapshot());
@@ -1722,7 +1626,7 @@ mod tests {
     }
 
     #[test]
-    fn fork_from_task_during_hot_join_takes_cold_path() {
+    fn fork_from_task_during_hot_join_serializes() {
         // A deferred task that itself forks: if the master picks it up
         // while joining, the inner fork must not recycle the in-flight
         // hot team. Wherever the task lands — a worker mid-region or

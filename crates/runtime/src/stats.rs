@@ -53,10 +53,13 @@ pub struct Stats {
     pub contended_locks: AtomicU64,
     /// Forks served by a cached hot team (doorbell fast path).
     pub hot_team_hits: AtomicU64,
-    /// Forks that had to build a hot team from the pool (no cache).
+    /// Forks that looked for a cached hot team, found none and built one
+    /// from the pool. (A fork whose lease may not be kept — hot teams
+    /// off, or forked from a `final` task — counts as neither hit nor
+    /// miss.)
     pub hot_team_misses: AtomicU64,
     /// Forks that rebuilt a cached hot team because `num_threads` or a
-    /// team-shape ICV (wait policy, barrier kind, `dyn-var`) changed.
+    /// team-shape ICV (wait policy, `dyn-var`) changed.
     pub hot_team_resizes: AtomicU64,
     /// Hot-team hits at nesting level ≥ 1 (a worker's own cached
     /// sub-team answered a nested fork; also counted in
@@ -317,11 +320,11 @@ pub fn display_stats_snapshot(s: &Snapshot) -> String {
 /// aggregate `pool_*` counters above say *whether* masters collided;
 /// this says *where* — a single overloaded shard reads very differently
 /// from uniform load.
-pub fn display_pool_shards() -> String {
+pub fn display_pool_shard_counters() -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "ROMP POOL SHARDS BEGIN");
-    let _ = writeln!(out, "  pool_shards = '{}'", crate::pool::shard_count());
+    let _ = writeln!(out, "  pool_shard_count = '{}'", crate::pool::shard_count());
     for (i, (acquired, stolen, contended)) in crate::pool::shard_counters().iter().enumerate() {
         let _ = writeln!(
             out,
@@ -333,13 +336,13 @@ pub fn display_pool_shards() -> String {
 }
 
 /// [`display_stats_snapshot`] over the live global counters, followed by
-/// the live per-shard pool counters ([`display_pool_shards`]), the
+/// the live per-shard pool counters ([`display_pool_shard_counters`]), the
 /// autotuner's site table ([`crate::tune::display_tune_table`]) and the
 /// kernel-variant registry
 /// ([`crate::tune::variants::display_variants_table`]).
 pub fn display_stats() -> String {
     let mut out = display_stats_snapshot(&stats().snapshot());
-    out.push_str(&display_pool_shards());
+    out.push_str(&display_pool_shard_counters());
     out.push_str(&crate::tune::display_tune_table());
     out.push_str(&crate::tune::variants::display_variants_table());
     out
@@ -390,7 +393,7 @@ mod tests {
             "pool_acquires_local",
             "pool_acquires_stolen",
             "pool_shard_contention",
-            "pool_shards",
+            "pool_shard_count",
             "pool_shard[0]",
             "tune_probes",
             "tune_converged",

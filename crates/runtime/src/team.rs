@@ -35,10 +35,10 @@
 //! `g`, which requires `g` to be fully done).
 
 use crate::affinity::TeamPlaces;
-use crate::barrier::{BarrierKind, TeamBarrier};
+use crate::barrier::TeamBarrier;
 use crate::icv::{ProcBind, WaitPolicy};
 use crate::task::TaskSystem;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -222,7 +222,7 @@ impl RedCell {
 
 /// Per-fork snapshot of the master's data environment: ICV-derived
 /// values that are fixed for the duration of one region but change from
-/// region to region. A cold team takes them at construction; a recycled
+/// region to region. A new team takes them at construction; a recycled
 /// hot team overwrites them at each fork ([`Team::recycle`]), which is
 /// why they live behind one `RwLock` instead of being plain fields.
 #[derive(Debug, Clone)]
@@ -259,16 +259,20 @@ pub(crate) struct ForkSnap {
 }
 
 /// Shared state of one parallel region's team.
+///
+/// The field order is a cache-line layout (hence `repr(C)`, and the
+/// 64-byte alignment that also keeps the `Arc` reference counts off the
+/// first line): first what every thread reads when it enters a region
+/// and the master rewrites at each recycle (`snap` and the region
+/// flags), then the read-only geometry, then the join counter beside
+/// the barrier, then the worksharing and task state. An empty recycled
+/// region costs a handful of line transfers, so the compiler's own
+/// field order moved `runtime.fork_join_us` by up to 20 % whenever a
+/// field was added or removed; re-measure it after changing this list.
+#[repr(C, align(64))]
 pub struct Team {
-    /// Number of threads in the team (including the master).
-    pub(crate) size: usize,
-    /// Nesting level of the region this team executes (1 = outermost
-    /// parallel region; the sequential part is level 0).
-    pub(crate) level: usize,
-    /// Number of enclosing *active* (size > 1) regions, including this one
-    /// if active.
-    pub(crate) active_level: usize,
-    pub(crate) barrier: TeamBarrier,
+    /// Per-fork ICV snapshot (see [`ForkSnap`]); rewritten on recycle.
+    pub(crate) snap: RwLock<ForkSnap>,
     /// Raised when any team thread panics; all barrier/slot waits watch it.
     pub(crate) abort: AtomicBool,
     /// Raised by `cancel parallel`: team threads skip remaining
@@ -277,6 +281,11 @@ pub struct Team {
     /// not unwind — a cancelled region completes normally, with an
     /// unspecified partial result, exactly as the spec allows.
     pub(crate) cancel_parallel: AtomicBool,
+    /// Was this region forked from inside a `final` task? Then every
+    /// team thread's implicit task is final too (descendants of a final
+    /// task are included tasks), which each worker re-establishes in
+    /// its own TLS when it runs the region.
+    pub(crate) parent_final: bool,
     /// `cancel for`/`cancel sections` request, scoped to one
     /// worksharing construct: `0` = none, `g + 1` = the construct with
     /// cancellable-construct generation `g` is cancelled (every team
@@ -284,12 +293,25 @@ pub struct Team {
     /// generation counters agree). A stale value simply never matches a
     /// later construct's generation — no end-of-construct reset races.
     pub(crate) cancel_ws: AtomicU64,
+    /// Number of threads in the team (including the master).
+    pub(crate) size: usize,
+    /// Nesting level of the region this team executes (1 = outermost
+    /// parallel region; the sequential part is level 0).
+    pub(crate) level: usize,
+    /// Number of enclosing *active* (size > 1) regions, including this one
+    /// if active.
+    pub(crate) active_level: usize,
+    /// `(thread_num, team_size)` per enclosing level, index 0 = initial
+    /// implicit task. Used by `omp_get_ancestor_thread_num`.
+    pub(crate) ancestors: Vec<(usize, usize)>,
+    /// The forking master's thread handle: the last worker to finish the
+    /// region `unpark`s it (see `pool::hot_join`).
+    pub(crate) master: std::thread::Thread,
     /// First panic payload, rethrown by the master after the join.
     pub(crate) panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
     /// Workers (not the master) that have not yet finished the region.
     pub(crate) remaining: AtomicUsize,
-    pub(crate) join_lock: Mutex<()>,
-    pub(crate) join_cv: Condvar,
+    pub(crate) barrier: TeamBarrier,
     pub(crate) slots: [WsSlot; WS_SLOTS],
     pub(crate) tasks: TaskSystem,
     /// `copyprivate` broadcast cell for `single` constructs.
@@ -299,24 +321,6 @@ pub struct Team {
     /// parity, tagged with the generation so stale values are discarded
     /// on reuse.
     pub(crate) reduce_cells: [Mutex<RedCell>; 2],
-    /// `(thread_num, team_size)` per enclosing level, index 0 = initial
-    /// implicit task. Used by `omp_get_ancestor_thread_num`.
-    pub(crate) ancestors: Vec<(usize, usize)>,
-    /// Per-fork ICV snapshot (see [`ForkSnap`]); rewritten on recycle.
-    pub(crate) snap: RwLock<ForkSnap>,
-    /// Was this region forked from inside a `final` task? Then every
-    /// team thread's implicit task is final too (descendants of a final
-    /// task are included tasks), which each worker re-establishes in
-    /// its own TLS when it runs the region.
-    pub(crate) parent_final: bool,
-    /// Is this a cached **hot team** (workers bound to doorbells, state
-    /// recycled between regions)? Hot teams skip the closing barrier
-    /// episode at region end: the master's join on `remaining` is the
-    /// region-end rendezvous and the next doorbell ring is the release.
-    pub(crate) hot: bool,
-    /// The forking master's thread handle: hot-team workers `unpark` it
-    /// to signal region completion (the cold path uses the join condvar).
-    pub(crate) master: std::thread::Thread,
 }
 
 impl std::fmt::Debug for Team {
@@ -331,30 +335,25 @@ impl std::fmt::Debug for Team {
 
 impl Team {
     /// Build a team of `size` threads at nesting `level`.
-    #[allow(clippy::too_many_arguments)] // fork-time snapshot, two call sites
     pub(crate) fn new(
         size: usize,
         level: usize,
         active_level: usize,
-        barrier_kind: BarrierKind,
         wait_policy: WaitPolicy,
         ancestors: Vec<(usize, usize)>,
         snap: ForkSnap,
         parent_final: bool,
-        hot: bool,
     ) -> Self {
         Team {
             size,
             level,
             active_level,
-            barrier: TeamBarrier::new(size, barrier_kind, wait_policy),
+            barrier: TeamBarrier::new(size, wait_policy),
             abort: AtomicBool::new(false),
             cancel_parallel: AtomicBool::new(false),
             cancel_ws: AtomicU64::new(0),
             panic_payload: Mutex::new(None),
             remaining: AtomicUsize::new(size.saturating_sub(1)),
-            join_lock: Mutex::new(()),
-            join_cv: Condvar::new(),
             slots: std::array::from_fn(|i| WsSlot::new(i as u64)),
             tasks: TaskSystem::new(size),
             copy_cell: Mutex::new(None),
@@ -362,7 +361,6 @@ impl Team {
             ancestors,
             snap: RwLock::new(snap),
             parent_final,
-            hot,
             master: std::thread::current(),
         }
     }
@@ -413,7 +411,6 @@ impl Team {
     /// so no other thread touches the team until the ring publishes
     /// these writes.
     pub(crate) fn recycle(&self, snap: ForkSnap) {
-        debug_assert!(self.hot, "recycle is a hot-team protocol");
         debug_assert_eq!(self.remaining.load(Ordering::Acquire), 0);
         self.abort.store(false, Ordering::Relaxed);
         self.cancel_parallel.store(false, Ordering::Relaxed);
@@ -461,7 +458,6 @@ mod tests {
             size,
             1,
             1,
-            BarrierKind::Central,
             WaitPolicy::Hybrid,
             vec![(0, 1)],
             ForkSnap {
@@ -473,7 +469,6 @@ mod tests {
                 tune: false,
             },
             false,
-            true, // hot, so recycle() is exercisable
         )
     }
 

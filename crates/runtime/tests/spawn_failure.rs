@@ -41,7 +41,7 @@ fn on_fresh_thread(f: impl FnOnce() + Send + 'static) {
 #[test]
 fn spawn_failure_degrades_to_short_team_instead_of_panicking() {
     on_fresh_thread(|| {
-        // Force the cold path so every fork goes through Pool::acquire.
+        // Leases that are not kept: every fork goes through Pool::acquire.
         icv::with_global_mut(|i| i.hot_teams = false);
         // Warm nothing: inject enough failures to cover every spawn the
         // fork below could attempt. The fork must still complete — on

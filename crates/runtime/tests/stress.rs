@@ -7,7 +7,7 @@
 //! repetition and contention.
 
 use romp_runtime::{
-    fork, icv, BarrierKind, ForkSpec, MaxOp, NestLock, OmpLock, ProdOp, Schedule, SumOp,
+    fork, icv, ForkSpec, MaxOp, NestLock, OmpLock, ProdOp, Schedule, SumOp, WaitPolicy,
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -33,13 +33,14 @@ fn repeated_fork_join_churn() {
     assert_eq!(counter.load(Ordering::Relaxed), expected);
 }
 
-/// Back-to-back barriers under both algorithms: no thread may pass
-/// barrier `k+1` before every thread passed `k` (tracked by a strictly
-/// monotonic phase counter per thread).
+/// Back-to-back barriers under both kinds of wait (spinning `active`,
+/// parking `passive`): no thread may pass barrier `k+1` before every
+/// thread passed `k` (tracked by a strictly monotonic phase counter per
+/// thread).
 #[test]
 fn barrier_phase_lockstep_both_kinds() {
-    for kind in [BarrierKind::Central, BarrierKind::Dissemination] {
-        icv::with_global_mut(|i| i.barrier_kind = kind);
+    for policy in [WaitPolicy::Active, WaitPolicy::Passive] {
+        let prev = icv::with_global_mut(|i| std::mem::replace(&mut i.wait_policy, policy));
         let threads = 4;
         let phases: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
         fork(ForkSpec::with_num_threads(threads), |ctx| {
@@ -49,19 +50,19 @@ fn barrier_phase_lockstep_both_kinds() {
                     let seen = p.load(Ordering::Acquire);
                     assert!(
                         seen == round || seen == round + 1,
-                        "{kind:?}: phase skew (saw {seen} in round {round})"
+                        "{policy:?}: phase skew (saw {seen} in round {round})"
                     );
                 }
                 phases[ctx.thread_num()].store(round + 1, Ordering::Release);
                 ctx.barrier();
                 // After the barrier, nobody can still be behind.
                 for p in &phases {
-                    assert!(p.load(Ordering::Acquire) > round, "{kind:?}: lost thread");
+                    assert!(p.load(Ordering::Acquire) > round, "{policy:?}: lost thread");
                 }
                 ctx.barrier();
             }
         });
-        icv::with_global_mut(|i| i.barrier_kind = BarrierKind::Central);
+        icv::with_global_mut(|i| i.wait_policy = prev);
     }
 }
 

@@ -381,7 +381,7 @@ fn cancel_at_barrier_releases_the_team() {
 fn delayed_doorbell_does_not_lose_wakeups() {
     on_fresh_master(|| {
         icv::with_global_mut(|i| i.hot_teams = true);
-        assert_geometry(4); // build the lease cold, before arming
+        assert_geometry(4); // build the lease before arming
         let guard = chaos::arm(
             ChaosPlan::bare(0xC2)
                 .with_rule(Site::DoorbellPrime, Fault::Delay, 1.0)

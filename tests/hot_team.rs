@@ -3,9 +3,9 @@
 //! The fork/join fast path caches the master's last team (workers stay
 //! bound to doorbells between regions — see `romp_runtime::pool`). That
 //! cache must be *observationally invisible*: `omp_get_num_threads`
-//! geometry stays exact when `omp_set_num_threads`, `OMP_DYNAMIC`, the
-//! wait policy or the barrier algorithm change between back-to-back
-//! regions (the team resizes or rebuilds), per-fork ICV snapshots
+//! geometry stays exact when `omp_set_num_threads`, `OMP_DYNAMIC` or the
+//! wait policy change between back-to-back regions (the team resizes or
+//! rebuilds), per-fork ICV snapshots
 //! (`schedule(runtime)` resolution, `proc_bind`) are re-taken on every
 //! recycle, and a panic inside a region must never poison the cached
 //! team — the next fork from the same master rebuilds cleanly.
@@ -18,8 +18,8 @@
 //! cancellation to the inner team it was requested in.
 //!
 //! Each scenario runs on its own freshly-spawned thread: the hot-team
-//! cache is per master OS thread, so a dedicated thread gives a
-//! deterministic cold start and exercises the lease-release-on-exit
+//! cache is per master OS thread, so a dedicated thread starts with an
+//! empty cache and exercises the lease-release-on-exit
 //! (TLS drop) path as a bonus. Every scenario holds `ICV_LOCK` for its
 //! whole duration — several mutate process-global ICVs (wait policy,
 //! `dyn-var`, `hot_teams`) and several assert global stats-counter
@@ -29,7 +29,8 @@ use romp::runtime::stats::stats;
 use romp::runtime::{
     fork, icv, omp_get_active_level, omp_get_ancestor_thread_num, omp_get_level,
     omp_get_num_threads, omp_get_proc_bind, omp_get_schedule, omp_get_team_size,
-    omp_set_num_threads, omp_set_schedule, BarrierKind, ForkSpec, ProcBind, Schedule, WaitPolicy,
+    omp_set_num_threads, omp_set_schedule, pool, ForkSpec, ProcBind, Schedule, TaskSpec,
+    WaitPolicy,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -200,42 +201,66 @@ fn omp_dynamic_change_rebuilds_the_team() {
 }
 
 #[test]
-fn barrier_kind_change_rebuilds_the_team() {
-    on_fresh_thread(|| {
-        assert_geometry(3);
-        let before = stats().snapshot();
-        // Flip to whichever kind differs from the current one (the
-        // suite may run under ROMP_BARRIER=dissemination already).
-        let flipped = if icv::current().barrier_kind == BarrierKind::Dissemination {
-            BarrierKind::Central
-        } else {
-            BarrierKind::Dissemination
-        };
-        let prev = icv::with_global_mut(|i| std::mem::replace(&mut i.barrier_kind, flipped));
-        // The rebuilt team's barrier must actually work.
-        fork(ForkSpec::with_num_threads(3), |ctx| {
-            for _ in 0..5 {
-                ctx.barrier();
-            }
-        });
-        icv::with_global_mut(|i| i.barrier_kind = prev);
-        assert_geometry(3);
-        let d = before.delta(&stats().snapshot());
-        assert!(d.hot_team_resizes >= 2);
-    });
-}
-
-#[test]
 fn hot_teams_disabled_still_runs_and_releases_the_lease() {
     on_fresh_thread(|| {
         assert_geometry(2); // lease a hot team first
         let prev = icv::with_global_mut(|i| std::mem::replace(&mut i.hot_teams, false));
-        // The next fork drops the lease and serves from the cold pool.
+        // The next fork drops the lease; every fork then runs on a
+        // one-region lease.
         for _ in 0..5 {
             assert_geometry(2);
         }
         icv::with_global_mut(|i| i.hot_teams = prev);
         assert_geometry(2); // re-leases
+    });
+}
+
+#[test]
+fn leases_that_are_not_kept_spawn_nothing_and_leave_the_cache_alone() {
+    // A lease that is not kept — hot teams off, or a fork from a final
+    // task — runs the same doorbell protocol as a cached one and hands
+    // its workers back when the region ends: after warmup neither kind
+    // spawns an OS thread, strands a worker or touches the hot-team
+    // counters.
+    on_fresh_thread(|| {
+        let forks_from_final_task = |rounds: usize| {
+            // A team of one runs inline, so the final task is the only
+            // thing between this thread and the 2-thread forks.
+            fork(ForkSpec::with_num_threads(1), |ctx| {
+                ctx.task_spec(TaskSpec::new().final_clause(true), || {
+                    for _ in 0..rounds {
+                        assert_geometry(2);
+                    }
+                });
+            });
+        };
+        let prev = icv::with_global_mut(|i| std::mem::replace(&mut i.hot_teams, false));
+        assert_geometry(2);
+        icv::with_global_mut(|i| i.hot_teams = prev);
+        forks_from_final_task(1);
+        // Workers released by earlier scenarios' nested leases return
+        // asynchronously; start from a quiet pool.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while pool::idle_workers() != pool::pool_size() && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+
+        let before = stats().snapshot();
+        let prev = icv::with_global_mut(|i| std::mem::replace(&mut i.hot_teams, false));
+        for _ in 0..50 {
+            assert_geometry(2);
+        }
+        icv::with_global_mut(|i| i.hot_teams = prev);
+        forks_from_final_task(50);
+        let d = before.delta(&stats().snapshot());
+        assert!(d.forks >= 100, "{d:?}");
+        assert_eq!(d.workers_spawned, 0, "{d:?}");
+        assert_eq!(pool::idle_workers(), pool::pool_size());
+        assert_eq!(
+            (d.hot_team_hits, d.hot_team_misses, d.hot_team_resizes),
+            (0, 0, 0),
+            "{d:?}"
+        );
     });
 }
 
@@ -441,10 +466,11 @@ fn cancelled_hot_region_is_recycled_not_evicted() {
 }
 
 #[test]
-fn cancelled_cold_region_leaves_the_pool_sane() {
+fn cancelled_uncached_region_leaves_the_pool_sane() {
     // Same stress with hot teams off (the CI matrix also runs this
     // whole file under OMP_WAIT_POLICY=passive and ROMP_HOT_TEAMS=0):
-    // a cancelled cold region must return every worker to the pool.
+    // a cancelled region on a one-region lease must return every
+    // worker to the pool.
     on_fresh_thread(|| {
         romp::runtime::icv::set_cancellation_override(Some(true));
         let prev = icv::with_global_mut(|i| std::mem::replace(&mut i.hot_teams, false));
@@ -661,7 +687,7 @@ fn assert_level_apis_through_a_2x2_nest() {
 fn level_apis_are_exact_on_the_nested_hot_path() {
     on_fresh_thread(|| {
         let prev = icv::with_global_mut(|i| std::mem::replace(&mut i.max_active_levels, 2));
-        // Twice: the first walk builds the team tree cold, the second
+        // Twice: the first walk builds the team tree, the second
         // runs entirely on recycled leases — the hit path re-derives
         // nothing, so its geometry must be just as exact.
         assert_level_apis_through_a_2x2_nest();

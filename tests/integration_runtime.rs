@@ -2,7 +2,7 @@
 //! facade — nesting, ICVs, stats, tasking patterns, stress.
 
 use romp::prelude::*;
-use romp::runtime::{icv, stats, BarrierKind};
+use romp::runtime::{icv, stats, WaitPolicy};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -114,16 +114,18 @@ fn many_regions_reuse_pool() {
 }
 
 #[test]
+/// Both kinds of barrier wait: spinning (`OMP_WAIT_POLICY=active`, on
+/// a team that fits the cores) and parking (`passive`).
 fn barrier_kinds_both_work_end_to_end() {
-    for kind in [BarrierKind::Central, BarrierKind::Dissemination] {
-        icv::with_global_mut(|i| i.barrier_kind = kind);
+    for policy in [WaitPolicy::Active, WaitPolicy::Passive] {
+        let prev = icv::with_global_mut(|i| std::mem::replace(&mut i.wait_policy, policy));
         let phase = AtomicUsize::new(0);
         omp_parallel!(num_threads(4), |ctx| {
             phase.fetch_add(1, Ordering::SeqCst);
             omp_barrier!(ctx);
-            assert_eq!(phase.load(Ordering::SeqCst), 4, "{kind:?}");
+            assert_eq!(phase.load(Ordering::SeqCst), 4, "{policy:?}");
         });
-        icv::with_global_mut(|i| i.barrier_kind = BarrierKind::Central);
+        icv::with_global_mut(|i| i.wait_policy = prev);
     }
 }
 
@@ -145,7 +147,6 @@ fn contended_critical_sections_under_stress() {
 
 #[test]
 fn passive_wait_policy_regions_work() {
-    use romp::runtime::WaitPolicy;
     icv::with_global_mut(|i| i.wait_policy = WaitPolicy::Passive);
     let sum = AtomicU64::new(0);
     omp_parallel!(num_threads(4), |ctx| {

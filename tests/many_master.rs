@@ -3,7 +3,7 @@
 //! The sharded worker pool (`romp_runtime::pool`) exists for exactly
 //! this shape of load — many concurrent masters, each forking small
 //! parallel regions — so this suite drives it from M independent OS
-//! threads doing cold forks, hot-team forks and resize churn at the
+//! threads doing one-region leases, hot-team forks and resize churn at the
 //! same time, and pins the invariants that are easy to break under
 //! concurrency:
 //!
@@ -14,7 +14,7 @@
 //!   reservation counter) never exceeds `thread-limit-var − 1`, even
 //!   while many masters race reservations.
 //! * **No stranded workers** — once every master has exited (leases
-//!   dropped, cold workers self-released), every worker the pool ever
+//!   dropped), every worker the pool ever
 //!   created is findable on some shard's idle list: `idle_workers()`
 //!   converges to `pool_size()`. A worker lost to a mis-homed release
 //!   or a consumed-but-never-honored wake would hang this forever.
@@ -101,7 +101,7 @@ fn many_masters_mixed_churn_geometry_and_no_strand() {
                     for r in 0..ROUNDS {
                         // Cycle the requested shape so the hot path sees
                         // resize churn (re-acquire from the pool every
-                        // round) and the cold path sees plain churn.
+                        // round) and one-region leases see plain churn.
                         let want = 2 + (r + m) % 3;
                         checked_fork(want);
                         if r % 10 == 9 {
@@ -134,7 +134,7 @@ fn many_masters_mixed_churn_geometry_and_no_strand() {
 }
 
 #[test]
-fn many_masters_cold_storm_respects_thread_limit() {
+fn many_masters_lease_storm_respects_thread_limit() {
     let _g = ICV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let prev = icv::with_global_mut(|i| std::mem::replace(&mut i.hot_teams, false));
     let limit = icv::current().thread_limit;
@@ -162,7 +162,7 @@ fn many_masters_cold_storm_respects_thread_limit() {
         .map(|m| {
             let gate = gate.clone();
             std::thread::Builder::new()
-                .name(format!("mm-cold-{m}"))
+                .name(format!("mm-lease-{m}"))
                 .spawn(move || {
                     gate.wait();
                     for r in 0..ROUNDS {
@@ -182,12 +182,12 @@ fn many_masters_cold_storm_respects_thread_limit() {
         "pool grew past the thread limit: {max_alive} workers vs limit {limit}"
     );
     let d = before.delta(&stats().snapshot());
-    // 320 cold regions must overwhelmingly reuse pooled workers, not
+    // 320 one-region leases must overwhelmingly reuse pooled workers, not
     // spawn fresh ones; local + stolen acquires prove the sharded free
     // lists circulated them.
     assert!(
         d.pool_acquires_local + d.pool_acquires_stolen >= (MASTERS * ROUNDS) as u64 / 4,
-        "cold storm barely reused the pool: {d:?}"
+        "lease storm barely reused the pool: {d:?}"
     );
     icv::with_global_mut(|i| i.hot_teams = prev);
     assert_no_stranded_workers();
