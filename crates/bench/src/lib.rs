@@ -1,16 +1,18 @@
-//! # romp-bench — the paper-reproduction harness
+//! # romp-bench — the paper-reproduction binaries
 //!
-//! Binaries regenerating every table and figure of the paper's
-//! evaluation (see `DESIGN.md` §4 for the experiment index):
+//! Binaries regenerating the paper's evaluation artefacts:
 //!
 //! * `table1` — Table 1: Reference vs Romp+OpenMP runtimes for CG, EP,
-//!   IS and Mandelbrot, plus the relative deltas the text quotes;
-//! * `speedup` — the speedup-relative-to-one-thread series the text
-//!   reports;
-//! * `figure1` — the pragma-interception pipeline, stage by stage.
+//!   IS and Mandelbrot, plus the relative deltas the text quotes
+//!   (`--threads 1` gives the one-thread baseline);
+//! * `figure1` — the pragma-interception pipeline, stage by stage;
+//! * `syncbench` — EPCC-style construct overheads, including the nested
+//!   2×2, many-master and skew probes.
 //!
-//! Criterion benches cover the design-choice ablations (`schedules`,
-//! `barriers`, `reductions`, `forkjoin`, `npb_small`).
+//! Everything else is measured by the repo benchmark (`benchmark/`),
+//! which imports the helpers below: speedups as `npb.*.speedup`,
+//! per-construct costs as `runtime.*_us` and `core.*_for_us`, sparse
+//! kernel throughput as `sparse.*_gflops`.
 //!
 //! Reports are printed and also written as CSV under
 //! `target/romp-reports/`.

@@ -4,8 +4,7 @@
 //! no native hardware atomic on most ISAs; implementations lower it to a
 //! compare-exchange loop on the bit pattern. [`AtomicF64`] provides that
 //! lowering, so romp code can write the idiomatic translation of
-//! `#pragma omp atomic` without a critical section (ablation A3 shows
-//! the gap).
+//! `#pragma omp atomic` without a critical section.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -497,24 +497,46 @@ impl<'scope> ThreadCtx<'scope> {
         let _ = self.team_barrier();
     }
 
-    /// The end of the region body: drain the task graph and leave. There
-    /// is no closing barrier episode: the master's join on
-    /// `Team::remaining` is the region-end rendezvous (no thread can
-    /// observe the region as finished before every thread has signalled
-    /// completion), and the next fork's doorbell ring is the release.
+    /// The end of the region body: an arrival point, not a barrier
+    /// episode (`runtime.barriers` counts explicit and construct
+    /// barriers only). A worker leaves once **every** member has
+    /// arrived (`Team::unarrived`) and the task graph is drained,
+    /// executing tasks meanwhile: a member that has not arrived yet may
+    /// still spawn tasks (a `single nowait` producer), and its siblings
+    /// must be there to run them. The master only drains: its join on
+    /// `Team::remaining` — workers signal completion after leaving
+    /// here — is the region-end rendezvous, and the next fork's
+    /// doorbell ring is the release. A panicking member never arrives,
+    /// so an aborted region's waiters leave on the abort flag.
     /// A team of one has no join, so unless cancelled it still closes
     /// with its barrier episode — trivial, but counted like any other.
     /// Unlike [`barrier`](Self::barrier) this never panics on abort (the
     /// region is ending anyway and the master rethrows the real payload).
     pub(crate) fn end_of_region_barrier(&self) {
-        self.help_tasks_while_pending();
-        if self.team.size == 1 && !self.team.cancel_parallel.load(Ordering::Relaxed) {
-            let _ = self.team.barrier.wait(
-                &mut self.barrier_local.borrow_mut(),
-                &self.team.abort,
-                &self.team.cancel_parallel,
-            );
+        let team = &*self.team;
+        if team.size == 1 {
+            self.help_tasks_while_pending();
+            if !team.cancel_parallel.load(Ordering::Relaxed) {
+                let _ = team.barrier.wait(
+                    &mut self.barrier_local.borrow_mut(),
+                    &team.abort,
+                    &team.cancel_parallel,
+                );
+            }
+            return;
         }
+        // AcqRel here, Acquire below: a member spawns only before it
+        // arrives, so once the count reads zero every spawn is visible
+        // to the `pending` read that follows it.
+        team.unarrived.0.fetch_sub(1, Ordering::AcqRel);
+        let master = self.thread_num == 0;
+        let mut seed = self.steal_seed.get();
+        team.tasks.work_until(self.thread_num, &mut seed, || {
+            team.abort.load(Ordering::Relaxed)
+                || ((master || team.unarrived.0.load(Ordering::Acquire) == 0)
+                    && team.tasks.pending() == 0)
+        });
+        self.steal_seed.set(seed);
     }
 
     /// Help retire the team's task graph: execute (and steal) tasks

@@ -34,7 +34,9 @@
 //! 4. `hot_join` — wait for the workers' completion signals, helping
 //!    with any still-pending tasks.
 //!
-//! There is no closing barrier episode: the join counter *is* the
+//! There is no closing barrier episode: a worker leaves the region end
+//! once every member has arrived and no task is pending
+//! (`ThreadCtx::end_of_region_barrier`), the join counter *is* the
 //! region-end rendezvous (no thread can leave [`fork`] before every
 //! member signalled completion) and the next ring is the release.
 //!

@@ -1,8 +1,8 @@
 //! Runtime statistics counters.
 //!
 //! Cheap relaxed atomic counters recording how often the runtime's major
-//! code paths fire. The ablation benchmarks (`romp-bench`) and several
-//! tests use these to assert that the intended machinery actually ran
+//! code paths fire. The repo benchmark (`benchmark/`) and several tests
+//! use these to assert that the intended machinery actually ran
 //! (e.g. that a `schedule(dynamic)` loop really went through the shared
 //! dispatcher, or that task stealing occurred under imbalance). The
 //! tasking counters — spawned / executed / inline / stolen /

@@ -265,10 +265,13 @@ pub(crate) struct ForkSnap {
 /// first line): first what every thread reads when it enters a region
 /// and the master rewrites at each recycle (`snap` and the region
 /// flags), then the read-only geometry, then the join counter beside
-/// the barrier, then the worksharing and task state. An empty recycled
-/// region costs a handful of line transfers, so the compiler's own
-/// field order moved `runtime.fork_join_us` by up to 20 % whenever a
-/// field was added or removed; re-measure it after changing this list.
+/// the barrier, then the worksharing and task state, and last the
+/// region-end arrival count on a line of its own (beside the join
+/// counter, which the master polls while workers arrive, it cost
+/// +25 % `runtime.fork_join_us`). An empty recycled region costs a
+/// handful of line transfers, so the compiler's own field order moved
+/// `runtime.fork_join_us` by up to 20 % whenever a field was added or
+/// removed; re-measure it after changing this list.
 #[repr(C, align(64))]
 pub struct Team {
     /// Per-fork ICV snapshot (see [`ForkSnap`]); rewritten on recycle.
@@ -321,7 +324,15 @@ pub struct Team {
     /// parity, tagged with the generation so stale values are discarded
     /// on reuse.
     pub(crate) reduce_cells: [Mutex<RedCell>; 2],
+    /// Members (the master included) that have not reached the region
+    /// end yet: a worker leaves the region-end drain only once this is
+    /// zero (see `ThreadCtx::end_of_region_barrier`).
+    pub(crate) unarrived: OwnLine<AtomicUsize>,
 }
+
+/// A value alone on its cache line.
+#[repr(align(64))]
+pub(crate) struct OwnLine<T>(pub(crate) T);
 
 impl std::fmt::Debug for Team {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -358,6 +369,7 @@ impl Team {
             tasks: TaskSystem::new(size),
             copy_cell: Mutex::new(None),
             reduce_cells: [Mutex::new(RedCell::new()), Mutex::new(RedCell::new())],
+            unarrived: OwnLine(AtomicUsize::new(size)),
             ancestors,
             snap: RwLock::new(snap),
             parent_final,
@@ -418,6 +430,7 @@ impl Team {
         *self.panic_payload.lock() = None;
         self.remaining
             .store(self.size.saturating_sub(1), Ordering::Relaxed);
+        self.unarrived.0.store(self.size, Ordering::Relaxed);
         self.barrier.reset();
         for (i, s) in self.slots.iter().enumerate() {
             s.reset(i as u64);

@@ -14,8 +14,10 @@
 //! concurrent blocks read and write *disjoint* entries of `x` — any
 //! thread interleaving produces **bitwise** the result of the
 //! sequential sweep in the same permuted order. That makes the
-//! verification contract exact, not approximate: every parallel front
-//! end here is tested bitwise against [`sweep_seq`] on the matching
+//! verification contract exact, not approximate: the parallel sweep
+//! here — [`SweepMat::sweep_ctx`], over CSR ([`sweep_csr_ctx`]) or
+//! SELL-C-σ ([`ColoredSell::sweep_ctx`]), run inside the caller's
+//! region — is tested bitwise against [`sweep_seq`] on the matching
 //! order ([`SweepMat::sweep_order`]).
 //!
 //! The same argument, one level down, is what lets a *single thread*
@@ -27,8 +29,8 @@
 //! disjoint (and lane by lane where it could not); the in-region CSR
 //! sweep does it for groups of rows of one color.
 //!
-//! The worksharing loops run `schedule(runtime)` by default and are
-//! named `site("kacz")`, so with `OMP_SCHEDULE=auto` the romp-tune
+//! The worksharing loops are named `site("kacz")` and CARP-CG runs
+//! them `schedule(runtime)`, so with `OMP_SCHEDULE=auto` the romp-tune
 //! learner picks the chunking per phase shape — the GHOST
 //! `sell_kacz_rb` kernels' `#pragma omp parallel for schedule(runtime)`
 //! made adaptive.
@@ -287,100 +289,6 @@ pub fn sweep_csr_ctx(
     }
 }
 
-/// Colored sweep over CSR, builder front end: forks a team per phase
-/// (`par_for(...).site("kacz")`), the fork-join pair standing in for
-/// the phase barrier.
-#[allow(clippy::too_many_arguments)] // mirrors the OpenMP kernel signature
-pub fn sweep_csr_builder(
-    mat: &Csr,
-    norms: &[f64],
-    coloring: &Coloring,
-    x: &mut [f64],
-    b: &[f64],
-    omega: f64,
-    dir: Direction,
-    threads: usize,
-    sched: Schedule,
-) {
-    let view = SharedSlice::new(x);
-    let phases = coloring.nphases();
-    for i in 0..phases {
-        let p = match dir {
-            Direction::Forward => i,
-            Direction::Backward => phases - 1 - i,
-        };
-        let blocks = coloring.phase_blocks(p);
-        let base = blocks.start;
-        par_for(0..blocks.len())
-            .num_threads(threads)
-            .schedule(sched)
-            .site(KACZ_SITE)
-            .run(|u| {
-                // SAFETY: same-phase blocks are column-disjoint
-                // (Coloring::validate); the join publishes the phase.
-                unsafe {
-                    project_block(
-                        mat,
-                        norms,
-                        coloring.block_rows(base + u),
-                        &view,
-                        b,
-                        omega,
-                        dir,
-                    )
-                };
-            });
-    }
-}
-
-/// Colored sweep over CSR, macro front end: `omp_parallel!` region with
-/// one `omp_for!(schedule(runtime), site("kacz"))` construct per phase.
-#[allow(clippy::too_many_arguments)] // mirrors the OpenMP kernel signature
-pub fn sweep_csr_macro(
-    mat: &Csr,
-    norms: &[f64],
-    coloring: &Coloring,
-    x: &mut [f64],
-    b: &[f64],
-    omega: f64,
-    dir: Direction,
-    threads: usize,
-) {
-    let view = SharedSlice::new(x);
-    let phases = coloring.nphases();
-    omp_parallel!(num_threads(threads), |ctx| {
-        for i in 0..phases {
-            let p = match dir {
-                Direction::Forward => i,
-                Direction::Backward => phases - 1 - i,
-            };
-            let blocks = coloring.phase_blocks(p);
-            let base = blocks.start;
-            omp_for!(
-                ctx,
-                schedule(runtime),
-                site("kacz"),
-                for u in 0..(blocks.len()) {
-                    // SAFETY: same-phase blocks are column-disjoint
-                    // (Coloring::validate); the construct barrier
-                    // orders phases.
-                    unsafe {
-                        project_block(
-                            mat,
-                            norms,
-                            coloring.block_rows(base + u),
-                            &view,
-                            b,
-                            omega,
-                            dir,
-                        )
-                    };
-                }
-            );
-        }
-    });
-}
-
 /// A SELL-C-σ matrix paired with the coloring that laid it out: the
 /// chunks of each parallel unit are contiguous and never mix rows of
 /// different units, so a unit sweep is a dense run of tiles.
@@ -611,39 +519,6 @@ impl ColoredSell {
             });
         }
     }
-
-    /// Colored sweep, builder front end (fork-join per phase).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sweep_builder(
-        &self,
-        norms: &[f64],
-        x: &mut [f64],
-        b: &[f64],
-        omega: f64,
-        dir: Direction,
-        threads: usize,
-        sched: Schedule,
-    ) {
-        let view = SharedSlice::new(x);
-        let phases = self.nphases();
-        for i in 0..phases {
-            let p = match dir {
-                Direction::Forward => i,
-                Direction::Backward => phases - 1 - i,
-            };
-            let units = self.phase_unit_ptr[p]..self.phase_unit_ptr[p + 1];
-            let base = units.start;
-            par_for(0..units.len())
-                .num_threads(threads)
-                .schedule(sched)
-                .site(KACZ_SITE)
-                .run(|u| {
-                    // SAFETY: same-phase units are column-disjoint; the
-                    // join publishes the phase.
-                    unsafe { self.project_unit(base + u, norms, &view, b, omega, dir) };
-                });
-        }
-    }
 }
 
 /// Project all `C` rows of chunk `ch` in lockstep: `C` dots in one
@@ -800,26 +675,18 @@ mod tests {
     fn colored_csr_sweep_is_bitwise_sequential() {
         let (mat, norms, b, x0) = setup(97);
         let coloring = greedy_multicolor(&mat);
+        let op = SweepMat::Csr {
+            mat: &mat,
+            coloring: &coloring,
+        };
         for dir in [Direction::Forward, Direction::Backward] {
             let mut want = x0.clone();
-            sweep_seq(&mat, &norms, &coloring.order, &mut want, &b, 1.0, dir);
+            sweep_seq(&mat, &norms, &coloring.order, &mut want, &b, 0.9, dir);
             for threads in [1, 2, 4] {
-                let mut got = x0.clone();
-                sweep_csr_builder(
-                    &mat,
-                    &norms,
-                    &coloring,
-                    &mut got,
-                    &b,
-                    1.0,
-                    dir,
-                    threads,
-                    Schedule::dynamic_chunk(1),
-                );
-                assert_eq!(got, want, "builder threads={threads} dir={dir:?}");
-                let mut got_m = x0.clone();
-                sweep_csr_macro(&mat, &norms, &coloring, &mut got_m, &b, 1.0, dir, threads);
-                assert_eq!(got_m, want, "macro threads={threads} dir={dir:?}");
+                for sched in [Schedule::dynamic_chunk(1), Schedule::static_block()] {
+                    let got = sweep_in_region(&op, &norms, &x0, &b, dir, threads, sched);
+                    assert_eq!(bits(&got), bits(&want), "threads={threads} {sched} {dir:?}");
+                }
             }
         }
     }
@@ -832,11 +699,11 @@ mod tests {
         let order = cs.sweep_order();
         for dir in [Direction::Forward, Direction::Backward] {
             let mut want = x0.clone();
-            sweep_seq(&mat, &norms, &order, &mut want, &b, 1.0, dir);
+            sweep_seq(&mat, &norms, &order, &mut want, &b, 0.9, dir);
             for threads in [1, 3] {
-                let mut got = x0.clone();
-                cs.sweep_builder(&norms, &mut got, &b, 1.0, dir, threads, Schedule::guided());
-                assert_eq!(got, want, "sell threads={threads} dir={dir:?}");
+                let op = SweepMat::Sell(&cs);
+                let got = sweep_in_region(&op, &norms, &x0, &b, dir, threads, Schedule::guided());
+                assert_eq!(bits(&got), bits(&want), "threads={threads} dir={dir:?}");
             }
         }
     }
@@ -848,18 +715,17 @@ mod tests {
         let cs = ColoredSell::build(&mat, &coloring, 4, 16);
         let order = cs.sweep_order();
         let mut want = x0.clone();
-        sweep_seq(&mat, &norms, &order, &mut want, &b, 1.0, Direction::Forward);
-        let mut got = x0.clone();
-        cs.sweep_builder(
+        sweep_seq(&mat, &norms, &order, &mut want, &b, 0.9, Direction::Forward);
+        let got = sweep_in_region(
+            &SweepMat::Sell(&cs),
             &norms,
-            &mut got,
+            &x0,
             &b,
-            1.0,
             Direction::Forward,
             4,
             Schedule::dynamic_chunk(1),
         );
-        assert_eq!(got, want);
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
@@ -867,23 +733,28 @@ mod tests {
         let (mat, norms, b, mut x) = setup(60);
         let xt = matgen::x_true(60);
         let coloring = greedy_multicolor(&mat);
+        let op = SweepMat::Csr {
+            mat: &mat,
+            coloring: &coloring,
+        };
         let r0: f64 = {
             let ax = mat.mul(&x);
             ax.iter().zip(&b).map(|(a, bi)| (bi - a) * (bi - a)).sum()
         };
-        for _ in 0..50 {
-            sweep_csr_builder(
-                &mat,
-                &norms,
-                &coloring,
-                &mut x,
-                &b,
-                1.0,
-                Direction::Forward,
-                2,
-                Schedule::static_block(),
-            );
-        }
+        let view = SharedSlice::new(&mut x);
+        parallel().num_threads(2).run(|ctx| {
+            for _ in 0..50 {
+                op.sweep_ctx(
+                    ctx,
+                    &norms,
+                    &view,
+                    &b,
+                    1.0,
+                    Direction::Forward,
+                    Schedule::static_block(),
+                );
+            }
+        });
         let r1: f64 = {
             let ax = mat.mul(&x);
             ax.iter().zip(&b).map(|(a, bi)| (bi - a) * (bi - a)).sum()

@@ -13,9 +13,10 @@
 //! * [`color`] — coloring/zoning passes (greedy multicolor, red-black
 //!   zones) with *exact* disjointness validation;
 //! * [`kacz`] — forward/backward colored Kaczmarz sweeps over both
-//!   formats through all three front ends, bitwise-verified against a
-//!   sequential reference; SELL tiles are projected in lockstep where
-//!   a per-chunk proof allows it;
+//!   formats, run inside the caller's parallel region (the sweep
+//!   CARP-CG calls) and bitwise-verified against a sequential
+//!   reference; SELL tiles are projected in lockstep where a per-chunk
+//!   proof allows it;
 //! * [`carp`] — the CARP-CG (CGMN) solver: one parallel region,
 //!   `site("kacz")` `schedule(runtime)` sweeps the romp-tune learner
 //!   can adapt, slice-loop vector kernels, team reductions,
@@ -69,10 +70,7 @@ pub mod prelude {
     pub use crate::carp::{carp_cg, carp_cg_adaptive, carp_cg_seq, CarpOptions, CarpOutcome};
     pub use crate::color::{self, greedy_multicolor, red_black_zones, Coloring, ColoringError};
     pub use crate::csr::Csr;
-    pub use crate::kacz::{
-        sweep_csr_builder, sweep_csr_ctx, sweep_csr_macro, sweep_seq, ColoredSell, Direction,
-        SweepMat,
-    };
+    pub use crate::kacz::{sweep_csr_ctx, sweep_seq, ColoredSell, Direction, SweepMat};
     pub use crate::matgen;
     pub use crate::sell::{spmv_adaptive, Sell};
 }

@@ -18,7 +18,10 @@
 //!   running complete, and the group wait still drains;
 //! * with `cancel-var=false` (the `OMP_CANCELLATION` default) `cancel`
 //!   is a no-op returning `false`, `cancellation point` reports
-//!   `false`, and loops execute in full.
+//!   `false`, and loops execute in full;
+//! * the region end is an arrival point: a sibling that finished its
+//!   body early is still there to run the tasks a late member spawns
+//!   (the task-based tests here rely on it).
 //!
 //! Every test arms/disarms `cancel-var` through the per-thread
 //! override, so the suite is hermetic under any `OMP_CANCELLATION`
@@ -35,6 +38,12 @@ use romp::prelude::*;
 use romp_npb::search::{self, ArmCancellation};
 use romp_npb::Class;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
+
+/// Bound on the spin-waits below: long enough for any sibling that is
+/// there to act, short enough that a missing one fails the test rather
+/// than wedging the suite.
+const DEADLINE: Duration = Duration::from_secs(10);
 
 const ANNOTATED: &str = include_str!("fixtures/search_annotated.rs");
 const GOLDEN: &str = include_str!("fixtures/search_translated.rs");
@@ -143,9 +152,14 @@ proptest! {
         prop_assert!(my_chunks[canceller].load(Ordering::SeqCst) <= cancel_at_chunk + 1);
     }
 
-    /// `sections` cancellation: single-threaded it is exact — the
-    /// cancelling section is the last one claimed; multi-threaded each
-    /// sibling can add at most its one in-flight section.
+    /// `sections` cancellation, under the loop form's contract: after
+    /// the cancel request is visible (a logical clock orders section
+    /// starts against it), each sibling starts at most the one section
+    /// whose pre-claim flag check raced the request, the canceller
+    /// none. How many sections were claimed *before* that point is not
+    /// bounded (`sections_claimed_before_the_cancel_is_visible_all_run`
+    /// shows why); single-threaded it is exact — the cancelling section
+    /// is the last one claimed.
     #[test]
     fn cancelled_sections_stop_claiming(
         threads in 1usize..5,
@@ -155,19 +169,37 @@ proptest! {
         let _arm = ArmCancellation::new();
         let cancel_at = cancel_at % count;
         let claimed = AtomicUsize::new(0);
+        let clock = AtomicUsize::new(1);
+        let cancel_event = AtomicUsize::new(usize::MAX);
+        let canceller = AtomicUsize::new(usize::MAX);
+        let late: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
         parallel().num_threads(threads).run(|ctx| {
+            let t = ctx.thread_num();
             ctx.sections(count, false, |i| {
+                let start = clock.fetch_add(1, Ordering::SeqCst);
+                if start > cancel_event.load(Ordering::SeqCst) {
+                    late[t].fetch_add(1, Ordering::SeqCst);
+                }
                 claimed.fetch_add(1, Ordering::SeqCst);
                 if i == cancel_at {
                     assert!(cancel(ctx, CancelKind::Sections));
+                    canceller.store(t, Ordering::SeqCst);
+                    cancel_event.store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
                 }
             });
         });
-        let got = claimed.load(Ordering::SeqCst);
         if threads == 1 {
-            prop_assert_eq!(got, cancel_at + 1);
-        } else {
-            prop_assert!(got <= (cancel_at + 1) + 2 * (threads - 1) && got <= count);
+            prop_assert_eq!(claimed.load(Ordering::SeqCst), cancel_at + 1);
+        }
+        let canceller = canceller.load(Ordering::SeqCst);
+        for (t, late) in late.iter().enumerate() {
+            let late = late.load(Ordering::SeqCst);
+            let bound = usize::from(t != canceller);
+            prop_assert!(
+                late <= bound,
+                "thread {t} started {late} sections after the cancel request \
+                 (canceller {canceller}, threads {threads})"
+            );
         }
     }
 
@@ -348,6 +380,95 @@ fn cancel_taskgroup_from_inside_a_member_task() {
         "the member task's cancel must observe the armed group"
     );
     assert!(ran.load(Ordering::SeqCst) <= 16);
+}
+
+/// Why `cancelled_sections_stop_claiming` bounds the sections started
+/// *after the cancel request is visible* rather than the sections
+/// claimed: the canceller can be delayed for any length of time between
+/// claiming its section and calling `cancel`, and meanwhile its sibling
+/// legally claims every remaining section. Here the cancelling section
+/// waits (bounded) until the sibling has claimed all the others, so all
+/// `COUNT` run — more than the `cancel_at + 1 + 2(T − 1)` = 3 an earlier
+/// form of that test asserted — while none starts after the request.
+#[test]
+fn sections_claimed_before_the_cancel_is_visible_all_run() {
+    const COUNT: usize = 16;
+    let _arm = ArmCancellation::new();
+    let team = AtomicUsize::new(0);
+    let claimed = AtomicUsize::new(0);
+    let clock = AtomicUsize::new(1);
+    let cancel_event = AtomicUsize::new(usize::MAX);
+    let late = AtomicUsize::new(0);
+    parallel().num_threads(2).run(|ctx| {
+        team.store(ctx.num_threads(), Ordering::SeqCst);
+        ctx.sections(COUNT, false, |i| {
+            if clock.fetch_add(1, Ordering::SeqCst) > cancel_event.load(Ordering::SeqCst) {
+                late.fetch_add(1, Ordering::SeqCst);
+            }
+            claimed.fetch_add(1, Ordering::SeqCst);
+            if i == 0 {
+                let start = Instant::now();
+                while claimed.load(Ordering::SeqCst) < COUNT && start.elapsed() < DEADLINE {
+                    std::thread::yield_now();
+                }
+                assert!(cancel(ctx, CancelKind::Sections));
+                cancel_event.store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+            }
+        });
+    });
+    assert_eq!(team.load(Ordering::SeqCst), 2);
+    assert_eq!(
+        claimed.load(Ordering::SeqCst),
+        COUNT,
+        "the sibling claims every other section while the canceller stalls"
+    );
+    assert_eq!(late.load(Ordering::SeqCst), 0);
+}
+
+/// The region end is an arrival point for every member: a sibling that
+/// finished its body before the producer spawned anything must still be
+/// there to run the producer's tasks (the shape that hung
+/// `running_member_completes_stalled_successors_discard`). The
+/// sibling's last statement raises a flag; the master waits for it,
+/// gives the sibling time to reach its region end, then spawns a task
+/// and spins until some *other* thread has run it. Every wait is
+/// bounded, so a runtime that lets the sibling leave early fails here
+/// instead of hanging.
+#[test]
+fn region_end_waits_for_every_member() {
+    let team = AtomicUsize::new(0);
+    let sibling_done = AtomicBool::new(false);
+    let ran = AtomicBool::new(false);
+    let stranded = AtomicBool::new(false);
+    parallel().num_threads(2).run(|ctx| {
+        if ctx.thread_num() != 0 {
+            sibling_done.store(true, Ordering::SeqCst);
+            return;
+        }
+        team.store(ctx.num_threads(), Ordering::SeqCst);
+        let start = Instant::now();
+        while !sibling_done.load(Ordering::SeqCst) && start.elapsed() < DEADLINE {
+            std::thread::yield_now();
+        }
+        // Not needed for a pass: it makes sure that a runtime which lets
+        // the sibling leave early has let it go before the spawn.
+        std::thread::sleep(Duration::from_millis(20));
+        let ran = &ran;
+        ctx.task(move || ran.store(true, Ordering::SeqCst));
+        let start = Instant::now();
+        while !ran.load(Ordering::SeqCst) {
+            if start.elapsed() > DEADLINE {
+                stranded.store(true, Ordering::SeqCst);
+                break;
+            }
+            std::thread::yield_now();
+        }
+    });
+    assert_eq!(team.load(Ordering::SeqCst), 2);
+    assert!(
+        !stranded.load(Ordering::SeqCst),
+        "no sibling ran the task: a member left the region before the master arrived"
+    );
 }
 
 /// A member task that is already running when its group is cancelled

@@ -2,9 +2,10 @@
 //! edges (see `romp_runtime::chaos` for the injection layer itself).
 //!
 //! The soak arms a randomized [`ChaosPlan`] per iteration and drives a
-//! mixed workload — fork/join churn, dependence-graph task storms, a
-//! multi-colored KACZ sweep, CARP-CG with the convergence-cancel path
-//! armed — then asserts the runtime came back whole:
+//! mixed workload — fork/join churn, dependence-graph task storms,
+//! in-region KACZ sweeps over CSR and SELL-C-σ on `dynamic,1`, CARP-CG
+//! with the convergence-cancel path armed — then asserts the runtime
+//! came back whole:
 //!
 //! * **No stranded workers**: the pool quiesces to
 //!   `idle_workers() == pool_size()` once the iteration's master thread
@@ -29,6 +30,7 @@
 use romp::runtime::chaos::{self, ChaosPlan, Fault, Site};
 use romp::runtime::stats::stats;
 use romp::runtime::{fork, icv, pool, ForkSpec, Schedule, TaskDeps};
+use romp_core::slice::SharedSlice;
 use romp_sparse::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -90,6 +92,7 @@ fn assert_geometry(n: usize) {
 struct Fixture {
     mat: Csr,
     coloring: Coloring,
+    sell: ColoredSell,
     norms: Vec<f64>,
     b: Vec<f64>,
 }
@@ -98,11 +101,13 @@ impl Fixture {
     fn build() -> Self {
         let mat = matgen::random_sparse(96, 4, 20_240_808);
         let coloring = greedy_multicolor(&mat);
+        let sell = ColoredSell::build(&mat, &coloring, 4, 8);
         let norms = mat.row_norms_sq();
         let b = matgen::consistent_rhs(&mat);
         Fixture {
             mat,
             coloring,
+            sell,
             norms,
             b,
         }
@@ -164,24 +169,32 @@ fn task_graph_workload(threads: usize) {
     }));
 }
 
-/// One multi-colored KACZ sweep on a dynamic schedule (maximum
-/// chunk-grab traffic). Results are unchecked: an injected cancel
-/// legally truncates the sweep.
+/// One in-region KACZ sweep per format — CSR row groups and the
+/// lockstep SELL tiles, the path CARP-CG runs — on `dynamic,1`
+/// (maximum chunk-grab traffic). Results are unchecked: an injected
+/// cancel legally truncates a sweep.
 fn kacz_workload(fx: &Fixture, threads: usize) {
-    let mut x = vec![0.0; fx.mat.n];
-    let _ = catch_unwind(AssertUnwindSafe(|| {
-        sweep_csr_builder(
-            &fx.mat,
-            &fx.norms,
-            &fx.coloring,
-            &mut x,
-            &fx.b,
-            1.0,
-            Direction::Forward,
-            threads,
-            Schedule::dynamic(),
-        );
-    }));
+    let csr = SweepMat::Csr {
+        mat: &fx.mat,
+        coloring: &fx.coloring,
+    };
+    for op in [csr, SweepMat::Sell(&fx.sell)] {
+        let mut x = vec![0.0; fx.mat.n];
+        let view = SharedSlice::new(&mut x);
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            fork(ForkSpec::with_num_threads(threads), |ctx| {
+                op.sweep_ctx(
+                    ctx,
+                    &fx.norms,
+                    &view,
+                    &fx.b,
+                    1.0,
+                    Direction::Forward,
+                    Schedule::dynamic_chunk(1),
+                );
+            });
+        }));
+    }
 }
 
 /// A few CARP-CG iterations with `cancel-var` armed, so injected

@@ -190,18 +190,14 @@ proptest! {
         let b = matgen::consistent_rhs(&mat);
         let x0: Vec<f64> = (0..n).map(|i| (i % 5) as f64 * 0.5 - 1.0).collect();
 
-        let mut want = x0.clone();
-        sweep_seq(&mat, &norms, &coloring.order, &mut want, &b, 1.0, dir);
-        let mut got = x0.clone();
-        sweep_csr_builder(&mat, &norms, &coloring, &mut got, &b, 1.0, dir, threads, sched);
-        prop_assert_eq!(got, want, "CSR sweep diverged");
-
         let cs = ColoredSell::build(&mat, &coloring, 4, 8);
-        let mut want_sell = x0.clone();
-        sweep_seq(&mat, &norms, &cs.sweep_order(), &mut want_sell, &b, 1.0, dir);
-        let mut got_sell = x0.clone();
-        cs.sweep_builder(&norms, &mut got_sell, &b, 1.0, dir, threads, sched);
-        prop_assert_eq!(got_sell, want_sell, "SELL sweep diverged");
+        let csr = SweepMat::Csr { mat: &mat, coloring: &coloring };
+        for (op, what) in [(csr, "CSR"), (SweepMat::Sell(&cs), "SELL")] {
+            let mut want = x0.clone();
+            sweep_seq(&mat, &norms, &op.sweep_order(), &mut want, &b, 1.0, dir);
+            let got = sweep_in_region(&op, &norms, &x0, &b, dir, threads, sched);
+            prop_assert_eq!(bits(&got), bits(&want), "{} sweep diverged", what);
+        }
     }
 }
 

@@ -37,10 +37,144 @@ fn team_ladder() -> [usize; 4] {
     [1, 2, 4, oversubscribed]
 }
 
-/// The sweep acceptance bar: macro, builder and translator front ends
-/// produce **bitwise** the sequential Kaczmarz sweep in multicolor
-/// order, at every team shape, forward and backward (the translated
-/// fixture is forward-only, as written in the annotated source).
+/// One Kaczmarz row projection on a shared `x`, written out the way a
+/// user of the directive front ends would (`omega = 1`).
+///
+/// # Safety
+///
+/// No other thread may concurrently access any column of `row`.
+unsafe fn project(mat: &Csr, norms: &[f64], row: usize, x: &SharedSlice<'_, f64>, b: &[f64]) {
+    let nrm = norms[row];
+    if nrm == 0.0 {
+        return;
+    }
+    let (cols, vals) = mat.row(row);
+    let mut dot = 0.0;
+    for (&c, &v) in cols.iter().zip(vals) {
+        // SAFETY: caller guarantees exclusivity of this row's columns.
+        dot += v * unsafe { x.read(c) };
+    }
+    let scale = (b[row] - dot) / nrm;
+    for (&c, &v) in cols.iter().zip(vals) {
+        // SAFETY: as above.
+        unsafe { *x.get_mut(c) += scale * v };
+    }
+}
+
+/// Project one coloring block's rows in sweep order.
+///
+/// # Safety
+///
+/// As [`project`], for every row of the block.
+unsafe fn project_block(
+    mat: &Csr,
+    norms: &[f64],
+    rows: &[usize],
+    x: &SharedSlice<'_, f64>,
+    b: &[f64],
+    dir: Direction,
+) {
+    // SAFETY: forwarded obligation.
+    let each = |&row: &usize| unsafe { project(mat, norms, row, x, b) };
+    match dir {
+        Direction::Forward => rows.iter().for_each(each),
+        Direction::Backward => rows.iter().rev().for_each(each),
+    }
+}
+
+/// The phase visited `i`-th in direction `dir`.
+fn phase_at(coloring: &Coloring, i: usize, dir: Direction) -> usize {
+    match dir {
+        Direction::Forward => i,
+        Direction::Backward => coloring.nphases() - 1 - i,
+    }
+}
+
+/// The sweep in the macro spelling: one `omp_parallel!` region, one
+/// `omp_for!(schedule(runtime), site("kacz"))` construct per phase.
+fn sweep_csr_macro(
+    mat: &Csr,
+    norms: &[f64],
+    coloring: &Coloring,
+    x: &mut [f64],
+    b: &[f64],
+    dir: Direction,
+    threads: usize,
+) {
+    let view = SharedSlice::new(x);
+    omp_parallel!(num_threads(threads), |ctx| {
+        for i in 0..coloring.nphases() {
+            let blocks = coloring.phase_blocks(phase_at(coloring, i, dir));
+            let base = blocks.start;
+            omp_for!(
+                ctx,
+                schedule(runtime),
+                site("kacz"),
+                for u in 0..(blocks.len()) {
+                    // SAFETY: same-phase blocks are column-disjoint
+                    // (Coloring::validate); the construct barrier
+                    // orders phases.
+                    unsafe {
+                        project_block(mat, norms, coloring.block_rows(base + u), &view, b, dir)
+                    };
+                }
+            );
+        }
+    });
+}
+
+/// The sweep in the builder spelling: a `par_for` team per phase, the
+/// fork-join pair standing in for the phase barrier.
+fn sweep_csr_builder(
+    mat: &Csr,
+    norms: &[f64],
+    coloring: &Coloring,
+    x: &mut [f64],
+    b: &[f64],
+    dir: Direction,
+    threads: usize,
+) {
+    let view = SharedSlice::new(x);
+    for i in 0..coloring.nphases() {
+        let blocks = coloring.phase_blocks(phase_at(coloring, i, dir));
+        let base = blocks.start;
+        par_for(0..blocks.len())
+            .num_threads(threads)
+            .schedule(Schedule::Runtime)
+            .site("kacz")
+            .run(|u| {
+                // SAFETY: same-phase blocks are column-disjoint; the
+                // join publishes the phase.
+                unsafe { project_block(mat, norms, coloring.block_rows(base + u), &view, b, dir) };
+            });
+    }
+}
+
+/// One in-region sweep through `op`: the production path CARP-CG
+/// runs.
+fn sweep_in_region(
+    op: &SweepMat<'_>,
+    norms: &[f64],
+    x: &mut [f64],
+    b: &[f64],
+    dir: Direction,
+    threads: usize,
+) {
+    let view = SharedSlice::new(x);
+    parallel()
+        .num_threads(threads)
+        .run(|ctx| op.sweep_ctx(ctx, norms, &view, b, 1.0, dir, Schedule::Runtime));
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|f| f.to_bits()).collect()
+}
+
+/// The sweep acceptance bar: the macro, builder and translator front
+/// ends, and the in-region sweep CARP-CG runs, produce **bitwise** the
+/// sequential Kaczmarz sweep in multicolor order, at every team shape,
+/// forward and backward (the translated fixture is forward-only, as
+/// written in the annotated source).
 #[test]
 fn kacz_front_ends_agree_at_every_team_shape() {
     let n = 160;
@@ -49,27 +183,36 @@ fn kacz_front_ends_agree_at_every_team_shape() {
     let norms = mat.row_norms_sq();
     let b = matgen::consistent_rhs(&mat);
     let bounds = coloring.phase_boundaries();
+    let op = SweepMat::Csr {
+        mat: &mat,
+        coloring: &coloring,
+    };
     let x0: Vec<f64> = (0..n).map(|i| (i % 11) as f64 * 0.125 - 0.5).collect();
     for dir in [Direction::Forward, Direction::Backward] {
         let mut want = x0.clone();
         sweep_seq(&mat, &norms, &coloring.order, &mut want, &b, 1.0, dir);
         for threads in team_ladder() {
             let mut got = x0.clone();
-            sweep_csr_macro(&mat, &norms, &coloring, &mut got, &b, 1.0, dir, threads);
-            assert_eq!(got, want, "macro front end diverged at {threads} threads");
-            let mut got = x0.clone();
-            sweep_csr_builder(
-                &mat,
-                &norms,
-                &coloring,
-                &mut got,
-                &b,
-                1.0,
-                dir,
-                threads,
-                Schedule::Runtime,
+            sweep_csr_macro(&mat, &norms, &coloring, &mut got, &b, dir, threads);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "macro front end diverged at {threads} threads"
             );
-            assert_eq!(got, want, "builder front end diverged at {threads} threads");
+            let mut got = x0.clone();
+            sweep_csr_builder(&mat, &norms, &coloring, &mut got, &b, dir, threads);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "builder front end diverged at {threads} threads"
+            );
+            let mut got = x0.clone();
+            sweep_in_region(&op, &norms, &mut got, &b, dir, threads);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "in-region sweep diverged at {threads} threads"
+            );
             if dir == Direction::Forward {
                 let mut got = x0.clone();
                 {
@@ -88,7 +231,8 @@ fn kacz_front_ends_agree_at_every_team_shape() {
                     );
                 }
                 assert_eq!(
-                    got, want,
+                    bits(&got),
+                    bits(&want),
                     "translated front end diverged at {threads} threads"
                 );
             }
@@ -114,8 +258,12 @@ fn sell_sweep_agrees_at_every_team_shape() {
         sweep_seq(&mat, &norms, &order, &mut want, &b, 1.0, dir);
         for threads in team_ladder() {
             let mut got = x0.clone();
-            cs.sweep_builder(&norms, &mut got, &b, 1.0, dir, threads, Schedule::Runtime);
-            assert_eq!(got, want, "SELL sweep diverged at {threads} threads");
+            sweep_in_region(&SweepMat::Sell(&cs), &norms, &mut got, &b, dir, threads);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "SELL sweep diverged at {threads} threads"
+            );
         }
     }
 }
