@@ -114,91 +114,6 @@ fn bench_in_region(
     })
 }
 
-// ---------------- skewed-iteration probe ----------------
-
-/// Trip count of the skew probe's triangular loop.
-const SKEW_TRIP: usize = 1024;
-
-/// One skew-probe measurement: a schedule's mean time per loop.
-struct SkewCell {
-    schedule: &'static str,
-    threads: usize,
-    per_loop_us: f64,
-}
-
-/// Triangular body: iteration `i` costs O(i), so a block-static split
-/// hands thread `t-1` ~double the mean work — the imbalance the
-/// adaptive `schedule(auto)` learner exists to fix.
-fn skew_body(i: usize) {
-    let mut acc = 0u64;
-    for k in 0..i {
-        acc = acc.wrapping_add(std::hint::black_box(k as u64));
-    }
-    std::hint::black_box(acc);
-}
-
-/// Mean seconds per skewed loop under `sched`. The warm-up passes also
-/// let the `auto` learner finish its probe rounds (4 arms x 3 rounds)
-/// so the timed window measures the *converged* schedule, not probing.
-fn bench_skew(
-    threads: usize,
-    sched: Schedule,
-    site: &'static str,
-    outer: usize,
-    reps: usize,
-) -> f64 {
-    for _ in 0..16 {
-        par_for(0..SKEW_TRIP)
-            .num_threads(threads)
-            .schedule(sched)
-            .site(site)
-            .run(skew_body);
-    }
-    time_mean(outer, reps, |n| {
-        for _ in 0..n {
-            par_for(0..SKEW_TRIP)
-                .num_threads(threads)
-                .schedule(sched)
-                .site(site)
-                .run(skew_body);
-        }
-    })
-}
-
-/// Measure the triangular loop under `auto` and a spread of hand-picked
-/// fixed schedules, hot teams on. Each (schedule x threads) cell gets
-/// its own named site so the learner histories stay independent.
-fn run_skew_probe(outer: usize, reps: usize) -> Vec<SkewCell> {
-    set_hot_teams(true);
-    let mut cells = Vec::new();
-    for &t in &[2usize, 4] {
-        let fixed: [(&'static str, Schedule); 4] = [
-            ("static", Schedule::static_block()),
-            ("static,16", Schedule::static_chunk(16)),
-            ("dynamic,16", Schedule::dynamic_chunk(16)),
-            ("guided,16", Schedule::guided_chunk(16)),
-        ];
-        for (name, sched) in fixed {
-            cells.push(SkewCell {
-                schedule: name,
-                threads: t,
-                per_loop_us: bench_skew(t, sched, "skew-fixed", outer, reps) * 1e6,
-            });
-        }
-        let site = if t == 2 {
-            "skew-auto-2t"
-        } else {
-            "skew-auto-4t"
-        };
-        cells.push(SkewCell {
-            schedule: "auto",
-            threads: t,
-            per_loop_us: bench_skew(t, Schedule::Auto, site, outer, reps) * 1e6,
-        });
-    }
-    cells
-}
-
 // ---------------- nested-fork probe ----------------
 
 /// One nested-probe measurement.
@@ -537,56 +452,6 @@ fn main() {
     );
     println!("{}", display_env(&icv::current()));
 
-    // ---------------- skewed-iteration probe ----------------
-    let skew_cells = run_skew_probe(outer, (reps / 64).max(8));
-    let skew_lookup = |schedule: &str, threads: usize| {
-        skew_cells
-            .iter()
-            .find(|c| c.schedule == schedule && c.threads == threads)
-            .map(|c| c.per_loop_us)
-            .unwrap_or(f64::NAN)
-    };
-    // Best/worst over the *fixed* schedules; `auto` is graded against
-    // them (the acceptance bar is auto within ~10% of the best).
-    let skew_fixed_bounds = |threads: usize| {
-        let fixed: Vec<f64> = skew_cells
-            .iter()
-            .filter(|c| c.threads == threads && c.schedule != "auto")
-            .map(|c| c.per_loop_us)
-            .collect();
-        let best = fixed.iter().cloned().fold(f64::INFINITY, f64::min);
-        let worst = fixed.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        (best, worst)
-    };
-    {
-        let mut rows = Vec::new();
-        for &t in &[2usize, 4] {
-            let (best, _) = skew_fixed_bounds(t);
-            for c in skew_cells.iter().filter(|c| c.threads == t) {
-                rows.push(vec![
-                    c.schedule.to_string(),
-                    t.to_string(),
-                    format!("{:.2}", c.per_loop_us),
-                    format!("{:.2}x", c.per_loop_us / best),
-                ]);
-            }
-        }
-        println!(
-            "{}",
-            render_table(
-                &format!(
-                    "syncbench skew probe — triangular loop of {SKEW_TRIP} iterations, \
-                     schedule(auto) vs hand-picked (hot teams)"
-                ),
-                &["schedule", "threads", "per loop (us)", "vs best fixed"],
-                &rows,
-            )
-        );
-    }
-    // The tune-table banner: the skew probe's auto sites must show up
-    // converged here after their warm-up passes.
-    println!("{}", romp_runtime::tune::display_tune_table());
-
     // ---------------- nested-fork probe ----------------
     let nested_cells = run_nested_probe(outer, (reps / 8).max(25));
     let nested_lookup = |mode: &str, bind: &str| {
@@ -699,41 +564,6 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"skew\": {{");
-    let _ = writeln!(json, "    \"trip\": {SKEW_TRIP},");
-    let _ = writeln!(json, "    \"results\": [");
-    for (i, c) in skew_cells.iter().enumerate() {
-        let comma = if i + 1 == skew_cells.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "      {{\"schedule\": \"{}\", \"threads\": {}, \"per_loop_us\": {}}}{comma}",
-            c.schedule,
-            c.threads,
-            json_escape_f(c.per_loop_us)
-        );
-    }
-    let _ = writeln!(json, "    ],");
-    let (best4, worst4) = skew_fixed_bounds(4);
-    let auto4 = skew_lookup("auto", 4);
-    let _ = writeln!(json, "    \"summary\": {{");
-    let _ = writeln!(json, "      \"auto_4t_us\": {},", json_escape_f(auto4));
-    let _ = writeln!(
-        json,
-        "      \"best_fixed_4t_us\": {},",
-        json_escape_f(best4)
-    );
-    let _ = writeln!(
-        json,
-        "      \"worst_fixed_4t_us\": {},",
-        json_escape_f(worst4)
-    );
-    let _ = writeln!(
-        json,
-        "      \"auto_over_best_fixed_4t\": {}",
-        json_escape_f(auto4 / best4)
-    );
-    let _ = writeln!(json, "    }}");
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"nested\": {{");
     let _ = writeln!(json, "    \"geometry\": \"2x2\",");
     let _ = writeln!(json, "    \"results\": [");

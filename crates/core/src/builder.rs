@@ -21,7 +21,6 @@
 
 use crate::space::{collapse2, Collapse2, IterSpace};
 use romp_runtime::reduction::RedVar;
-use romp_runtime::tune::SiteId;
 use romp_runtime::{fork, CancelKind, ForkSpec, ProcBind, ReduceOp, Schedule, TaskSpec, ThreadCtx};
 use std::ops::Range;
 
@@ -222,12 +221,6 @@ pub struct ParFor<S: IterSpace> {
     space: S,
     sched: Schedule,
     spec: ForkSpec,
-    /// Tuner site identity for `schedule(auto)` learning: the
-    /// `#[track_caller]` location of the [`par_for`] call, unless
-    /// [`site`](Self::site) named it. Captured *here*, on the master,
-    /// because the construct itself runs inside the fork closure where
-    /// a caller stamp would collapse every user onto this file.
-    site: SiteId,
 }
 
 /// The 2-D collapse of two `usize` ranges — what [`par_for_2d`]
@@ -239,20 +232,17 @@ pub type ParFor2 = ParFor<Collapse2<Range<usize>, Range<usize>>>;
 /// `Range<usize>`, a `Range<i64>`, a
 /// [`StridedRange`](crate::space::StridedRange), or a
 /// [`collapse2`]/[`collapse3`](crate::space::collapse3) fusion.
-#[track_caller]
 pub fn par_for<S: IterSpace>(space: S) -> ParFor<S> {
     ParFor {
         space,
         sched: Schedule::default(),
         spec: ForkSpec::default(),
-        site: SiteId::from_caller(core::panic::Location::caller()),
     }
 }
 
 /// Start building a collapsed 2-D `parallel for` (`collapse(2)` over
 /// two `usize` ranges). Delegates to [`par_for`] +
 /// [`collapse2`]; bodies receive the `(i, j)` tuple.
-#[track_caller]
 pub fn par_for_2d(outer: Range<usize>, inner: Range<usize>) -> ParFor2 {
     par_for(collapse2(outer, inner))
 }
@@ -300,16 +290,6 @@ impl<S: IterSpace> ParFor<S> {
         self
     }
 
-    /// Name this loop's tuner site (the builder spelling of the macro
-    /// `site("…")` clause). With `schedule(auto)`, loops sharing a name
-    /// share learning history even across code locations; unnamed loops
-    /// are keyed by the [`par_for`] call site. See
-    /// `romp_runtime::tune`.
-    pub fn site(mut self, name: &'static str) -> Self {
-        self.site = SiteId::Named(name);
-        self
-    }
-
     /// Merge a whole fork spec (used by the macro front end, which
     /// accumulates `num_threads`/`if` clauses into a [`ForkSpec`]).
     /// Clauses set in `spec` win; clauses it leaves unset keep whatever
@@ -337,15 +317,10 @@ impl<S: IterSpace> ParFor<S> {
     where
         F: Fn(S::Index) + Sync,
     {
-        let ParFor {
-            space,
-            sched,
-            spec,
-            site,
-        } = self;
+        let ParFor { space, sched, spec } = self;
         fork(spec, |ctx| {
             // nowait: the region-end implicit barrier is the loop barrier.
-            crate::space::ws_space_at(ctx, site, &space, sched, true, &body);
+            crate::space::ws_space(ctx, &space, sched, true, &body);
         });
     }
 
@@ -356,14 +331,9 @@ impl<S: IterSpace> ParFor<S> {
     where
         F: Fn(S::Chunk) + Sync,
     {
-        let ParFor {
-            space,
-            sched,
-            spec,
-            site,
-        } = self;
+        let ParFor { space, sched, spec } = self;
         fork(spec, |ctx| {
-            crate::space::ws_space_chunks_at(ctx, site, &space, sched, true, &body);
+            crate::space::ws_space_chunks(ctx, &space, sched, true, &body);
         });
     }
 
@@ -376,16 +346,11 @@ impl<S: IterSpace> ParFor<S> {
         Op: ReduceOp<T>,
         F: Fn(S::Index, &mut T) + Sync,
     {
-        let ParFor {
-            space,
-            sched,
-            spec,
-            site,
-        } = self;
+        let ParFor { space, sched, spec } = self;
         let red = RedVar::new(init, op);
         fork(spec, |ctx| {
             let mut local = op.identity();
-            crate::space::ws_space_at(ctx, site, &space, sched, true, |i| body(i, &mut local));
+            crate::space::ws_space(ctx, &space, sched, true, |i| body(i, &mut local));
             red.contribute(local);
         });
         red.into_inner()
@@ -398,18 +363,11 @@ impl<S: IterSpace> ParFor<S> {
         Op: ReduceOp<T>,
         F: Fn(S::Chunk, &mut T) + Sync,
     {
-        let ParFor {
-            space,
-            sched,
-            spec,
-            site,
-        } = self;
+        let ParFor { space, sched, spec } = self;
         let red = RedVar::new(init, op);
         fork(spec, |ctx| {
             let mut local = op.identity();
-            crate::space::ws_space_chunks_at(ctx, site, &space, sched, true, |c| {
-                body(c, &mut local)
-            });
+            crate::space::ws_space_chunks(ctx, &space, sched, true, |c| body(c, &mut local));
             red.contribute(local);
         });
         red.into_inner()
@@ -439,12 +397,7 @@ impl<S: IterSpace> ParFor<S> {
         T: Send,
         F: Fn(S::Index, &mut T) + Sync,
     {
-        let ParFor {
-            space,
-            sched,
-            spec,
-            site,
-        } = self;
+        let ParFor { space, sched, spec } = self;
         let trip = space.trip();
         assert_eq!(
             out.len() as u64,
@@ -454,7 +407,7 @@ impl<S: IterSpace> ParFor<S> {
         );
         let base = SendPtr(out.as_mut_ptr());
         fork(spec, |ctx| {
-            ctx.ws_for_normalized_at(site, trip, sched, true, |lo, hi| {
+            ctx.ws_for_normalized(trip, sched, true, |lo, hi| {
                 // SAFETY: the normalized driver hands `[lo, hi)` to
                 // exactly one thread (the exactly-once partition pinned
                 // by the conformance suite), so this subslice is
@@ -501,12 +454,7 @@ impl<S: IterSpace> ParFor<S> {
         T: Send,
         F: Fn(S::Chunk, &mut [T]) + Sync,
     {
-        let ParFor {
-            space,
-            sched,
-            spec,
-            site,
-        } = self;
+        let ParFor { space, sched, spec } = self;
         let trip = space.trip();
         let stride = if trip == 0 {
             assert!(
@@ -533,7 +481,7 @@ impl<S: IterSpace> ParFor<S> {
         };
         let base = SendPtr(out.as_mut_ptr());
         fork(spec, |ctx| {
-            ctx.ws_for_normalized_at(site, trip, sched, true, |lo, hi| {
+            ctx.ws_for_normalized(trip, sched, true, |lo, hi| {
                 // SAFETY: as in `write_into`; the per-iteration stride
                 // scales the disjoint normalized chunks onto disjoint
                 // subslices.

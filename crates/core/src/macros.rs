@@ -87,21 +87,12 @@
 //! `omp_parallel_for!` invokes directly when no per-thread data clause
 //! forces an explicit region.
 //!
-//! ## Adaptive scheduling and the `site` clause
+//! ## `schedule(auto)` and `schedule(runtime)`
 //!
-//! `schedule(auto)` is **adaptive** in romp (see `romp_runtime::tune`):
-//! the runtime measures the loop and converges on the fastest schedule
-//! per call site. Sites are stamped automatically via `#[track_caller]`
-//! — every `omp_for!`/`omp_parallel_for!` invocation in user code is
-//! its own site. The optional `site("name")` clause names the site
-//! explicitly, so loops at different code locations (or across builds)
-//! can share learning history:
-//!
-//! ```
-//! use romp_core::prelude::*;
-//! omp_parallel_for!(num_threads(2), schedule(auto), site("hot-loop"),
-//!     for i in 0..256 { std::hint::black_box(i); });
-//! ```
+//! OpenMP leaves `schedule(auto)` to the implementation; romp runs it
+//! as block `static`, as libomp does. `schedule(runtime)` takes its
+//! kind from the `run-sched-var` ICV (`OMP_SCHEDULE`, or
+//! `omp_set_schedule`).
 //!
 //! A chunk size on `schedule(auto)` or `schedule(runtime)` is rejected
 //! at expansion time (OpenMP 5.2 §11.5.3: chunk is only valid for
@@ -211,9 +202,7 @@ macro_rules! omp_teams {
 }
 
 /// Worksharing `for` inside an existing region. Clauses: `schedule(..)`,
-/// `nowait`, `reduction(op : var, …)`, `step(e)`, `collapse(2|3)`,
-/// `site("name")` (names the `schedule(auto)` autotuner site; see the
-/// module docs).
+/// `nowait`, `reduction(op : var, …)`, `step(e)`, `collapse(2|3)`.
 ///
 /// ```
 /// use romp_core::prelude::*;
@@ -244,14 +233,6 @@ macro_rules! __omp_for {
     (@ $ctx:ident {$sched:expr} {$nw:expr} {$($step:tt)*} [$($red:tt)*] ; nowait, $($rest:tt)*) => {
         $crate::__omp_for!(@ $ctx {$sched} {true} {$($step)*} [$($red)*] ; $($rest)*)
     };
-    // `site("name")`: name this loop's autotuner site. `omp_for!`
-    // expands inside the region body, so every team thread installs the
-    // thread-local override; the construct consumes it on entry and the
-    // guard restores the previous override when the block ends.
-    (@ $ctx:ident {$sched:expr} {$nw:expr} {$($step:tt)*} [$($red:tt)*] ; site($s:expr), $($rest:tt)*) => {{
-        let _romp_site_guard = $crate::runtime::tune::site_override($s);
-        $crate::__omp_for!(@ $ctx {$sched} {$nw} {$($step)*} [$($red)*] ; $($rest)*)
-    }};
     (@ $ctx:ident {$sched:expr} {$nw:expr} {} [$($red:tt)*] ; step($e:expr), $($rest:tt)*) => {
         $crate::__omp_for!(@ $ctx {$sched} {$nw} {$e} [$($red)*] ; $($rest)*)
     };
@@ -400,9 +381,8 @@ macro_rules! __omp_loop_body {
 /// Combined `parallel for`. Clauses: `num_threads(e)`, `if(e)`,
 /// `proc_bind(kind)`, `schedule(..)`, `default(..)`, `shared(..)`,
 /// `firstprivate(..)`, `reduction(op : var = init, …)`, `step(e)`,
-/// `collapse(2|3)`, `site("name")` (names the `schedule(auto)`
-/// autotuner site; see the module docs for this and the
-/// strided/collapsed loop headers).
+/// `collapse(2|3)` (see the module docs for the strided/collapsed loop
+/// headers).
 ///
 /// With a `reduction` clause the macro **returns the combined values as
 /// a tuple** (one element per variable, in clause order):
@@ -423,64 +403,56 @@ macro_rules! __omp_loop_body {
 #[macro_export]
 macro_rules! omp_parallel_for {
     ($($t:tt)*) => {
-        $crate::__omp_parallel_for!(@ {$crate::runtime::ForkSpec::new()} {$crate::runtime::Schedule::Static { chunk: ::std::option::Option::None }} {} {} [] [] ; $($t)*)
+        $crate::__omp_parallel_for!(@ {$crate::runtime::ForkSpec::new()} {$crate::runtime::Schedule::Static { chunk: ::std::option::Option::None }} {} [] [] ; $($t)*)
     };
 }
 
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __omp_parallel_for {
-    // State: {spec} {sched} {site} {step} [firstprivate] [reduction].
-    // The `site` slot rides as explicit state (not a thread-local guard
-    // like `omp_for!`'s) because this macro expands on the *master* —
-    // the construct itself runs inside the fork closure on every team
-    // thread, where a master-side override would be invisible.
+    // State: {spec} {sched} {step} [firstprivate] [reduction].
     // --- clauses ---
-    (@ {$spec:expr} {$sched:expr} {$($site:tt)*} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; num_threads($e:expr), $($rest:tt)*) => {
-        $crate::__omp_parallel_for!(@ {$spec.num_threads($e)} {$sched} {$($site)*} {$($step)*} [$($fp)*] [$($red)*] ; $($rest)*)
+    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; num_threads($e:expr), $($rest:tt)*) => {
+        $crate::__omp_parallel_for!(@ {$spec.num_threads($e)} {$sched} {$($step)*} [$($fp)*] [$($red)*] ; $($rest)*)
     };
-    (@ {$spec:expr} {$sched:expr} {$($site:tt)*} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; if($e:expr), $($rest:tt)*) => {
-        $crate::__omp_parallel_for!(@ {$spec.if_clause($e)} {$sched} {$($site)*} {$($step)*} [$($fp)*] [$($red)*] ; $($rest)*)
+    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; if($e:expr), $($rest:tt)*) => {
+        $crate::__omp_parallel_for!(@ {$spec.if_clause($e)} {$sched} {$($step)*} [$($fp)*] [$($red)*] ; $($rest)*)
     };
-    (@ {$spec:expr} {$sched:expr} {$($site:tt)*} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; schedule($($s:tt)*), $($rest:tt)*) => {
-        $crate::__omp_parallel_for!(@ {$spec} {$crate::__omp_sched!($($s)*)} {$($site)*} {$($step)*} [$($fp)*] [$($red)*] ; $($rest)*)
+    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; schedule($($s:tt)*), $($rest:tt)*) => {
+        $crate::__omp_parallel_for!(@ {$spec} {$crate::__omp_sched!($($s)*)} {$($step)*} [$($fp)*] [$($red)*] ; $($rest)*)
     };
-    (@ {$spec:expr} {$sched:expr} {$($site:tt)*} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; site($s:expr), $($rest:tt)*) => {
-        $crate::__omp_parallel_for!(@ {$spec} {$sched} {$s} {$($step)*} [$($fp)*] [$($red)*] ; $($rest)*)
+    (@ {$spec:expr} {$sched:expr} {} [$($fp:ident)*] [$($red:tt)*] ; step($e:expr), $($rest:tt)*) => {
+        $crate::__omp_parallel_for!(@ {$spec} {$sched} {$e} [$($fp)*] [$($red)*] ; $($rest)*)
     };
-    (@ {$spec:expr} {$sched:expr} {$($site:tt)*} {} [$($fp:ident)*] [$($red:tt)*] ; step($e:expr), $($rest:tt)*) => {
-        $crate::__omp_parallel_for!(@ {$spec} {$sched} {$($site)*} {$e} [$($fp)*] [$($red)*] ; $($rest)*)
-    };
-    (@ {$spec:expr} {$sched:expr} {$($site:tt)*} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; collapse($n:tt), $($rest:tt)*) => {{
+    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; collapse($n:tt), $($rest:tt)*) => {{
         $crate::__omp_collapse_ok!($n);
-        $crate::__omp_parallel_for!(@ {$spec} {$sched} {$($site)*} {$($step)*} [$($fp)*] [$($red)*] ; $($rest)*)
+        $crate::__omp_parallel_for!(@ {$spec} {$sched} {$($step)*} [$($fp)*] [$($red)*] ; $($rest)*)
     }};
-    (@ {$spec:expr} {$sched:expr} {$($site:tt)*} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; proc_bind($k:ident), $($rest:tt)*) => {
-        $crate::__omp_parallel_for!(@ {$spec.proc_bind($crate::__omp_proc_bind!($k))} {$sched} {$($site)*} {$($step)*} [$($fp)*] [$($red)*] ; $($rest)*)
+    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; proc_bind($k:ident), $($rest:tt)*) => {
+        $crate::__omp_parallel_for!(@ {$spec.proc_bind($crate::__omp_proc_bind!($k))} {$sched} {$($step)*} [$($fp)*] [$($red)*] ; $($rest)*)
     };
-    (@ {$spec:expr} {$sched:expr} {$($site:tt)*} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; default($k:ident), $($rest:tt)*) => {
-        $crate::__omp_parallel_for!(@ {$spec} {$sched} {$($site)*} {$($step)*} [$($fp)*] [$($red)*] ; $($rest)*)
+    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; default($k:ident), $($rest:tt)*) => {
+        $crate::__omp_parallel_for!(@ {$spec} {$sched} {$($step)*} [$($fp)*] [$($red)*] ; $($rest)*)
     };
-    (@ {$spec:expr} {$sched:expr} {$($site:tt)*} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; shared($($s:ident),*), $($rest:tt)*) => {
-        $crate::__omp_parallel_for!(@ {$spec} {$sched} {$($site)*} {$($step)*} [$($fp)*] [$($red)*] ; $($rest)*)
+    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; shared($($s:ident),*), $($rest:tt)*) => {
+        $crate::__omp_parallel_for!(@ {$spec} {$sched} {$($step)*} [$($fp)*] [$($red)*] ; $($rest)*)
     };
-    (@ {$spec:expr} {$sched:expr} {$($site:tt)*} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; firstprivate($($v:ident),*), $($rest:tt)*) => {
-        $crate::__omp_parallel_for!(@ {$spec} {$sched} {$($site)*} {$($step)*} [$($fp)* $($v)*] [$($red)*] ; $($rest)*)
+    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; firstprivate($($v:ident),*), $($rest:tt)*) => {
+        $crate::__omp_parallel_for!(@ {$spec} {$sched} {$($step)*} [$($fp)* $($v)*] [$($red)*] ; $($rest)*)
     };
-    (@ {$spec:expr} {$sched:expr} {$($site:tt)*} {$($step:tt)*} [$($fp:ident)*] [] ; reduction($op:tt : $($var:ident = $init:expr),+), $($rest:tt)*) => {
-        $crate::__omp_parallel_for!(@ {$spec} {$sched} {$($site)*} {$($step)*} [$($fp)*] [$op $(($var $init))+] ; $($rest)*)
+    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [$($fp:ident)*] [] ; reduction($op:tt : $($var:ident = $init:expr),+), $($rest:tt)*) => {
+        $crate::__omp_parallel_for!(@ {$spec} {$sched} {$($step)*} [$($fp)*] [$op $(($var $init))+] ; $($rest)*)
     };
     // --- terminal without reduction or firstprivate: straight through
     //     the generic `ParFor` builder ---
-    (@ {$spec:expr} {$sched:expr} {$($site:tt)*} {$($step:tt)*} [] [] ; $($loop:tt)*) => {
-        $crate::__omp_pf_builder!({$spec} {$sched} {$($site)*} {$($step)*}, $($loop)*)
+    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [] [] ; $($loop:tt)*) => {
+        $crate::__omp_pf_builder!({$spec} {$sched} {$($step)*}, $($loop)*)
     };
     // --- terminal with firstprivate (per-thread clones need an
     //     explicit region prologue) ---
-    (@ {$spec:expr} {$sched:expr} {$($site:tt)*} {$($step:tt)*} [$($fp:ident)+] [] ; $($loop:tt)*) => {{
+    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [$($fp:ident)+] [] ; $($loop:tt)*) => {{
         let __romp_spec = $spec;
         $crate::runtime::fork(__romp_spec, |__romp_ctx: &$crate::runtime::ThreadCtx<'_>| {
-            $crate::__omp_site_guard!({$($site)*});
             $(
                 #[allow(unused_mut)]
                 let mut $fp = ::std::clone::Clone::clone(&$fp);
@@ -489,11 +461,10 @@ macro_rules! __omp_parallel_for {
         });
     }};
     // --- terminal with reduction: returns the combined tuple ---
-    (@ {$spec:expr} {$sched:expr} {$($site:tt)*} {$($step:tt)*} [$($fp:ident)*] [$op:tt $(($var:ident $init:expr))+] ; $($loop:tt)*) => {{
+    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [$($fp:ident)*] [$op:tt $(($var:ident $init:expr))+] ; $($loop:tt)*) => {{
         let __romp_spec = $spec;
         let __romp_out = ::std::sync::Mutex::new(::std::option::Option::None);
         $crate::runtime::fork(__romp_spec, |__romp_ctx: &$crate::runtime::ThreadCtx<'_>| {
-            $crate::__omp_site_guard!({$($site)*});
             $(
                 #[allow(unused_mut)]
                 let mut $fp = ::std::clone::Clone::clone(&$fp);
@@ -518,71 +489,37 @@ macro_rules! __omp_parallel_for {
     }};
 }
 
-/// Install a `site("…")` autotuner override for the current thread when
-/// the site state slot is non-empty; expands to nothing otherwise. The
-/// guard binding lives to the end of the enclosing block, covering the
-/// worksharing construct that consumes the override.
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __omp_site_guard {
-    ({}) => {};
-    ({$s:expr}) => {
-        let _romp_site_guard = $crate::runtime::tune::site_override($s);
-    };
-}
-
-/// Apply the `site` state slot to a `ParFor` builder expression.
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __omp_apply_site {
-    ($b:expr, {}) => {
-        $b
-    };
-    ($b:expr, {$s:expr}) => {
-        $b.site($s)
-    };
-}
-
 /// Lower a clause-free combined `parallel for` directly onto the
 /// generic [`ParFor`](crate::builder::ParFor) builder — the same
 /// header grammar as [`__omp_loop_body`].
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __omp_pf_builder {
-    ({$spec:expr} {$sched:expr} {$($site:tt)*} {}, for ($i:ident, $j:ident) in ($ra:expr, $rb:expr) $body:block) => {{
+    ({$spec:expr} {$sched:expr} {}, for ($i:ident, $j:ident) in ($ra:expr, $rb:expr) $body:block) => {{
         let __romp_ra: ::std::ops::Range<usize> = $ra;
         let __romp_rb: ::std::ops::Range<usize> = $rb;
-        $crate::__omp_apply_site!(
-            $crate::builder::par_for($crate::space::collapse2(__romp_ra, __romp_rb)),
-            {$($site)*}
-        )
-        .fork_spec($spec)
-        .schedule($sched)
-        .run(|($i, $j)| $body);
+        $crate::builder::par_for($crate::space::collapse2(__romp_ra, __romp_rb))
+            .fork_spec($spec)
+            .schedule($sched)
+            .run(|($i, $j)| $body);
     }};
-    ({$spec:expr} {$sched:expr} {$($site:tt)*} {}, for ($i:ident, $j:ident, $k:ident) in ($ra:expr, $rb:expr, $rc:expr) $body:block) => {{
+    ({$spec:expr} {$sched:expr} {}, for ($i:ident, $j:ident, $k:ident) in ($ra:expr, $rb:expr, $rc:expr) $body:block) => {{
         let __romp_ra: ::std::ops::Range<usize> = $ra;
         let __romp_rb: ::std::ops::Range<usize> = $rb;
         let __romp_rc: ::std::ops::Range<usize> = $rc;
-        $crate::__omp_apply_site!(
-            $crate::builder::par_for($crate::space::collapse3(__romp_ra, __romp_rb, __romp_rc)),
-            {$($site)*}
-        )
-        .fork_spec($spec)
-        .schedule($sched)
-        .run(|($i, $j, $k)| $body);
+        $crate::builder::par_for($crate::space::collapse3(__romp_ra, __romp_rb, __romp_rc))
+            .fork_spec($spec)
+            .schedule($sched)
+            .run(|($i, $j, $k)| $body);
     }};
-    ({$spec:expr} {$sched:expr} {$($site:tt)*} {}, for $i:ident in ($range:expr).step_by($s:expr) $body:block) => {{
+    ({$spec:expr} {$sched:expr} {}, for $i:ident in ($range:expr).step_by($s:expr) $body:block) => {{
         let __romp_r: ::std::ops::Range<usize> = $range;
         let __romp_step: usize = $s;
-        $crate::__omp_apply_site!(
-            $crate::builder::par_for($crate::space::StridedRange::new(
-                __romp_r.start as i64,
-                __romp_r.end as i64,
-                __romp_step as i64,
-            )),
-            {$($site)*}
-        )
+        $crate::builder::par_for($crate::space::StridedRange::new(
+            __romp_r.start as i64,
+            __romp_r.end as i64,
+            __romp_step as i64,
+        ))
         .fork_spec($spec)
         .schedule($sched)
         .run(|__romp_i| {
@@ -590,43 +527,37 @@ macro_rules! __omp_pf_builder {
             $body
         });
     }};
-    ({$spec:expr} {$sched:expr} {$($site:tt)*} {}, for $i:ident in ($range:expr) $body:block) => {{
+    ({$spec:expr} {$sched:expr} {}, for $i:ident in ($range:expr) $body:block) => {{
         let __romp_r: ::std::ops::Range<usize> = $range;
-        $crate::__omp_apply_site!($crate::builder::par_for(__romp_r), {$($site)*})
+        $crate::builder::par_for(__romp_r)
             .fork_spec($spec)
             .schedule($sched)
             .run(|$i| $body);
     }};
-    ({$spec:expr} {$sched:expr} {$($site:tt)*} {}, for $i:ident in $lo:tt .. $hi:tt $body:block) => {{
+    ({$spec:expr} {$sched:expr} {}, for $i:ident in $lo:tt .. $hi:tt $body:block) => {{
         let __romp_r: ::std::ops::Range<usize> = ($lo)..($hi);
-        $crate::__omp_apply_site!($crate::builder::par_for(__romp_r), {$($site)*})
+        $crate::builder::par_for(__romp_r)
             .fork_spec($spec)
             .schedule($sched)
             .run(|$i| $body);
     }};
-    ({$spec:expr} {$sched:expr} {$($site:tt)*} {$step:expr}, for $i:ident in ($range:expr) $body:block) => {{
+    ({$spec:expr} {$sched:expr} {$step:expr}, for $i:ident in ($range:expr) $body:block) => {{
         let __romp_r = $range;
-        $crate::__omp_apply_site!(
-            $crate::builder::par_for($crate::space::StridedRange::new(
-                __romp_r.start as i64,
-                __romp_r.end as i64,
-                ($step) as i64,
-            )),
-            {$($site)*}
-        )
+        $crate::builder::par_for($crate::space::StridedRange::new(
+            __romp_r.start as i64,
+            __romp_r.end as i64,
+            ($step) as i64,
+        ))
         .fork_spec($spec)
         .schedule($sched)
         .run(|$i| $body);
     }};
-    ({$spec:expr} {$sched:expr} {$($site:tt)*} {$step:expr}, for $i:ident in $lo:tt .. $hi:tt $body:block) => {
-        $crate::__omp_apply_site!(
-            $crate::builder::par_for($crate::space::StridedRange::new(
-                ($lo) as i64,
-                ($hi) as i64,
-                ($step) as i64,
-            )),
-            {$($site)*}
-        )
+    ({$spec:expr} {$sched:expr} {$step:expr}, for $i:ident in $lo:tt .. $hi:tt $body:block) => {
+        $crate::builder::par_for($crate::space::StridedRange::new(
+            ($lo) as i64,
+            ($hi) as i64,
+            ($step) as i64,
+        ))
         .fork_spec($spec)
         .schedule($sched)
         .run(|$i| $body);
@@ -677,8 +608,8 @@ macro_rules! __omp_sched {
     };
     (auto, $c:expr) => {
         compile_error!(
-            "schedule(auto) does not take a chunk size; the runtime picks \
-             the schedule (and chunk) per loop site"
+            "schedule(auto) does not take a chunk size; the implementation \
+             picks the schedule (romp runs it as block static)"
         )
     };
 }

@@ -452,12 +452,7 @@ impl<A: IterSpace, B: IterSpace, C: IterSpace> IterSpace for Collapse3<A, B, C> 
 ///
 /// This is the function every front end bottoms out in; see the module
 /// docs.
-///
-/// `#[track_caller]` propagates the *user's* source location down to
-/// the runtime's schedule autotuner, so each `schedule(auto)` loop in
-/// user code learns independently (see `romp_runtime::tune`).
 #[inline]
-#[track_caller]
 pub fn ws_space<S: IterSpace>(
     ctx: &ThreadCtx<'_>,
     space: &S,
@@ -472,31 +467,10 @@ pub fn ws_space<S: IterSpace>(
     });
 }
 
-/// [`ws_space`] with an explicit tuner site: used by front ends whose
-/// construct runs inside a closure (the builder), where a
-/// `#[track_caller]` stamp would resolve to the front end itself
-/// instead of the user.
-#[inline]
-pub fn ws_space_at<S: IterSpace>(
-    ctx: &ThreadCtx<'_>,
-    site: romp_runtime::tune::SiteId,
-    space: &S,
-    sched: Schedule,
-    nowait: bool,
-    mut body: impl FnMut(S::Index),
-) {
-    ctx.ws_for_normalized_at(site, space.trip(), sched, nowait, |lo, hi| {
-        for idx in space.chunk(lo, hi) {
-            body(idx);
-        }
-    });
-}
-
 /// Chunk-granular variant of [`ws_space`]: the body receives each
 /// claimed chunk's decoder whole, so hot kernels can iterate without
 /// per-index closure dispatch.
 #[inline]
-#[track_caller]
 pub fn ws_space_chunks<S: IterSpace>(
     ctx: &ThreadCtx<'_>,
     space: &S,
@@ -505,22 +479,6 @@ pub fn ws_space_chunks<S: IterSpace>(
     mut body: impl FnMut(S::Chunk),
 ) {
     ctx.ws_for_normalized(space.trip(), sched, nowait, |lo, hi| {
-        body(space.chunk(lo, hi));
-    });
-}
-
-/// [`ws_space_chunks`] with an explicit tuner site (see
-/// [`ws_space_at`]).
-#[inline]
-pub fn ws_space_chunks_at<S: IterSpace>(
-    ctx: &ThreadCtx<'_>,
-    site: romp_runtime::tune::SiteId,
-    space: &S,
-    sched: Schedule,
-    nowait: bool,
-    mut body: impl FnMut(S::Chunk),
-) {
-    ctx.ws_for_normalized_at(site, space.trip(), sched, nowait, |lo, hi| {
         body(space.chunk(lo, hi));
     });
 }

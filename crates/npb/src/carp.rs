@@ -17,8 +17,7 @@
 //! path). The romp configuration runs the **format-adaptive** solver:
 //! the kernel-variant registry (`romp::variants`, key `"carp-dkswp"`)
 //! picks CSR or SELL-C-σ per problem scale, and the KACZ sweeps run
-//! `schedule(runtime)` under `site("kacz")` so `OMP_SCHEDULE=auto`
-//! hands them to the romp-tune learner.
+//! `schedule(runtime)`, so `OMP_SCHEDULE` picks their chunking.
 
 use crate::classes::Class;
 use crate::verify::{KernelResult, Variant};

@@ -304,23 +304,6 @@ fn schedule_clause_text(d: &Directive) -> Option<String> {
     })
 }
 
-/// A stable per-callsite stamp for adaptive schedules. `schedule(auto)`
-/// (and `schedule(runtime)`, which may resolve to auto) is tuned per
-/// loop site; `#[track_caller]` would blame every translated loop on
-/// the expansion point, so stamp the directive's source line instead.
-fn site_clause_text(cx: &Cx<'_>, d: &Directive, at: usize) -> Option<String> {
-    let adaptive = d.clauses.iter().any(|c| {
-        matches!(
-            c,
-            Clause::Schedule(ScheduleKind::Auto | ScheduleKind::Runtime, _)
-        )
-    });
-    adaptive.then(|| {
-        let (line, _) = cx.lines.line_col(at);
-        format!("site(\"rompcc:{line}\"), ")
-    })
-}
-
 fn step_clause_text(d: &Directive) -> Option<String> {
     d.clauses.iter().find_map(|c| match c {
         Clause::Step(e) => Some(format!("step({e})")),
@@ -504,9 +487,6 @@ fn emit_for(
     if let Some(s) = schedule_clause_text(d) {
         clause_txt.push_str(&format!("{s}, "));
     }
-    if let Some(s) = site_clause_text(cx, d, fd.start) {
-        clause_txt.push_str(&s);
-    }
     if d.clauses.iter().any(|c| matches!(c, Clause::Nowait)) {
         clause_txt.push_str("nowait, ");
     }
@@ -564,9 +544,6 @@ fn emit_parallel_for(
     }
     if let Some(s) = schedule_clause_text(d) {
         clause_txt.push_str(&format!("{s}, "));
-    }
-    if let Some(s) = site_clause_text(cx, d, fd.start) {
-        clause_txt.push_str(&s);
     }
     let Some((header, extra_clauses)) = loop_header(cx, fd.start, d, pat, iter) else {
         return close + 1;
@@ -903,23 +880,19 @@ for i in 0..n { a(i); }");
     }
 
     #[test]
-    fn auto_schedule_stamps_a_site() {
-        // The adaptive learner keys on the callsite; the translator
-        // stamps the directive's own source line so distinct `//#omp`
-        // loops do not share one macro-expansion site.
+    fn auto_and_runtime_schedules_translate_verbatim() {
+        // `auto` and `runtime` lower like every other kind: the clause
+        // is forwarded as written and nothing is added after it.
         let out = t("before();\n//#omp parallel for schedule(auto)\nfor i in 0..n { a(i); }");
         assert!(
-            out.contains("schedule(auto), site(\"rompcc:2\"), "),
+            out.contains("omp_parallel_for!(schedule(auto), for i in (0..n) { a(i); });"),
             "{out}"
         );
         let out = t("//#omp parallel\n{\n//#omp for schedule(runtime)\nfor i in 0..8 { f(i); }\n}");
         assert!(
-            out.contains("schedule(runtime), site(\"rompcc:3\"), "),
+            out.contains("schedule(runtime), for i in (0..8) {"),
             "{out}"
         );
-        // Fixed schedules keep the historical output: no stamp.
-        let out = t("//#omp parallel for schedule(static)\nfor i in 0..n { a(i); }");
-        assert!(!out.contains("site("), "{out}");
     }
 
     #[test]

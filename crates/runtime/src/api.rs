@@ -175,7 +175,8 @@ pub fn omp_get_team_num() -> usize {
 }
 
 /// `omp_get_cancellation`: is the cancellation machinery armed
-/// (`cancel-var`, from `OMP_CANCELLATION` / `ROMP_CANCELLATION`)?
+/// (`cancel-var`, from `OMP_CANCELLATION` or
+/// [`icv::set_cancellation_override`])?
 /// Inside a region this reports the team's fork-time snapshot — what
 /// `cancel` in that region actually consults.
 pub fn omp_get_cancellation() -> bool {

@@ -17,8 +17,6 @@
 //! | `OMP_STACKSIZE` | `stacksize-var` | `n[B|K|M|G]` (default KiB) |
 //! | `OMP_CANCELLATION` | `cancel-var` | `true`/`false` (default false) |
 //! | `ROMP_HOT_TEAMS` | keep the team's lease between regions | `true`/`false` (default true) |
-//! | `ROMP_CANCELLATION` | `cancel-var` override | `true`/`false` (wins over `OMP_CANCELLATION`) |
-//! | `ROMP_TUNE` | schedule autotuner | `0`/`off`/`1`/`greedy` (default greedy) |
 //!
 //! Malformed values are ignored (with the spec-sanctioned fallback to the
 //! default), never fatal: an HPC batch job must not die because of a typo
@@ -27,8 +25,8 @@
 //! For the values where silent fallback is most likely to surprise —
 //! `OMP_THREAD_LIMIT=0` would quietly serialize every region if honored
 //! (the spec requires a *positive* thread limit, so `0` is rejected),
-//! and a malformed `ROMP_TUNE` silently leaves the autotuner armed —
-//! the rejection is additionally reported: once on stderr at startup,
+//! and a malformed `OMP_PROC_BIND` or `OMP_PLACES` silently disables
+//! affinity — the rejection is additionally reported: once on stderr at startup,
 //! and in a `ROMP WARNINGS` block of the [`display_env`] banner.
 //!
 //! Defaults derived from hardware concurrency (`nthreads-var` with no
@@ -38,7 +36,7 @@
 //! after startup (container resize) is not observed. Set
 //! `OMP_NUM_THREADS`/`OMP_THREAD_LIMIT` explicitly where that matters.
 
-use crate::icv::{Icvs, ProcBind, TuneMode, WaitPolicy};
+use crate::icv::{Icvs, ProcBind, WaitPolicy};
 use crate::sched::Schedule;
 
 /// Parse `OMP_NUM_THREADS` syntax: a comma-separated positive-integer
@@ -207,16 +205,6 @@ pub fn parse_thread_limit(s: &str) -> Option<usize> {
     s.trim().parse::<usize>().ok().filter(|&v| v > 0)
 }
 
-/// Parse `ROMP_TUNE`: the OpenMP boolean spellings plus the learner
-/// name (`greedy`) — `0|off|false|no` disarms, `1|on|true|yes|greedy`
-/// arms the probe-then-lock learner.
-pub fn parse_tune(s: &str) -> Option<TuneMode> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "greedy" => Some(TuneMode::Greedy),
-        _ => parse_bool(s).map(|b| if b { TuneMode::Greedy } else { TuneMode::Off }),
-    }
-}
-
 /// Build an ICV block from an abstract environment lookup. Pure — tests
 /// drive it with a closure over a map. Discards warnings; use
 /// [`icvs_from_lookup_with_warnings`] to observe them.
@@ -295,20 +283,6 @@ pub fn icvs_from_lookup_with_warnings(get: impl Fn(&str) -> Option<String>) -> (
     }
     if let Some(v) = get("OMP_CANCELLATION").as_deref().and_then(parse_bool) {
         icvs.cancellation = v;
-    }
-    // The romp knob wins over the portable one, so a site-wide OpenMP
-    // profile cannot disarm (or arm) romp cancellation by accident.
-    if let Some(v) = get("ROMP_CANCELLATION").as_deref().and_then(parse_bool) {
-        icvs.cancellation = v;
-    }
-    if let Some(raw) = get("ROMP_TUNE") {
-        match parse_tune(&raw) {
-            Some(v) => icvs.tune = v,
-            None => warnings.push(format!(
-                "ROMP_TUNE='{}' ignored: expected 0|off|1|greedy (keeping greedy)",
-                raw.trim()
-            )),
-        }
     }
     (icvs, warnings)
 }
@@ -411,14 +385,6 @@ pub fn display_env(icvs: &Icvs) -> String {
     );
     let _ = writeln!(out, "  OMP_CANCELLATION = '{}'", icvs.cancellation);
     let _ = writeln!(out, "  ROMP_HOT_TEAMS = '{}'", icvs.hot_teams);
-    let _ = writeln!(
-        out,
-        "  ROMP_TUNE = '{}'",
-        match icvs.tune {
-            TuneMode::Off => "off",
-            TuneMode::Greedy => "greedy",
-        }
-    );
     let warnings = env_warnings();
     if !warnings.is_empty() {
         let _ = writeln!(out, "ROMP WARNINGS BEGIN");
@@ -506,29 +472,17 @@ mod tests {
     }
 
     #[test]
-    fn romp_cancellation_overrides_omp_cancellation() {
-        // Default: disarmed.
-        assert!(!env(&[]).cancellation);
-        assert!(env(&[("OMP_CANCELLATION", "true")]).cancellation);
-        // The romp knob wins in both directions.
-        let icvs = env(&[("OMP_CANCELLATION", "true"), ("ROMP_CANCELLATION", "false")]);
-        assert!(!icvs.cancellation);
-        let icvs = env(&[("OMP_CANCELLATION", "false"), ("ROMP_CANCELLATION", "true")]);
-        assert!(icvs.cancellation);
-        // Malformed values fall back without disturbing the other knob.
-        let icvs = env(&[("OMP_CANCELLATION", "true"), ("ROMP_CANCELLATION", "maybe")]);
-        assert!(icvs.cancellation);
-    }
-
-    #[test]
     fn malformed_values_fall_back_to_defaults() {
         let icvs = env(&[
             ("OMP_NUM_THREADS", "banana"),
             ("OMP_SCHEDULE", "fair,none"),
             ("OMP_THREAD_LIMIT", "-3"),
             ("OMP_WAIT_POLICY", "later"),
+            ("OMP_CANCELLATION", "maybe"),
         ]);
         let def = Icvs::default();
+        assert!(!def.cancellation, "cancel-var defaults to off");
+        assert_eq!(icvs.cancellation, def.cancellation);
         assert_eq!(icvs.nthreads, def.nthreads);
         assert_eq!(icvs.run_sched, def.run_sched);
         assert_eq!(icvs.thread_limit, def.thread_limit);
@@ -705,43 +659,5 @@ mod tests {
             "{banner}"
         );
         assert!(banner.contains("OMP_PLACES = '{0,1},{2,3}'"), "{banner}");
-    }
-
-    #[test]
-    fn tune_parses_booleans_and_learner_name() {
-        for on in ["1", "true", "on", "yes", "greedy", " GREEDY "] {
-            assert_eq!(parse_tune(on), Some(TuneMode::Greedy), "{on:?}");
-        }
-        for off in ["0", "false", "off", "no"] {
-            assert_eq!(parse_tune(off), Some(TuneMode::Off), "{off:?}");
-        }
-        for bad in ["maybe", "2", "epsilon", ""] {
-            assert_eq!(parse_tune(bad), None, "{bad:?}");
-        }
-        assert_eq!(env(&[("ROMP_TUNE", "off")]).tune, TuneMode::Off);
-        assert_eq!(env(&[("ROMP_TUNE", "greedy")]).tune, TuneMode::Greedy);
-        assert_eq!(env(&[]).tune, TuneMode::Greedy, "default is armed");
-    }
-
-    #[test]
-    fn tune_garbage_warns_but_does_not_abort() {
-        let (icvs, warnings) = env_warn(&[("ROMP_TUNE", "banana")]);
-        assert_eq!(icvs.tune, TuneMode::Greedy, "falls back to the default");
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("ROMP_TUNE"), "{warnings:?}");
-        // A clean value produces no warning, and the rest of the block
-        // still parses around a bad ROMP_TUNE.
-        let (icvs, warnings) = env_warn(&[("ROMP_TUNE", "0"), ("OMP_NUM_THREADS", "3")]);
-        assert_eq!(icvs.tune, TuneMode::Off);
-        assert_eq!(icvs.nthreads, vec![3]);
-        assert!(warnings.is_empty(), "{warnings:?}");
-    }
-
-    #[test]
-    fn display_env_renders_tune_mode() {
-        let banner = display_env(&Icvs::default());
-        assert!(banner.contains("ROMP_TUNE = 'greedy'"), "{banner}");
-        let banner = display_env(&env(&[("ROMP_TUNE", "0")]));
-        assert!(banner.contains("ROMP_TUNE = 'off'"), "{banner}");
     }
 }

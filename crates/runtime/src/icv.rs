@@ -62,20 +62,6 @@ pub enum ProcBind {
     Master,
 }
 
-/// Schedule-autotuner mode (romp extension, `ROMP_TUNE`). See
-/// [`crate::tune`] for the subsystem this arms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TuneMode {
-    /// Tuning disarmed: `schedule(auto)` degrades to the static default
-    /// and the worksharing drivers add zero measurement work.
-    Off,
-    /// Probe-then-lock greedy learner (the default): `schedule(auto)`
-    /// sites cycle a candidate set under measurement, then lock to the
-    /// fastest.
-    #[default]
-    Greedy,
-}
-
 /// The ICV block.
 #[derive(Debug, Clone)]
 pub struct Icvs {
@@ -116,16 +102,9 @@ pub struct Icvs {
     /// `cancel-var` (`OMP_CANCELLATION`, default false): is the
     /// cancellation machinery armed? When false, `cancel` is a no-op
     /// and every `cancellation point` reports "not cancelled", per the
-    /// spec. The `ROMP_CANCELLATION` variable overrides
-    /// `OMP_CANCELLATION` when both are set (romp extension, so the
-    /// romp knob wins in environments with a site-wide OpenMP profile).
+    /// spec. Programs that must arm it regardless of the environment
+    /// use [`set_cancellation_override`].
     pub cancellation: bool,
-    /// Schedule-autotuner mode (romp extension,
-    /// `ROMP_TUNE=0|1|off|greedy`, default greedy): whether
-    /// `schedule(auto)` loops are measured and adapted by
-    /// [`crate::tune`]. Snapshotted into the team at fork time, so a
-    /// region's loops are uniformly armed or uniformly disarmed.
-    pub tune: TuneMode,
 }
 
 /// Hardware concurrency with a sane floor. Cached **for the process
@@ -159,7 +138,6 @@ impl Default for Icvs {
             stacksize: None,
             hot_teams: true,
             cancellation: false,
-            tune: TuneMode::default(),
         }
     }
 }
@@ -217,9 +195,6 @@ pub fn current() -> Icvs {
             if let Some(c) = ovr.cancellation {
                 base.cancellation = c;
             }
-            if let Some(t) = ovr.tune {
-                base.tune = t;
-            }
             if let Some(pb) = ovr.proc_bind.as_ref() {
                 base.proc_bind = pb.clone();
             }
@@ -253,11 +228,6 @@ pub(crate) struct TlsOverride {
     /// arm/disarm cancellation for the forks of one thread without
     /// mutating the process-global block under concurrent tests.
     pub cancellation: Option<bool>,
-    /// Per-thread autotuner override (see [`set_tune_override`]): lets
-    /// benches and tests arm/disarm tuning for the forks of one thread
-    /// without mutating the process-global block under concurrent
-    /// tests.
-    pub tune: Option<TuneMode>,
     /// Per-thread `bind-var` override (see [`set_proc_bind_override`]):
     /// lets tests and benches request a binding policy for the forks of
     /// one thread without mutating the process-global block.
@@ -302,17 +272,6 @@ pub fn set_cancellation_override(v: Option<bool>) -> Option<bool> {
         let mut b = o.borrow_mut();
         let slot = b.get_or_insert_with(TlsOverride::default);
         std::mem::replace(&mut slot.cancellation, v)
-    })
-}
-
-/// Override the autotuner mode for forks from the calling thread (romp
-/// extension). `Some(v)` shadows the global ICV, `None` restores it.
-/// Returns the previous override so callers can scope the change.
-pub fn set_tune_override(v: Option<TuneMode>) -> Option<TuneMode> {
-    TLS_OVERRIDE.with(|o| {
-        let mut b = o.borrow_mut();
-        let slot = b.get_or_insert_with(TlsOverride::default);
-        std::mem::replace(&mut slot.tune, v)
     })
 }
 

@@ -36,16 +36,15 @@
 //!   exit in the loop drivers, discard of not-yet-started tasks, and
 //!   barrier release for blocked siblings ([`CancelKind`],
 //!   [`ThreadCtx::cancel`]).
-//! * **Adaptive scheduling** — `schedule(auto)` loops are *tuned
-//!   sites*: a per-callsite learner probes four candidate schedules and
-//!   locks to the measured-fastest, with a kernel-variant registry on
-//!   the same learner ([`tune`], re-exported as [`variants`]).
+//! * **Kernel variants** — a registry that probes interchangeable
+//!   implementations of a kernel and locks to the measured-fastest
+//!   ([`variants`]).
 //! * **Affinity & places** — `OMP_PLACES` / `OMP_PROC_BIND` parsing,
 //!   place-partition inheritance across nesting levels, and real
 //!   `sched_setaffinity` pinning on Linux with graceful degradation
 //!   elsewhere ([`affinity`]).
 //! * **ICVs and environment** — `OMP_NUM_THREADS`, `OMP_SCHEDULE`,
-//!   `OMP_DYNAMIC`, `OMP_WAIT_POLICY`, `ROMP_TUNE`, … ([`icv`],
+//!   `OMP_DYNAMIC`, `OMP_WAIT_POLICY`, `ROMP_HOT_TEAMS`, … ([`icv`],
 //!   [`mod@env`]).
 //! * **User API** — `omp_get_thread_num` and friends ([`api`]).
 //!
@@ -85,7 +84,7 @@ pub mod sched;
 pub mod stats;
 pub mod task;
 pub mod team;
-pub mod tune;
+pub mod variants;
 pub mod wtime;
 
 pub use api::*;
@@ -96,7 +95,7 @@ pub use ctx::{
     TaskloopSpec, ThreadCtx,
 };
 pub use env::display_env;
-pub use icv::{Icvs, ProcBind, TuneMode, WaitPolicy};
+pub use icv::{Icvs, ProcBind, WaitPolicy};
 pub use lock::{NestLock, OmpLock};
 pub use loops::Ordered;
 pub use pool::{fork, ForkSpec};
@@ -105,5 +104,4 @@ pub use reduction::{
 };
 pub use sched::Schedule;
 pub use task::TaskDeps;
-pub use tune::variants;
 pub use wtime::{get_wtick, get_wtime};

@@ -14,7 +14,6 @@
 use crate::ctx::{SiblingPanic, ThreadCtx};
 use crate::sched::{guided_grab, Schedule, StaticChunks};
 use crate::team::{KIND_DYNAMIC, KIND_GUIDED};
-use crate::tune::{SiteId, SiteKey};
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::Ordering;
@@ -151,7 +150,6 @@ impl<'scope> ThreadCtx<'scope> {
     /// Worksharing loop over `range` (the `for` directive): the team
     /// divides the iterations according to `sched`; each index runs
     /// exactly once. Implies an end barrier unless `nowait`.
-    #[track_caller]
     pub fn ws_for(
         &self,
         range: Range<usize>,
@@ -171,7 +169,6 @@ impl<'scope> ThreadCtx<'scope> {
     /// Like [`ws_for`](Self::ws_for) but hands the body whole chunks,
     /// letting hot kernels iterate contiguous memory without per-index
     /// closure calls.
-    #[track_caller]
     pub fn ws_for_chunks(
         &self,
         range: Range<usize>,
@@ -189,7 +186,6 @@ impl<'scope> ThreadCtx<'scope> {
     /// Strided worksharing loop: iterates `start, start+step, …` while
     /// `< end` (positive step) or `> end` (negative step), matching the
     /// canonical OpenMP loop forms.
-    #[track_caller]
     pub fn ws_for_step(
         &self,
         start: i64,
@@ -235,75 +231,13 @@ impl<'scope> ThreadCtx<'scope> {
     /// — a chunk already claimed runs to completion. The checks cost
     /// one relaxed load per chunk and are skipped entirely (one boolean
     /// read per construct) while `cancel-var` is off.
-    ///
-    /// **Adaptive scheduling**: an auto-like schedule (`auto`, or
-    /// `runtime` whose `run-sched-var` snapshot is `auto`) on a team
-    /// forked with tuning armed (`ROMP_TUNE`, the default) routes to
-    /// the measured path instead — see [`crate::tune`]. The construct's
-    /// tuner site is the `#[track_caller]` location of this call, which
-    /// propagates through [`ws_for`](Self::ws_for) and the `romp-core`
-    /// macro expansions to the *user's* source line.
-    #[track_caller]
     pub fn ws_for_normalized(
         &self,
         trip: u64,
         sched: Schedule,
         nowait: bool,
-        chunk_body: impl FnMut(u64, u64),
-    ) {
-        let site = SiteId::from_caller(core::panic::Location::caller());
-        self.ws_for_normalized_at(site, trip, sched, nowait, chunk_body);
-    }
-
-    /// Chaos hook at the chunk-grab edge. Panics and delays fire inside
-    /// `chaos::poke` (a chunk-grab panic is legal: it unwinds the
-    /// region body under `run_region`'s catch); an injected `Cancel` is
-    /// routed through the legal self-gating request path, exactly as a
-    /// sibling's `omp_cancel!(for)` would arrive. Compiles to nothing
-    /// without the `chaos` feature.
-    #[inline]
-    fn chaos_chunk_grab(&self) {
-        if matches!(
-            crate::chaos::chaos_point!(crate::chaos::Site::ChunkGrab),
-            Some(crate::chaos::Injected::Cancel)
-        ) {
-            self.cancel(crate::ctx::CancelKind::For);
-        }
-    }
-
-    /// [`ws_for_normalized`](Self::ws_for_normalized) with an explicit
-    /// tuner site instead of the `#[track_caller]` stamp.
-    ///
-    /// Front ends that run the construct from inside a closure (the
-    /// `romp-core` builder) capture `Location::caller()` **before** the
-    /// fork — resolved inside the closure, every user of the builder
-    /// would collapse onto the builder's own source line — and pass it
-    /// through here. A pending thread-local override (the macro and
-    /// translator `site("…")` clause, [`crate::tune::site_override`])
-    /// beats both.
-    pub fn ws_for_normalized_at(
-        &self,
-        site: SiteId,
-        trip: u64,
-        sched: Schedule,
-        nowait: bool,
         mut chunk_body: impl FnMut(u64, u64),
     ) {
-        let site = match crate::tune::take_site_override() {
-            Some(name) => SiteId::Named(name),
-            None => site,
-        };
-        // Auto-like = a schedule the learner owns. The `matches!`
-        // checks are free for fixed-schedule loops; the fork-time
-        // `tunable` boolean keeps disarmed regions off the measured
-        // path entirely.
-        let auto_like = matches!(sched, Schedule::Auto)
-            || (matches!(sched, Schedule::Runtime)
-                && matches!(self.team().run_sched(), Schedule::Auto));
-        if auto_like && trip > 0 && self.team().tunable() {
-            self.ws_for_tuned(site, trip, nowait, chunk_body);
-            return;
-        }
         let sched = self.resolve_schedule(sched);
         let cgen = self.enter_cancellable_ws();
         let watch = self.team().cancellable();
@@ -402,141 +336,19 @@ impl<'scope> ThreadCtx<'scope> {
         }
     }
 
-    /// The tuned worksharing driver (see [`crate::tune`]): an auto-like
-    /// loop on a tuning-armed team. The construct always rendezvouses
-    /// through a dispatch slot — the thread that wins the install race
-    /// asks the site's learner for a schedule decision and publishes it
-    /// through the slot, so the whole team runs the same candidate.
-    /// Every thread then wall-clock-times its chunks, and the last
-    /// thread to report feeds the slowest-thread cost plus the team's
-    /// imbalance ratio back to the learner.
-    fn ws_for_tuned(
-        &self,
-        site: SiteId,
-        trip: u64,
-        nowait: bool,
-        mut chunk_body: impl FnMut(u64, u64),
-    ) {
-        let cgen = self.enter_cancellable_ws();
-        let gen = self.next_gen();
-        let team = self.team().clone();
-        let watch = team.cancellable();
-        let slot = team.slot(gen);
-        let size = self.num_threads();
-        let entry = crate::tune::site_entry(SiteKey::new(site, trip));
-        let ok = slot.enter(gen, size, &team.abort, &team.cancel_parallel, |s| {
-            let bits = entry.decide(trip, size);
-            s.tune.store(bits, Ordering::Relaxed);
-            s.busy_ns_sum.store(0, Ordering::Relaxed);
-            s.busy_ns_max.store(0, Ordering::Relaxed);
-            s.reporters.store(0, Ordering::Relaxed);
-            // Pre-arm the shared dispatcher in case the decision needs
-            // it; static decisions never touch the cursor.
-            s.next.store(0, Ordering::Relaxed);
-            s.end.store(trip, Ordering::Relaxed);
-            let (_, sched) = crate::tune::decode_decision(bits);
-            if let Schedule::Dynamic { chunk } | Schedule::Guided { chunk } = sched {
-                s.chunk.store(chunk, Ordering::Relaxed);
-                s.kind.store(
-                    if matches!(sched, Schedule::Guided { .. }) {
-                        KIND_GUIDED
-                    } else {
-                        KIND_DYNAMIC
-                    },
-                    Ordering::Relaxed,
-                );
-            }
-        });
-        if !ok {
-            if team.abort.load(Ordering::Relaxed) {
-                std::panic::panic_any(SiblingPanic);
-            }
-            // Cancelled region: skip the whole construct.
-            self.exit_cancellable_ws();
-            return;
-        }
-        let (arm, sched) = crate::tune::decode_decision(slot.tune.load(Ordering::Acquire));
-        let mut busy = 0.0f64;
-        let mut timed = |lo: u64, hi: u64| {
-            let t0 = crate::wtime::get_wtime();
-            chunk_body(lo, hi);
-            busy += crate::wtime::get_wtime() - t0;
-        };
-        match sched {
-            Schedule::Static { chunk } => {
-                for r in StaticChunks::new(trip, size, self.thread_num(), chunk) {
-                    if watch && self.ws_cancelled(cgen) {
-                        break;
-                    }
-                    timed(r.start, r.end);
-                }
-            }
-            Schedule::Dynamic { chunk } | Schedule::Guided { chunk } => {
-                let guided = matches!(sched, Schedule::Guided { .. });
-                let chunk = chunk.max(1);
-                loop {
-                    if watch && self.ws_cancelled(cgen) {
-                        break;
-                    }
-                    let grabbed = if guided {
-                        loop {
-                            let cur = slot.next.load(Ordering::Acquire);
-                            if cur >= trip {
-                                break None;
-                            }
-                            let g = guided_grab(trip - cur, size, chunk);
-                            match slot.next.compare_exchange_weak(
-                                cur,
-                                cur + g,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            ) {
-                                Ok(_) => break Some((cur, cur + g)),
-                                Err(_) => continue,
-                            }
-                        }
-                    } else {
-                        let cur = slot.next.fetch_add(chunk, Ordering::AcqRel);
-                        if cur >= trip {
-                            None
-                        } else {
-                            Some((cur, (cur + chunk).min(trip)))
-                        }
-                    };
-                    match grabbed {
-                        Some((lo, hi)) => {
-                            crate::stats::bump(&crate::stats::stats().dispatched_chunks);
-                            timed(lo, hi);
-                        }
-                        None => break,
-                    }
-                }
-            }
-            Schedule::Runtime | Schedule::Auto => {
-                debug_assert!(false, "tune decisions are always concrete schedules");
-            }
-        }
-        // Flush this thread's busy time; the last reporter aggregates.
-        // The AcqRel RMW chain on `reporters` makes every earlier
-        // flush visible to the thread that observes itself last.
-        let busy_ns = (busy * 1e9) as u64;
-        slot.busy_ns_sum.fetch_add(busy_ns, Ordering::AcqRel);
-        slot.busy_ns_max.fetch_max(busy_ns, Ordering::AcqRel);
-        if slot.reporters.fetch_add(1, Ordering::AcqRel) + 1 == size {
-            let sum = slot.busy_ns_sum.load(Ordering::Acquire);
-            let max = slot.busy_ns_max.load(Ordering::Acquire);
-            // Don't learn from cancelled constructs (chunks were
-            // skipped) or loops too fast for the clock to resolve.
-            if max > 0 && !(watch && self.ws_cancelled(cgen)) {
-                let cost = max as f64 * 1e-9;
-                let imbalance = (max as f64) * (size as f64) / (sum.max(1) as f64);
-                entry.record(arm, cost, imbalance);
-            }
-        }
-        slot.leave();
-        self.exit_cancellable_ws();
-        if !nowait {
-            self.barrier();
+    /// Chaos hook at the chunk-grab edge. Panics and delays fire inside
+    /// `chaos::poke` (a chunk-grab panic is legal: it unwinds the
+    /// region body under `run_region`'s catch); an injected `Cancel` is
+    /// routed through the legal self-gating request path, exactly as a
+    /// sibling's `omp_cancel!(for)` would arrive. Compiles to nothing
+    /// without the `chaos` feature.
+    #[inline]
+    fn chaos_chunk_grab(&self) {
+        if matches!(
+            crate::chaos::chaos_point!(crate::chaos::Site::ChunkGrab),
+            Some(crate::chaos::Injected::Cancel)
+        ) {
+            self.cancel(crate::ctx::CancelKind::For);
         }
     }
 
@@ -549,10 +361,6 @@ impl<'scope> ThreadCtx<'scope> {
         nowait: bool,
         mut body: impl FnMut(usize, &Ordered<'_>),
     ) {
-        // Ordered loops are never tuned, but a `site` clause may still
-        // precede one — consume the override so it cannot leak to the
-        // next construct on this thread.
-        let _ = crate::tune::take_site_override();
         let sched = self.resolve_schedule(sched);
         let base = range.start;
         let trip = range.end.saturating_sub(range.start) as u64;

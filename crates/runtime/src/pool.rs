@@ -1244,7 +1244,6 @@ where
         places,
         league: spec.league,
         cancellable: icvs.cancellation,
-        tune: icvs.tune != crate::icv::TuneMode::Off,
     };
 
     // May this fork keep its lease? Not from a final task, and not at a

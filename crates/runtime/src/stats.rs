@@ -85,14 +85,11 @@ pub struct Stats {
     /// Together with executed + discarded this closes the task ledger:
     /// every spawned task is accounted by exactly one of the three.
     pub tasks_purged: AtomicU64,
-    /// Tuned constructs measured while their site was still probing
-    /// (schedule sites and variant-registry entries alike).
+    /// Kernel-variant registry calls measured while their entry was
+    /// still probing ([`crate::variants`]).
     pub tune_probes: AtomicU64,
-    /// Tune learners that locked to a winner (schedule sites and
-    /// variant-registry entries alike).
+    /// Kernel-variant registry entries that locked to a winner.
     pub tune_converged: AtomicU64,
-    /// Site-table entries evicted because a shard hit its capacity cap.
-    pub tune_evictions: AtomicU64,
 }
 
 static STATS: Stats = Stats {
@@ -123,7 +120,6 @@ static STATS: Stats = Stats {
     tasks_purged: AtomicU64::new(0),
     tune_probes: AtomicU64::new(0),
     tune_converged: AtomicU64::new(0),
-    tune_evictions: AtomicU64::new(0),
 };
 
 /// Access the global statistics block.
@@ -188,8 +184,6 @@ pub struct Snapshot {
     pub tune_probes: u64,
     /// See [`Stats::tune_converged`].
     pub tune_converged: u64,
-    /// See [`Stats::tune_evictions`].
-    pub tune_evictions: u64,
 }
 
 impl Stats {
@@ -223,7 +217,6 @@ impl Stats {
             tasks_purged: self.tasks_purged.load(Ordering::Relaxed),
             tune_probes: self.tune_probes.load(Ordering::Relaxed),
             tune_converged: self.tune_converged.load(Ordering::Relaxed),
-            tune_evictions: self.tune_evictions.load(Ordering::Relaxed),
         }
     }
 }
@@ -259,7 +252,6 @@ impl Snapshot {
             tasks_purged: later.tasks_purged - self.tasks_purged,
             tune_probes: later.tune_probes - self.tune_probes,
             tune_converged: later.tune_converged - self.tune_converged,
-            tune_evictions: later.tune_evictions - self.tune_evictions,
         }
     }
 }
@@ -310,7 +302,6 @@ pub fn display_stats_snapshot(s: &Snapshot) -> String {
     );
     let _ = writeln!(out, "  tune_probes = '{}'", s.tune_probes);
     let _ = writeln!(out, "  tune_converged = '{}'", s.tune_converged);
-    let _ = writeln!(out, "  tune_evictions = '{}'", s.tune_evictions);
     let _ = writeln!(out, "ROMP TASK STATISTICS END");
     out
 }
@@ -336,15 +327,13 @@ pub fn display_pool_shard_counters() -> String {
 }
 
 /// [`display_stats_snapshot`] over the live global counters, followed by
-/// the live per-shard pool counters ([`display_pool_shard_counters`]), the
-/// autotuner's site table ([`crate::tune::display_tune_table`]) and the
-/// kernel-variant registry
-/// ([`crate::tune::variants::display_variants_table`]).
+/// the live per-shard pool counters ([`display_pool_shard_counters`]) and
+/// the kernel-variant registry
+/// ([`crate::variants::display_variants_table`]).
 pub fn display_stats() -> String {
     let mut out = display_stats_snapshot(&stats().snapshot());
     out.push_str(&display_pool_shard_counters());
-    out.push_str(&crate::tune::display_tune_table());
-    out.push_str(&crate::tune::variants::display_variants_table());
+    out.push_str(&crate::variants::display_variants_table());
     out
 }
 
@@ -397,8 +386,7 @@ mod tests {
             "pool_shard[0]",
             "tune_probes",
             "tune_converged",
-            "tune_evictions",
-            "ROMP TUNE TABLE BEGIN",
+            "ROMP VARIANT REGISTRY BEGIN",
         ] {
             assert!(banner.contains(key), "missing {key} in:\n{banner}");
         }

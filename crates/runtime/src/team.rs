@@ -85,16 +85,6 @@ pub(crate) struct WsSlot {
     pub claimed: AtomicBool,
     /// `ordered`: the iteration whose turn it is.
     pub ordered_next: AtomicU64,
-    /// Tuned constructs: the encoded schedule decision the installer
-    /// published for the whole team (see `tune::policy`).
-    pub tune: AtomicU64,
-    /// Tuned constructs: sum of per-thread busy nanoseconds.
-    pub busy_ns_sum: AtomicU64,
-    /// Tuned constructs: max of per-thread busy nanoseconds.
-    pub busy_ns_max: AtomicU64,
-    /// Tuned constructs: threads that have flushed their busy time; the
-    /// last one (== team size) aggregates and records the sample.
-    pub reporters: AtomicUsize,
 }
 
 impl WsSlot {
@@ -108,10 +98,6 @@ impl WsSlot {
             kind: AtomicU8::new(KIND_DYNAMIC),
             claimed: AtomicBool::new(false),
             ordered_next: AtomicU64::new(0),
-            tune: AtomicU64::new(0),
-            busy_ns_sum: AtomicU64::new(0),
-            busy_ns_max: AtomicU64::new(0),
-            reporters: AtomicUsize::new(0),
         }
     }
 
@@ -251,11 +237,6 @@ pub(crate) struct ForkSnap {
     /// the non-cancelled hot path can skip every flag check with one
     /// boolean read per construct.
     pub cancellable: bool,
-    /// Autotuner snapshot (`ROMP_TUNE` at fork time): may this region's
-    /// `schedule(auto)` loops be measured and adapted? One fork-time
-    /// boolean, so disarmed regions add zero per-chunk work and a
-    /// region is never half-tuned.
-    pub tune: bool,
 }
 
 /// Shared state of one parallel region's team.
@@ -408,12 +389,6 @@ impl Team {
         self.snap.read().cancellable
     }
 
-    /// Is the schedule autotuner armed for this region (`ROMP_TUNE`
-    /// snapshot)?
-    pub(crate) fn tunable(&self) -> bool {
-        self.snap.read().tune
-    }
-
     /// Recycle this hot team's shared state for the next region, in
     /// place of a fresh allocation.
     ///
@@ -479,7 +454,6 @@ mod tests {
                 places: None,
                 league: false,
                 cancellable: false,
-                tune: false,
             },
             false,
         )
@@ -598,7 +572,6 @@ mod tests {
             places: None,
             league: true,
             cancellable: true,
-            tune: true,
         });
 
         assert!(!team.abort.load(Ordering::SeqCst));

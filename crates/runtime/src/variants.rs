@@ -5,16 +5,14 @@
 //! picks an implementation at call time; this module is that pattern
 //! with the choice *learned* instead of table-driven. A call site
 //! registers N interchangeable closures under a name; the registry
-//! round-robins measurement windows across them (the same
-//! probe-then-lock learner as the schedule autotuner, cost = seconds
-//! per unit of work, i.e. the
-//! reciprocal of throughput) and then locks to the best-throughput
-//! variant. The key includes the log2 work bucket, so a kernel whose
-//! best variant depends on problem scale re-probes when the scale
-//! changes.
+//! round-robins measurement windows across them (cost = seconds per
+//! unit of work, i.e. the reciprocal of throughput) and then locks to
+//! the best-throughput variant. The key includes the log2 work bucket,
+//! so a kernel whose best variant depends on problem scale re-probes
+//! when the scale changes.
 //!
 //! ```
-//! use romp_runtime::tune::variants;
+//! use romp_runtime::variants;
 //!
 //! let n = 1u64 << 14;
 //! let out = variants::run("demo-sum", n, 2, |which| match which {
@@ -26,14 +24,89 @@
 //!
 //! Selection happens on the calling thread — for a parallel kernel,
 //! select *before* the fork (or outside the construct) so the whole
-//! team runs the same variant.
+//! team runs the same variant. Probe windows and lock-ins count as
+//! `tune_probes` / `tune_converged` in [`crate::stats`].
 
-use super::policy::Learner;
-use super::site::trip_bucket;
 use crate::wtime::get_wtime;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
+
+/// Cost samples per arm before the lock-in comparison.
+const PROBE_ROUNDS: u32 = 3;
+
+/// Probe-then-lock arm selector over `arms` candidates: deterministic
+/// greedy probing (the ε=0 corner of ε-greedy). Cycle the arms
+/// round-robin until each has [`PROBE_ROUNDS`] cost samples, then lock
+/// to the arm with the lowest mean cost. Round-robin probing makes
+/// every arm's sample count equal before the comparison, and locking
+/// makes the steady state free of exploration noise. A kernel whose
+/// behaviour shifts with scale is re-probed through the work bucket in
+/// its key, not by unlocking.
+#[derive(Debug)]
+struct Learner {
+    next: usize,
+    count: Vec<u32>,
+    total: Vec<f64>,
+    locked: Option<usize>,
+}
+
+impl Learner {
+    fn new(arms: usize) -> Self {
+        debug_assert!(arms > 0);
+        Learner {
+            next: 0,
+            count: vec![0; arms],
+            total: vec![0.0; arms],
+            locked: None,
+        }
+    }
+
+    /// The arm to play now.
+    fn decide(&self) -> usize {
+        self.locked.unwrap_or(self.next)
+    }
+
+    /// Record one cost sample for `arm`. Returns `true` on the sample
+    /// that causes the learner to lock (convergence).
+    fn record(&mut self, arm: usize, cost: f64) -> bool {
+        if self.locked.is_some() || arm >= self.count.len() {
+            return false;
+        }
+        self.count[arm] += 1;
+        self.total[arm] += cost.max(0.0);
+        // Advance the probe cursor past fully-sampled arms. Concurrent
+        // callers can over-sample an arm (select/select/record/record);
+        // the cursor just skips ahead.
+        while self.next < self.count.len() && self.count[self.next] >= PROBE_ROUNDS {
+            self.next += 1;
+        }
+        if self.next < self.count.len() {
+            return false;
+        }
+        // Every arm fully sampled: lock to the lowest mean cost.
+        let best = (0..self.count.len())
+            .min_by(|&a, &b| self.mean(a).total_cmp(&self.mean(b)))
+            .unwrap_or(0);
+        self.locked = Some(best);
+        true
+    }
+
+    fn mean(&self, arm: usize) -> f64 {
+        if self.count[arm] == 0 {
+            f64::INFINITY
+        } else {
+            self.total[arm] / self.count[arm] as f64
+        }
+    }
+}
+
+/// Log2 work bucket: work sizes within a factor of two share a bucket
+/// (and therefore a learner), so the choice tracks the kernel's
+/// *scale* without fragmenting history over exact sizes.
+fn trip_bucket(work: u64) -> u32 {
+    64 - work.leading_zeros()
+}
 
 #[derive(Debug)]
 struct VarState {
@@ -111,7 +184,7 @@ pub fn select(name: &'static str, work: u64, n_variants: usize) -> VariantChoice
 /// Report the measured wall time of the variant chosen by [`select`].
 pub fn record(choice: VariantChoice, elapsed_sec: f64) {
     let mut s = choice.entry.state.lock();
-    if s.learner.locked().is_none() {
+    if s.learner.locked.is_none() {
         s.probes += 1;
         crate::stats::bump(&crate::stats::stats().tune_probes);
         // Cost per unit of work: the learner minimizes it, which
@@ -140,10 +213,9 @@ pub fn run<R>(
     out
 }
 
-/// Machine-readable snapshot of one registry entry: the counterpart of
-/// [`crate::tune::TuneSample`] for kernel-variant selection, so bench
-/// JSON and tests can see *which* implementation each (kernel, scale)
-/// pair locked to.
+/// Machine-readable snapshot of one registry entry, so bench JSON and
+/// tests can see *which* implementation each (kernel, scale) pair
+/// locked to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VariantSample {
     /// Kernel name as registered with [`select`]/[`run`].
@@ -159,8 +231,7 @@ pub struct VariantSample {
 }
 
 /// Machine-readable snapshot of every live registry entry, sorted by
-/// (name, bucket) — the variant-registry counterpart of
-/// [`crate::tune::dump`].
+/// (name, bucket).
 pub fn dump() -> Vec<VariantSample> {
     let mut entries: Vec<Arc<VarEntry>> = registry().lock().values().cloned().collect();
     entries.sort_by_key(|e| (e.name, e.bucket));
@@ -172,16 +243,15 @@ pub fn dump() -> Vec<VariantSample> {
                 name: e.name,
                 bucket: e.bucket,
                 n_variants: e.variants,
-                chosen: s.learner.locked(),
+                chosen: s.learner.locked,
                 probes: s.probes,
             }
         })
         .collect()
 }
 
-/// Render the registry as a stats-banner section (mirrors
-/// [`crate::tune::display_tune_table`]): one line per (kernel, bucket)
-/// with the locked variant or probe progress.
+/// Render the registry as a stats-banner section: one line per
+/// (kernel, bucket) with the locked variant or probe progress.
 pub fn display_variants_table() -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -208,7 +278,53 @@ pub fn display_variants_table() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tune::policy::PROBE_ROUNDS;
+
+    #[test]
+    fn learner_probes_round_robin_then_locks_to_cheapest() {
+        let mut l = Learner::new(3);
+        let costs = [5.0, 1.0, 3.0];
+        let mut converged_events = 0;
+        for _ in 0..(3 * PROBE_ROUNDS) {
+            let arm = l.decide();
+            if l.record(arm, costs[arm]) {
+                converged_events += 1;
+            }
+        }
+        assert_eq!(converged_events, 1);
+        assert_eq!(l.locked, Some(1));
+        // Locked: decide is stable and record is a no-op.
+        assert_eq!(l.decide(), 1);
+        assert!(!l.record(1, 100.0));
+        assert_eq!(l.locked, Some(1));
+    }
+
+    #[test]
+    fn learner_tolerates_oversampling() {
+        let mut l = Learner::new(2);
+        // Two callers probing concurrently: decide twice, record twice.
+        // Extra samples pile onto the cursor arm, but the learner still
+        // reaches full coverage and locks.
+        let mut rounds = 0;
+        while l.locked.is_none() {
+            rounds += 1;
+            assert!(rounds < 100, "oversampled learner never locked");
+            let a = l.decide();
+            let b = l.decide();
+            l.record(a, 2.0);
+            l.record(b, 2.0);
+        }
+    }
+
+    #[test]
+    fn trip_bucket_is_log2() {
+        assert_eq!(trip_bucket(0), 0);
+        assert_eq!(trip_bucket(1), 1);
+        assert_eq!(trip_bucket(2), 2);
+        assert_eq!(trip_bucket(3), 2);
+        assert_eq!(trip_bucket(4), 3);
+        assert_eq!(trip_bucket(1 << 20), 21);
+        assert_eq!(trip_bucket(u64::MAX), 64);
+    }
 
     #[test]
     fn registry_locks_to_the_fastest_variant() {

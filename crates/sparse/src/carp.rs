@@ -16,7 +16,7 @@
 //!
 //! The parallel solver runs the whole iteration inside **one**
 //! `parallel` region: sweeps are in-region colored KACZ constructs
-//! (`schedule(runtime)`, `site("kacz")` — the learner tunes them),
+//! (`schedule(runtime)`, so `OMP_SCHEDULE` picks their chunking),
 //! vector updates are worksharing loops, scalars come from
 //! `reduce_value` team reductions (every thread receives the same
 //! combined value, so control flow stays lockstep), and the
@@ -50,7 +50,7 @@ pub struct CarpOptions {
     /// Team size for the parallel solver.
     pub threads: usize,
     /// Schedule for the KACZ worksharing loops (`Runtime` by default,
-    /// so `OMP_SCHEDULE=auto` hands them to the romp-tune learner).
+    /// so `OMP_SCHEDULE` chooses).
     pub sched: Schedule,
 }
 

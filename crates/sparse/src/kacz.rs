@@ -29,11 +29,9 @@
 //! disjoint (and lane by lane where it could not); the in-region CSR
 //! sweep does it for groups of rows of one color.
 //!
-//! The worksharing loops are named `site("kacz")` and CARP-CG runs
-//! them `schedule(runtime)`, so with `OMP_SCHEDULE=auto` the romp-tune
-//! learner picks the chunking per phase shape — the GHOST
-//! `sell_kacz_rb` kernels' `#pragma omp parallel for schedule(runtime)`
-//! made adaptive.
+//! CARP-CG runs the worksharing loops `schedule(runtime)`, so
+//! `OMP_SCHEDULE` picks their chunking — as in the GHOST
+//! `sell_kacz_rb` kernels' `#pragma omp parallel for schedule(runtime)`.
 
 use crate::color::Coloring;
 use crate::csr::Csr;
@@ -52,9 +50,6 @@ pub enum Direction {
     /// Sweep rows in the exact reverse order.
     Backward,
 }
-
-/// The tuned-site name every KACZ worksharing loop carries.
-pub const KACZ_SITE: &str = "kacz";
 
 /// Project `x` onto row `row`'s hyperplane (serial `&mut` variant).
 #[inline]
@@ -223,8 +218,8 @@ unsafe fn project_rows_lockstep(
 }
 
 /// In-region colored sweep over CSR: one worksharing loop per phase
-/// (blocks are the parallel units), `site("kacz")` named, construct
-/// barriers separating phases. This is the building block CARP-CG
+/// (blocks are the parallel units), construct barriers separating
+/// phases. This is the building block CARP-CG
 /// calls from inside its single long-lived region.
 ///
 /// A phase whose blocks are single rows (a multicoloring color) is
@@ -258,7 +253,6 @@ pub fn sweep_csr_ctx(
         } else {
             1
         };
-        let _site = romp_core::runtime::tune::site_override(KACZ_SITE);
         ctx.ws_for(0..blocks.len().div_ceil(group), sched, false, |u| {
             let b0 = blocks.start + u * group;
             let b1 = (b0 + group).min(blocks.end);
@@ -489,8 +483,8 @@ impl ColoredSell {
         }
     }
 
-    /// In-region colored sweep over the SELL tiles: one `site("kacz")`
-    /// worksharing loop per phase, units as iterations.
+    /// In-region colored sweep over the SELL tiles: one worksharing
+    /// loop per phase, units as iterations.
     #[allow(clippy::too_many_arguments)]
     pub fn sweep_ctx(
         &self,
@@ -510,7 +504,6 @@ impl ColoredSell {
             };
             let units = self.phase_unit_ptr[p]..self.phase_unit_ptr[p + 1];
             let base = units.start;
-            let _site = romp_core::runtime::tune::site_override(KACZ_SITE);
             ctx.ws_for(0..units.len(), sched, false, |u| {
                 // SAFETY: units of one phase cover column-disjoint row
                 // sets (Coloring::validate on the layout's coloring);

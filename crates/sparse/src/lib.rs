@@ -8,8 +8,8 @@
 //! * [`csr`] — the CSR baseline format (construction, spmv, the
 //!   bitwise accumulation contract every other kernel inherits);
 //! * [`sell`] — SELL-C-σ (σ-window sorting, chunk-height-C tiles,
-//!   padding stats, row-permutation map, 32-bit column indices), the
-//!   **lockstep** tile kernel and the format-adaptive spmv entry;
+//!   padding stats, row-permutation map, 32-bit column indices) and
+//!   the **lockstep** tile kernel;
 //! * [`color`] — coloring/zoning passes (greedy multicolor, red-black
 //!   zones) with *exact* disjointness validation;
 //! * [`kacz`] — forward/backward colored Kaczmarz sweeps over both
@@ -18,9 +18,8 @@
 //!   reference; SELL tiles are projected in lockstep where a per-chunk
 //!   proof allows it;
 //! * [`carp`] — the CARP-CG (CGMN) solver: one parallel region,
-//!   `site("kacz")` `schedule(runtime)` sweeps the romp-tune learner
-//!   can adapt, slice-loop vector kernels, team reductions,
-//!   `omp_cancel!` convergence exit;
+//!   `schedule(runtime)` sweeps, slice-loop vector kernels, team
+//!   reductions, `omp_cancel!` convergence exit;
 //! * [`matgen`] — deterministic banded/random test matrices and
 //!   consistent right-hand sides.
 //!
@@ -72,7 +71,7 @@ pub mod prelude {
     pub use crate::csr::Csr;
     pub use crate::kacz::{sweep_csr_ctx, sweep_seq, ColoredSell, Direction, SweepMat};
     pub use crate::matgen;
-    pub use crate::sell::{spmv_adaptive, Sell};
+    pub use crate::sell::Sell;
 }
 
 pub use prelude::*;

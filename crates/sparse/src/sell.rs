@@ -401,29 +401,6 @@ fn chunk_spmv_lockstep<const C: usize>(
     }
 }
 
-/// Format-adaptive `y = A·x`: the kernel-variant registry
-/// (`romp::variants`, name `"sparse-spmv"`, keyed by the nnz bucket)
-/// measures the CSR row kernel against the SELL chunk kernel and locks
-/// to the faster — the GHOST dispatch table, learned at run time.
-/// Returns the variant index it ran (0 = CSR, 1 = SELL).
-pub fn spmv_adaptive(
-    csr: &Csr,
-    sell: &Sell,
-    x: &[f64],
-    y: &mut [f64],
-    threads: usize,
-    sched: Schedule,
-) -> usize {
-    debug_assert_eq!(csr.nnz(), sell.nnz);
-    romp_core::variants::run("sparse-spmv", csr.nnz() as u64, 2, |which| {
-        match which {
-            0 => csr.spmv(x, y, threads, sched),
-            _ => sell.spmv(x, y, threads, sched),
-        }
-        which
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

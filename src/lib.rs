@@ -55,7 +55,7 @@ pub mod prelude {
 
 // The kernel-variant registry (`romp::variants::run` and friends): N
 // interchangeable implementations of a kernel, measured and locked to
-// the fastest. See `romp_runtime::tune`.
+// the fastest. See `romp_runtime::variants`.
 pub use romp_runtime::variants;
 
 // Re-export the directive macros at the crate root (macro_export places

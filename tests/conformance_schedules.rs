@@ -305,3 +305,69 @@ fn worker_tls_overrides_do_not_leak_across_regions() {
         });
     }
 }
+
+/// Which thread ran each iteration of `0..trip`, recorded by `run`'s
+/// body through `record(i)`.
+fn thread_map(trip: usize, run: impl FnOnce(&(dyn Fn(usize) + Sync))) -> Vec<usize> {
+    let owner: Vec<AtomicUsize> = (0..trip).map(|_| AtomicUsize::new(usize::MAX)).collect();
+    run(&|i| owner[i].store(romp::runtime::omp_get_thread_num(), Ordering::Relaxed));
+    owner.into_iter().map(AtomicUsize::into_inner).collect()
+}
+
+/// `schedule(auto)` is block `static`, every time: the same call site
+/// run 16 times hands every iteration to the thread block-static gives
+/// it, in each front-end spelling and through `schedule(runtime)` with
+/// `run-sched-var = auto`. The repeated passes catch a schedule that
+/// depends on what earlier passes of the site measured.
+#[test]
+fn auto_is_block_static_on_every_pass() {
+    use romp::prelude::{omp_parallel_for, par_for};
+    const TRIP: usize = 1009;
+    let prior = romp::runtime::omp_get_schedule();
+    for threads in team_sizes().into_iter().filter(|&t| t >= 2) {
+        let want = thread_map(TRIP, |record| {
+            fork(ForkSpec::with_num_threads(threads), |ctx| {
+                ctx.ws_for(0..TRIP, Schedule::static_block(), false, record);
+            });
+        });
+        for pass in 0..16 {
+            let raw = thread_map(TRIP, |record| {
+                fork(ForkSpec::with_num_threads(threads), |ctx| {
+                    ctx.ws_for(0..TRIP, Schedule::Auto, false, record);
+                });
+            });
+            assert_eq!(raw, want, "ws_for, {threads} threads, pass {pass}");
+            let mac = thread_map(TRIP, |record| {
+                omp_parallel_for!(
+                    num_threads(threads),
+                    schedule(auto),
+                    for i in 0..TRIP {
+                        record(i);
+                    }
+                );
+            });
+            assert_eq!(
+                mac, want,
+                "omp_parallel_for!, {threads} threads, pass {pass}"
+            );
+            let builder = thread_map(TRIP, |record| {
+                par_for(0..TRIP)
+                    .num_threads(threads)
+                    .schedule(Schedule::Auto)
+                    .run(record);
+            });
+            assert_eq!(builder, want, "par_for, {threads} threads, pass {pass}");
+            omp_set_schedule(Schedule::Auto);
+            let runtime = thread_map(TRIP, |record| {
+                fork(ForkSpec::with_num_threads(threads), |ctx| {
+                    ctx.ws_for(0..TRIP, Schedule::Runtime, false, record);
+                });
+            });
+            omp_set_schedule(prior);
+            assert_eq!(
+                runtime, want,
+                "schedule(runtime) = auto, {threads} threads, pass {pass}"
+            );
+        }
+    }
+}

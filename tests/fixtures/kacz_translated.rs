@@ -30,7 +30,7 @@ pub fn kacz_sweep_colored(
         let base = phase_ptr[p];
         let width = phase_ptr[p + 1] - base;
         romp_core::omp_parallel!(num_threads(threads), |__omp_ctx_0| {
-            romp_core::omp_for!(__omp_ctx_0, schedule(runtime), site("rompcc:34"), for u in (0..width) {
+            romp_core::omp_for!(__omp_ctx_0, schedule(runtime), for u in (0..width) {
                 let row = order[base + u];
                 let nrm = norms[row];
                 if nrm != 0.0 {

@@ -91,7 +91,7 @@ fn phase_at(coloring: &Coloring, i: usize, dir: Direction) -> usize {
 }
 
 /// The sweep in the macro spelling: one `omp_parallel!` region, one
-/// `omp_for!(schedule(runtime), site("kacz"))` construct per phase.
+/// `omp_for!(schedule(runtime))` construct per phase.
 fn sweep_csr_macro(
     mat: &Csr,
     norms: &[f64],
@@ -109,7 +109,6 @@ fn sweep_csr_macro(
             omp_for!(
                 ctx,
                 schedule(runtime),
-                site("kacz"),
                 for u in 0..(blocks.len()) {
                     // SAFETY: same-phase blocks are column-disjoint
                     // (Coloring::validate); the construct barrier
@@ -141,7 +140,6 @@ fn sweep_csr_builder(
         par_for(0..blocks.len())
             .num_threads(threads)
             .schedule(Schedule::Runtime)
-            .site("kacz")
             .run(|u| {
                 // SAFETY: same-phase blocks are column-disjoint; the
                 // join publishes the phase.
