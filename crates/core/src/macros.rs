@@ -51,8 +51,11 @@
 //! ```
 //!
 //! `omp_for!` (inside a region) reduces an existing thread-local binding
-//! in place; **every thread's incoming value is folded**, so initialize
-//! it to the operator identity for standard OpenMP behaviour:
+//! in place, with one
+//! [`reduce_value`](crate::runtime::ThreadCtx::reduce_value) call (one
+//! team barrier) over the tuple of the clause's variables; **every
+//! thread's incoming value is folded**, so initialize it to the operator
+//! identity for standard OpenMP behaviour:
 //!
 //! ```
 //! use romp_core::prelude::*;
@@ -83,9 +86,14 @@
 //!   be 1, 2 or 3).
 //!
 //! Every form lowers through the [`crate::space`] machinery — the same
-//! lowering the [`ParFor`](crate::builder::ParFor) builder uses, which
-//! `omp_parallel_for!` invokes directly when no per-thread data clause
-//! forces an explicit region.
+//! lowering the [`ParFor`](crate::builder::ParFor) builder uses.
+//! `omp_parallel_for!` evaluates the header once, on the encountering
+//! thread, before it forks (so `for i in (r)` may move a non-`Copy`
+//! range `r`), and runs every clause combination through one region:
+//! firstprivate clones, the loop `nowait` (the region end is its
+//! barrier), and for a reduction one tuple per thread folded into a
+//! [`RedVar`](crate::runtime::reduction::RedVar) that the join
+//! publishes — the builder's `reduce`, with no barrier of its own.
 //!
 //! ## `schedule(auto)` and `schedule(runtime)`
 //!
@@ -245,13 +253,14 @@ macro_rules! __omp_for {
     };
     // --- terminal without reduction ---
     (@ $ctx:ident {$sched:expr} {$nw:expr} {$($step:tt)*} [] ; $($loop:tt)*) => {
-        $crate::__omp_loop_body!($ctx, $sched, $nw, {$($step)*}, $($loop)*)
+        $crate::__omp_header!(__omp_ws!($ctx, $sched, $nw,), {$($step)*}, $($loop)*)
     };
-    // --- terminal with reduction: nowait the loop (the reduction itself
-    //     synchronizes), then combine each variable team-wide ---
+    // --- terminal with reduction: nowait the loop, then one team-wide
+    //     combine over the tuple of variables (its barrier is the
+    //     construct's) ---
     (@ $ctx:ident {$sched:expr} {$nw:expr} {$($step:tt)*} [$op:tt $($var:ident)+] ; $($loop:tt)*) => {{
-        $crate::__omp_loop_body!($ctx, $sched, true, {$($step)*}, $($loop)*);
-        $( $var = $ctx.reduce_value($crate::__red_op!($op), $var); )+
+        $crate::__omp_header!(__omp_ws!($ctx, $sched, true,), {$($step)*}, $($loop)*);
+        ($($var,)+) = $ctx.reduce_value($crate::__red_op!($op), ($($var,)+));
     }};
 }
 
@@ -292,89 +301,84 @@ macro_rules! __omp_collapse_ok {
     };
 }
 
-/// Lower one accepted loop header onto the [`IterSpace`] machinery in
-/// `$crate::space` — the same engine the `ParFor` builder drives. The
-/// fourth argument is the `step(..)` clause state: `{}` (absent) or
-/// `{expr}`.
+/// Parse one accepted loop header into the iteration space it covers
+/// (a `$crate::space` value, the same ones the `ParFor` builder takes)
+/// and the closure run per index, and pass both to
+/// `$crate::$cb!($($args)* {space} {closure})`. The third argument is
+/// the `step(..)` clause state: `{}` (absent) or `{expr}`.
 #[doc(hidden)]
 #[macro_export]
-macro_rules! __omp_loop_body {
+macro_rules! __omp_header {
     // --- collapse(2)/collapse(3) tuple headers ---
-    ($ctx:ident, $sched:expr, $nw:expr, {}, for ($i:ident, $j:ident) in ($ra:expr, $rb:expr) $body:block) => {{
-        let __romp_ra: ::std::ops::Range<usize> = $ra;
-        let __romp_rb: ::std::ops::Range<usize> = $rb;
-        $crate::space::ws_space(
-            $ctx,
-            &$crate::space::collapse2(__romp_ra, __romp_rb),
-            $sched,
-            $nw,
-            |($i, $j)| $body,
-        )
-    }};
-    ($ctx:ident, $sched:expr, $nw:expr, {}, for ($i:ident, $j:ident, $k:ident) in ($ra:expr, $rb:expr, $rc:expr) $body:block) => {{
-        let __romp_ra: ::std::ops::Range<usize> = $ra;
-        let __romp_rb: ::std::ops::Range<usize> = $rb;
-        let __romp_rc: ::std::ops::Range<usize> = $rc;
-        $crate::space::ws_space(
-            $ctx,
-            &$crate::space::collapse3(__romp_ra, __romp_rb, __romp_rc),
-            $sched,
-            $nw,
-            |($i, $j, $k)| $body,
-        )
-    }};
+    ($cb:ident!($($a:tt)*), {}, for ($i:ident, $j:ident) in ($ra:expr, $rb:expr) $body:block) => {
+        $crate::$cb!($($a)* {{
+            let __romp_ra: ::std::ops::Range<usize> = $ra;
+            let __romp_rb: ::std::ops::Range<usize> = $rb;
+            $crate::space::collapse2(__romp_ra, __romp_rb)
+        }} {|($i, $j)| $body})
+    };
+    ($cb:ident!($($a:tt)*), {}, for ($i:ident, $j:ident, $k:ident) in ($ra:expr, $rb:expr, $rc:expr) $body:block) => {
+        $crate::$cb!($($a)* {{
+            let __romp_ra: ::std::ops::Range<usize> = $ra;
+            let __romp_rb: ::std::ops::Range<usize> = $rb;
+            let __romp_rc: ::std::ops::Range<usize> = $rc;
+            $crate::space::collapse3(__romp_ra, __romp_rb, __romp_rc)
+        }} {|($i, $j, $k)| $body})
+    };
     // --- `.step_by` header: usize semantics (historic form) ---
-    ($ctx:ident, $sched:expr, $nw:expr, {}, for $i:ident in ($range:expr).step_by($s:expr) $body:block) => {{
-        let __romp_r: ::std::ops::Range<usize> = $range;
-        let __romp_step: usize = $s;
-        $crate::space::ws_space(
-            $ctx,
-            &$crate::space::StridedRange::new(
+    ($cb:ident!($($a:tt)*), {}, for $i:ident in ($range:expr).step_by($s:expr) $body:block) => {
+        $crate::$cb!($($a)* {{
+            let __romp_r: ::std::ops::Range<usize> = $range;
+            let __romp_step: usize = $s;
+            $crate::space::StridedRange::new(
                 __romp_r.start as i64,
                 __romp_r.end as i64,
                 __romp_step as i64,
-            ),
-            $sched,
-            $nw,
-            |__romp_i| {
-                let $i = __romp_i as usize;
-                $body
-            },
-        )
-    }};
+            )
+        }} {|__romp_i| {
+            let $i = __romp_i as usize;
+            $body
+        }})
+    };
     // --- plain headers: usize ranges, as the directive layer always
     //     accepted (the type pin keeps integer literals inferring) ---
-    ($ctx:ident, $sched:expr, $nw:expr, {}, for $i:ident in ($range:expr) $body:block) => {{
-        let __romp_r: ::std::ops::Range<usize> = $range;
-        $crate::space::ws_space($ctx, &__romp_r, $sched, $nw, |$i| $body)
-    }};
-    ($ctx:ident, $sched:expr, $nw:expr, {}, for $i:ident in $lo:tt .. $hi:tt $body:block) => {{
-        let __romp_r: ::std::ops::Range<usize> = ($lo)..($hi);
-        $crate::space::ws_space($ctx, &__romp_r, $sched, $nw, |$i| $body)
-    }};
+    ($cb:ident!($($a:tt)*), {}, for $i:ident in ($range:expr) $body:block) => {
+        $crate::$cb!($($a)* {{
+            let __romp_r: ::std::ops::Range<usize> = $range;
+            __romp_r
+        }} {|$i| $body})
+    };
+    ($cb:ident!($($a:tt)*), {}, for $i:ident in $lo:tt .. $hi:tt $body:block) => {
+        $crate::$cb!($($a)* {{
+            let __romp_r: ::std::ops::Range<usize> = ($lo)..($hi);
+            __romp_r
+        }} {|$i| $body})
+    };
     // --- step(e) clause: signed strided space, `$i: i64` ---
-    ($ctx:ident, $sched:expr, $nw:expr, {$step:expr}, for $i:ident in ($range:expr) $body:block) => {{
-        let __romp_r = $range;
-        $crate::space::ws_space(
-            $ctx,
-            &$crate::space::StridedRange::new(
+    ($cb:ident!($($a:tt)*), {$step:expr}, for $i:ident in ($range:expr) $body:block) => {
+        $crate::$cb!($($a)* {{
+            let __romp_r = $range;
+            $crate::space::StridedRange::new(
                 __romp_r.start as i64,
                 __romp_r.end as i64,
                 ($step) as i64,
-            ),
-            $sched,
-            $nw,
-            |$i| $body,
-        )
-    }};
-    ($ctx:ident, $sched:expr, $nw:expr, {$step:expr}, for $i:ident in $lo:tt .. $hi:tt $body:block) => {
-        $crate::space::ws_space(
-            $ctx,
-            &$crate::space::StridedRange::new(($lo) as i64, ($hi) as i64, ($step) as i64),
-            $sched,
-            $nw,
-            |$i| $body,
-        )
+            )
+        }} {|$i| $body})
+    };
+    ($cb:ident!($($a:tt)*), {$step:expr}, for $i:ident in $lo:tt .. $hi:tt $body:block) => {
+        $crate::$cb!($($a)* {
+            $crate::space::StridedRange::new(($lo) as i64, ($hi) as i64, ($step) as i64)
+        } {|$i| $body})
+    };
+}
+
+/// `__omp_header!` callback of the in-region loop: run the space over
+/// the current team.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __omp_ws {
+    ($ctx:ident, $sched:expr, $nw:expr, {$space:expr} {$f:expr}) => {
+        $crate::space::ws_space($ctx, &$space, $sched, $nw, $f)
     };
 }
 
@@ -443,125 +447,47 @@ macro_rules! __omp_parallel_for {
     (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [$($fp:ident)*] [] ; reduction($op:tt : $($var:ident = $init:expr),+), $($rest:tt)*) => {
         $crate::__omp_parallel_for!(@ {$spec} {$sched} {$($step)*} [$($fp)*] [$op $(($var $init))+] ; $($rest)*)
     };
-    // --- terminal without reduction or firstprivate: straight through
-    //     the generic `ParFor` builder ---
-    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [] [] ; $($loop:tt)*) => {
-        $crate::__omp_pf_builder!({$spec} {$sched} {$($step)*}, $($loop)*)
+    // --- terminal: one region for every clause combination ---
+    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [$($fp:ident)*] [$($red:tt)*] ; $($loop:tt)*) => {
+        $crate::__omp_header!(__omp_pf_region!({$spec} {$sched} [$($fp)*] [$($red)*]), {$($step)*}, $($loop)*)
     };
-    // --- terminal with firstprivate (per-thread clones need an
-    //     explicit region prologue) ---
-    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [$($fp:ident)+] [] ; $($loop:tt)*) => {{
-        let __romp_spec = $spec;
-        $crate::runtime::fork(__romp_spec, |__romp_ctx: &$crate::runtime::ThreadCtx<'_>| {
-            $(
-                #[allow(unused_mut)]
-                let mut $fp = ::std::clone::Clone::clone(&$fp);
-            )+
-            $crate::__omp_loop_body!(__romp_ctx, $sched, true, {$($step)*}, $($loop)*);
-        });
-    }};
-    // --- terminal with reduction: returns the combined tuple ---
-    (@ {$spec:expr} {$sched:expr} {$($step:tt)*} [$($fp:ident)*] [$op:tt $(($var:ident $init:expr))+] ; $($loop:tt)*) => {{
-        let __romp_spec = $spec;
-        let __romp_out = ::std::sync::Mutex::new(::std::option::Option::None);
-        $crate::runtime::fork(__romp_spec, |__romp_ctx: &$crate::runtime::ThreadCtx<'_>| {
+}
+
+/// `__omp_header!` callback of `omp_parallel_for!`. The space (and any
+/// reduction's `init` values) are evaluated once, on the encountering
+/// thread, before the fork; inside the region each thread clones its
+/// firstprivates and runs the loop `nowait`, since the region end is the
+/// loop's barrier. A reduction starts every thread's copies at the
+/// operator identity, folds each thread's tuple once into a `RedVar`
+/// seeded with the `init` tuple, and returns what the join publishes.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __omp_pf_region {
+    ({$spec:expr} {$sched:expr} [$($fp:ident)*] [] {$space:expr} {$f:expr}) => {{
+        let __romp_space = $space;
+        $crate::runtime::fork($spec, |__romp_ctx: &$crate::runtime::ThreadCtx<'_>| {
             $(
                 #[allow(unused_mut)]
                 let mut $fp = ::std::clone::Clone::clone(&$fp);
             )*
+            $crate::space::ws_space(__romp_ctx, &__romp_space, $sched, true, $f);
+        });
+    }};
+    ({$spec:expr} {$sched:expr} [$($fp:ident)*] [$op:tt $(($var:ident $init:expr))+] {$space:expr} {$f:expr}) => {{
+        let __romp_space = $space;
+        let __romp_red =
+            $crate::runtime::reduction::RedVar::new(($($init,)+), $crate::__red_op!($op));
+        $crate::runtime::fork($spec, |__romp_ctx: &$crate::runtime::ThreadCtx<'_>| {
             $(
-                let mut $var = if __romp_ctx.is_master() {
-                    $init
-                } else {
-                    $crate::runtime::ReduceOp::identity(&$crate::__red_op!($op))
-                };
-            )+
-            $crate::__omp_loop_body!(__romp_ctx, $sched, true, {$($step)*}, $($loop)*);
-            $( $var = __romp_ctx.reduce_value($crate::__red_op!($op), $var); )+
-            if __romp_ctx.is_master() {
-                *__romp_out.lock().unwrap() = ::std::option::Option::Some(($($var),+ ,));
-            }
+                #[allow(unused_mut)]
+                let mut $fp = ::std::clone::Clone::clone(&$fp);
+            )*
+            let ($(mut $var,)+) = __romp_red.identity();
+            $crate::space::ws_space(__romp_ctx, &__romp_space, $sched, true, $f);
+            __romp_red.contribute(($($var,)+));
         });
-        __romp_out
-            .into_inner()
-            .unwrap()
-            .expect("parallel-for reduction produced a value")
+        __romp_red.into_inner()
     }};
-}
-
-/// Lower a clause-free combined `parallel for` directly onto the
-/// generic [`ParFor`](crate::builder::ParFor) builder — the same
-/// header grammar as [`__omp_loop_body`].
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __omp_pf_builder {
-    ({$spec:expr} {$sched:expr} {}, for ($i:ident, $j:ident) in ($ra:expr, $rb:expr) $body:block) => {{
-        let __romp_ra: ::std::ops::Range<usize> = $ra;
-        let __romp_rb: ::std::ops::Range<usize> = $rb;
-        $crate::builder::par_for($crate::space::collapse2(__romp_ra, __romp_rb))
-            .fork_spec($spec)
-            .schedule($sched)
-            .run(|($i, $j)| $body);
-    }};
-    ({$spec:expr} {$sched:expr} {}, for ($i:ident, $j:ident, $k:ident) in ($ra:expr, $rb:expr, $rc:expr) $body:block) => {{
-        let __romp_ra: ::std::ops::Range<usize> = $ra;
-        let __romp_rb: ::std::ops::Range<usize> = $rb;
-        let __romp_rc: ::std::ops::Range<usize> = $rc;
-        $crate::builder::par_for($crate::space::collapse3(__romp_ra, __romp_rb, __romp_rc))
-            .fork_spec($spec)
-            .schedule($sched)
-            .run(|($i, $j, $k)| $body);
-    }};
-    ({$spec:expr} {$sched:expr} {}, for $i:ident in ($range:expr).step_by($s:expr) $body:block) => {{
-        let __romp_r: ::std::ops::Range<usize> = $range;
-        let __romp_step: usize = $s;
-        $crate::builder::par_for($crate::space::StridedRange::new(
-            __romp_r.start as i64,
-            __romp_r.end as i64,
-            __romp_step as i64,
-        ))
-        .fork_spec($spec)
-        .schedule($sched)
-        .run(|__romp_i| {
-            let $i = __romp_i as usize;
-            $body
-        });
-    }};
-    ({$spec:expr} {$sched:expr} {}, for $i:ident in ($range:expr) $body:block) => {{
-        let __romp_r: ::std::ops::Range<usize> = $range;
-        $crate::builder::par_for(__romp_r)
-            .fork_spec($spec)
-            .schedule($sched)
-            .run(|$i| $body);
-    }};
-    ({$spec:expr} {$sched:expr} {}, for $i:ident in $lo:tt .. $hi:tt $body:block) => {{
-        let __romp_r: ::std::ops::Range<usize> = ($lo)..($hi);
-        $crate::builder::par_for(__romp_r)
-            .fork_spec($spec)
-            .schedule($sched)
-            .run(|$i| $body);
-    }};
-    ({$spec:expr} {$sched:expr} {$step:expr}, for $i:ident in ($range:expr) $body:block) => {{
-        let __romp_r = $range;
-        $crate::builder::par_for($crate::space::StridedRange::new(
-            __romp_r.start as i64,
-            __romp_r.end as i64,
-            ($step) as i64,
-        ))
-        .fork_spec($spec)
-        .schedule($sched)
-        .run(|$i| $body);
-    }};
-    ({$spec:expr} {$sched:expr} {$step:expr}, for $i:ident in $lo:tt .. $hi:tt $body:block) => {
-        $crate::builder::par_for($crate::space::StridedRange::new(
-            ($lo) as i64,
-            ($hi) as i64,
-            ($step) as i64,
-        ))
-        .fork_spec($spec)
-        .schedule($sched)
-        .run(|$i| $body);
-    };
 }
 
 /// Map `schedule(..)` clause tokens to a [`Schedule`](crate::Schedule)

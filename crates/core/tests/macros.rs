@@ -216,15 +216,26 @@ fn omp_for_reduction_multiple_vars() {
     omp_parallel!(num_threads(3), |ctx| {
         let mut sx = 0.0f64;
         let mut sy = 0.0f64;
+        let mut s = 0u64;
+        let mut x = 0.0f64;
         omp_for!(ctx, reduction(+ : sx, sy), for i in 0..1000 {
             sx += i as f64;
             sy += (i * 2) as f64;
         });
-        results.lock().unwrap().push((sx, sy));
+        // Mixed types in one clause: one combine over a `(u64, f64)`.
+        omp_for!(ctx, schedule(dynamic, 7), reduction(+ : s, x), for i in 0..1000 {
+            s += i as u64;
+            x += 0.25;
+        });
+        results.lock().unwrap().push((sx, sy, s, x));
     });
-    for (sx, sy) in results.into_inner().unwrap() {
+    let results = results.into_inner().unwrap();
+    assert_eq!(results.len(), 3);
+    for (sx, sy, s, x) in results {
         assert_eq!(sx, 499_500.0);
         assert_eq!(sy, 999_000.0);
+        assert_eq!(s, 499_500);
+        assert_eq!(x, 250.0);
     }
 }
 
@@ -285,6 +296,38 @@ fn parallel_for_multiple_reduction_vars() {
     let ey: f64 = v.iter().map(|x| x * x).sum();
     assert!((sx - ex).abs() < 1e-9);
     assert!((sy - ey).abs() < 1e-9);
+    // Mixed types in one clause.
+    let (s, x) = omp_parallel_for!(
+        num_threads(4), schedule(guided), reduction(+ : s = 0u64, x = 0.0f64),
+        for i in 0..(v.len()) { s += i as u64; x += v[i]; }
+    );
+    assert_eq!(s, 4999 * 5000 / 2);
+    assert!((x - ex).abs() < 1e-9);
+}
+
+#[test]
+fn parallel_for_moves_a_range_variable_header() {
+    // The header is evaluated once, before the fork, so a non-`Copy`
+    // range variable is moved in, whatever the clauses.
+    let r = 0..1000usize;
+    let (s,) = omp_parallel_for!(num_threads(3), reduction(+ : s = 0usize),
+        for i in (r) { s += i; });
+    assert_eq!(s, 499_500);
+
+    let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+    let base = 7usize;
+    let r = 10..90usize;
+    omp_parallel_for!(
+        num_threads(3),
+        firstprivate(base),
+        for i in (r) {
+            hits[i].fetch_add(base, Ordering::Relaxed);
+        }
+    );
+    for (i, h) in hits.iter().enumerate() {
+        let want = if (10..90).contains(&i) { 7 } else { 0 };
+        assert_eq!(h.load(Ordering::Relaxed), want, "index {i}");
+    }
 }
 
 #[test]

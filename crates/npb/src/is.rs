@@ -264,8 +264,9 @@ impl RankWork {
             parallel().num_threads(self.threads).run(|ctx| {
                 let (t, team) = (ctx.thread_num(), ctx.num_threads());
                 // SAFETY (both uses): histogram `t` is this thread's
-                // alone outside the two barriers of the check; the
-                // borrow is taken anew after them.
+                // alone outside the check, which runs between the
+                // barrier after the count and the reduction's barrier;
+                // the borrow is taken anew after them.
                 let my_hist = || unsafe { hists.slice_mut(t * m..(t + 1) * m) };
                 let mut ok = true;
                 let mine = my_hist();
@@ -299,9 +300,10 @@ impl RankWork {
                         start = prefix[k];
                     }
                 });
-                // reduction(&&), with its barrier: scatter only if the
-                // whole prefix checked out.
-                if !ctx.reduce(&consistent, ok) {
+                // reduction(&&), one barrier: scatter only if the whole
+                // prefix checked out.
+                if !ctx.reduce_value(LogAndOp, ok) {
+                    consistent.contribute(false);
                     return;
                 }
                 // The same static chunk as the count above, so thread

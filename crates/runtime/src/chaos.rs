@@ -443,14 +443,25 @@ mod tests {
     #[cfg(feature = "chaos")]
     mod armed {
         use crate::chaos::*;
+        use std::sync::{Mutex, MutexGuard};
+
+        /// The armed plan is process-wide, so these tests take turns:
+        /// run concurrently, one test's `arm` or guard drop replaces the
+        /// plan another is poking.
+        fn one_at_a_time() -> MutexGuard<'static, ()> {
+            static TURN: Mutex<()> = Mutex::new(());
+            TURN.lock().unwrap_or_else(|e| e.into_inner())
+        }
 
         #[test]
         fn unarmed_poke_is_silent() {
+            let _turn = one_at_a_time();
             assert_eq!(poke(Site::ChunkGrab), None);
         }
 
         #[test]
         fn probability_one_rule_fires_within_budget() {
+            let _turn = one_at_a_time();
             let guard = arm(ChaosPlan::bare(7)
                 .with_rule(Site::WorkerSpawn, Fault::SpawnFail, 1.0)
                 .with_budget(2));
@@ -465,6 +476,7 @@ mod tests {
 
         #[test]
         fn guard_drop_disarms() {
+            let _turn = one_at_a_time();
             {
                 let _g = arm(ChaosPlan::bare(8).with_rule(Site::Park, Fault::Delay, 1.0));
             }
@@ -473,6 +485,7 @@ mod tests {
 
         #[test]
         fn injected_panic_carries_chaos_payload() {
+            let _turn = one_at_a_time();
             let _g = arm(ChaosPlan::bare(9)
                 .with_rule(Site::TaskExecute, Fault::Panic, 1.0)
                 .with_budget(1));

@@ -328,7 +328,8 @@ pub struct ThreadCtx<'scope> {
     /// round-trip per thread per region.
     implicit_children: std::sync::OnceLock<Arc<AtomicUsize>>,
     steal_seed: Cell<u64>,
-    /// Per-thread reduction-construct counter (see
+    /// Per-thread count of in-region reduction constructs: picks the
+    /// team's reduction cell and tags it (see
     /// [`reduce_value`](Self::reduce_value)).
     red_gen: Cell<u64>,
     /// Per-thread cancellable-construct counter: bumped at every
@@ -1011,33 +1012,25 @@ impl<'scope> ThreadCtx<'scope> {
     // reductions
     // ------------------------------------------------------------------
 
-    /// Contribute this thread's private partial to a shared reduction
-    /// variable and return the fully combined value (after the implied
-    /// barrier), i.e. the end-of-construct semantics of `reduction`.
-    pub fn reduce<T: Clone, Op: crate::reduction::ReduceOp<T>>(
-        &self,
-        var: &crate::reduction::RedVar<T, Op>,
-        partial: T,
-    ) -> T {
-        var.contribute(partial);
-        self.barrier();
-        let v = var.get();
-        // Keep threads from racing ahead and re-contributing to a reused
-        // variable before everyone has read it.
-        self.barrier();
-        v
-    }
-
-    /// Team-wide reduction without a pre-created shared variable: every
-    /// thread passes its private partial (and the same `op`), every
-    /// thread receives the combined value. This is what the macro layer's
-    /// `reduction` clause lowers to.
+    /// Team-wide reduction inside a region: every thread passes its
+    /// private partial (and the same `op`), every thread receives the
+    /// combined value, for the price of one team barrier. This is what
+    /// `omp_for!`'s `reduction` clause lowers to, once per clause, with
+    /// the clause's variables as one tuple (see
+    /// [`ReduceOp`](crate::reduction::ReduceOp)'s tuple impl).
     ///
     /// All team threads must call this the same number of times in the
     /// same order (it is a synchronizing construct, like a barrier).
     ///
-    /// **Cancellation**: the generation-eviction protocol below is
-    /// enforced by the two barriers, which degenerate once `cancel
+    /// Construct `g` accumulates into cell `g % 2`, which construct
+    /// `g + 2` reuses. One barrier per construct suffices: a thread
+    /// reads `g`'s value right after `g`'s barrier, before it arrives at
+    /// the barrier of `g + 1`, and a thread can reach `g + 2` only by
+    /// passing that barrier, so every read of `g` is done before the
+    /// first arrival of `g + 2` evicts it.
+    ///
+    /// **Cancellation**: that argument needs every barrier to wait for
+    /// the whole team, which a barrier no longer does once `cancel
     /// parallel` is active — threads can then race across generations.
     /// A cancelled region's result is unspecified, so every cross-
     /// generation collision falls back to the thread's own `partial`
@@ -1069,8 +1062,8 @@ impl<'scope> ThreadCtx<'scope> {
             let mut c = cell.lock();
             if c.gen != gen {
                 // First arrival of this generation: evict stale state
-                // from two constructs ago (everyone has long read it —
-                // the barriers below guarantee that).
+                // from two constructs ago (everyone has read it — see
+                // the doc comment).
                 c.gen = gen;
                 c.value = None;
             }
@@ -1086,7 +1079,7 @@ impl<'scope> ThreadCtx<'scope> {
                 },
             }
         }
-        // All contributions in…
+        // All contributions in.
         self.barrier();
         let out = cell
             .lock()
@@ -1094,7 +1087,7 @@ impl<'scope> ThreadCtx<'scope> {
             .as_ref()
             .and_then(|b| b.downcast_ref::<T>())
             .cloned();
-        let out = match out {
+        match out {
             Some(v) => v,
             // Unreachable expect, by construction: `cancelled()` can
             // only return true when `watch` is true, and `fallback` is
@@ -1105,11 +1098,7 @@ impl<'scope> ThreadCtx<'scope> {
             // soak drives cancel-at-reduction schedules through here.
             None if cancelled() => fallback.expect("cancellation implies cancel-var armed"),
             None => panic!("reduce_value: combined value present after barrier"),
-        };
-        // …and all reads out before anyone can reach generation gen+2
-        // (which reuses this cell).
-        self.barrier();
-        out
+        }
     }
 }
 

@@ -873,16 +873,32 @@ mod tests {
 
     #[test]
     fn reduce_value_sequences_multiple_types() {
-        // Alternating types across reduction generations exercises the
-        // double-buffered cells.
-        fork(ForkSpec::with_num_threads(4), |ctx| {
-            let t = ctx.thread_num();
-            for round in 0..6 {
-                let s: usize = ctx.reduce_value(crate::reduction::SumOp, t + round);
-                assert_eq!(s, 4 * round + 6);
-                let m: f64 = ctx.reduce_value(crate::reduction::MaxOp, t as f64);
-                assert_eq!(m, 3.0);
-            }
-        });
+        // Alternating types across reduction generations exercise the
+        // double-buffered cells. Each construct pays one barrier, so a
+        // straggler pattern that changes every round makes threads
+        // arrive at a reused cell in every order.
+        use crate::reduction::{MaxOp, SumOp};
+        for n in [2, 4, crate::icv::hardware_threads() + 3] {
+            fork(ForkSpec::with_num_threads(n), |ctx| {
+                let t = ctx.thread_num();
+                let straggle = |round: usize| {
+                    for _ in 0..(t * 7 + round) % 5 {
+                        std::thread::yield_now();
+                    }
+                };
+                let ids = n * (n - 1) / 2;
+                for round in 0..200 {
+                    straggle(round);
+                    let s: usize = ctx.reduce_value(SumOp, t + round);
+                    assert_eq!(s, n * round + ids, "{n} threads, round {round}");
+                    straggle(round);
+                    let pair: (u64, f64) = ctx.reduce_value(SumOp, (1u64, t as f64));
+                    assert_eq!(pair, (n as u64, ids as f64), "{n} threads, round {round}");
+                    straggle(round);
+                    let m: f64 = ctx.reduce_value(MaxOp, t as f64);
+                    assert_eq!(m, (n - 1) as f64, "{n} threads, round {round}");
+                }
+            });
+        }
     }
 }

@@ -7,17 +7,24 @@
 //!
 //! * [`ReduceOp`] — the operator lattice (`+ * min max & | ^ && ||`),
 //!   with identities, implemented for the integer and float primitive
-//!   types that OpenMP's C binding supports;
+//!   types that OpenMP's C binding supports, and element by element for
+//!   tuples of them, so one contribution carries every variable of a
+//!   clause;
 //! * [`RedVar`] — a shared reduction variable: threads call
 //!   [`RedVar::contribute`] with their private partial; the combine is
 //!   serialized by an [`OmpLock`]. The per-thread partial accumulation is
 //!   unsynchronized (that is the whole point of a reduction), only the
 //!   final fold takes the lock — once per thread, not once per iteration.
 //!
-//! The macro layer (`romp-core`) desugars
-//! `reduction(+ : sum)` into exactly this pattern, which is also how the
-//! paper's Zig implementation lowers its `reduction` clause onto the
-//! LLVM runtime's atomic/critical combine path.
+//! Every `reduction` takes one of two shapes. A combined construct
+//! (`omp_parallel_for!`, `ParFor::reduce`) folds each thread's tuple of
+//! partials into a [`RedVar`] seeded with the incoming values, and the
+//! fork's join publishes it: no barrier. An in-region construct
+//! (`omp_for!`, orphaned code) makes one
+//! [`ThreadCtx::reduce_value`](crate::ThreadCtx::reduce_value) call over
+//! the tuple, which pays one team barrier. This is how the paper's Zig
+//! implementation lowers its `reduction` clause onto the LLVM runtime's
+//! combine path.
 
 use crate::lock::OmpLock;
 use std::cell::UnsafeCell;
@@ -171,13 +178,47 @@ impl ReduceOp<bool> for LogOrOp {
     }
 }
 
+/// `ReduceOp` over a tuple: identity and combine element by element, so
+/// `reduction(+ : a, b)` is one `(A, B)` contribution.
+macro_rules! impl_tuple_op {
+    ($(($($t:ident $i:tt),+))*) => {$(
+        impl<Op, $($t),+> ReduceOp<($($t,)+)> for Op
+        where
+            Op: Copy + Send + Sync $(+ ReduceOp<$t>)+,
+        {
+            #[inline]
+            fn identity(&self) -> ($($t,)+) {
+                ($(ReduceOp::<$t>::identity(self),)+)
+            }
+            #[inline]
+            fn combine(&self, a: ($($t,)+), b: ($($t,)+)) -> ($($t,)+) {
+                ($(ReduceOp::<$t>::combine(self, a.$i, b.$i),)+)
+            }
+        }
+    )*};
+}
+
+impl_tuple_op! {
+    (A 0)
+    (A 0, B 1)
+    (A 0, B 1, C 2)
+    (A 0, B 1, C 2, D 3)
+    (A 0, B 1, C 2, D 3, E 4)
+    (A 0, B 1, C 2, D 3, E 4, F 5)
+    (A 0, B 1, C 2, D 3, E 4, F 5, G 6)
+    (A 0, B 1, C 2, D 3, E 4, F 5, G 6, H 7)
+    (A 0, B 1, C 2, D 3, E 4, F 5, G 6, H 7, I 8)
+    (A 0, B 1, C 2, D 3, E 4, F 5, G 6, H 7, I 8, J 9)
+    (A 0, B 1, C 2, D 3, E 4, F 5, G 6, H 7, I 8, J 9, K 10)
+    (A 0, B 1, C 2, D 3, E 4, F 5, G 6, H 7, I 8, J 9, K 10, L 11)
+}
+
 /// A shared reduction variable.
 ///
 /// Create it with the pre-construct value of the reduction variable, have
 /// every team thread [`contribute`](RedVar::contribute) its private
-/// partial exactly once, synchronize (the construct's barrier), then read
-/// the combined value with [`RedVar::get`] or take it back with
-/// [`RedVar::into_inner`].
+/// partial exactly once, then, once the fork has joined, take the
+/// combined value back with [`RedVar::into_inner`].
 #[derive(Debug)]
 pub struct RedVar<T, Op> {
     lock: OmpLock,
@@ -214,15 +255,6 @@ impl<T: Clone, Op: ReduceOp<T>> RedVar<T, Op> {
         });
     }
 
-    /// Read the combined value. Only meaningful after all contributions
-    /// have been synchronized-with (e.g. after the construct barrier).
-    pub fn get(&self) -> T {
-        self.lock.with(|| {
-            // SAFETY: inside the lock.
-            unsafe { &*self.value.get() }.clone()
-        })
-    }
-
     /// Unwrap the final value.
     pub fn into_inner(self) -> T {
         self.value.into_inner()
@@ -257,6 +289,16 @@ mod tests {
     }
 
     #[test]
+    fn tuples_reduce_element_by_element() {
+        let id: (u64, f64, i8) = SumOp.identity();
+        assert_eq!(id, (0, 0.0, 0));
+        assert_eq!(SumOp.combine((1u64, 0.5f64), (2, 0.25)), (3, 0.75));
+        let lo: (u32, f64) = MinOp.identity();
+        assert_eq!(lo, (u32::MAX, f64::INFINITY));
+        assert_eq!(MaxOp.combine((1i32,), (-4,)), (1,));
+    }
+
+    #[test]
     fn redvar_combines_concurrent_contributions() {
         let acc = Arc::new(RedVar::new(100i64, SumOp));
         let mut handles = vec![];
@@ -275,7 +317,8 @@ mod tests {
             h.join().unwrap();
         }
         let expect: i64 = 100 + (0..8000i64).sum::<i64>();
-        assert_eq!(acc.get(), expect);
+        let acc = Arc::into_inner(acc).expect("every contributor joined");
+        assert_eq!(acc.into_inner(), expect);
     }
 
     #[test]
@@ -293,6 +336,6 @@ mod tests {
         acc.contribute(3.5);
         acc.contribute(-2.0);
         acc.contribute(10.0);
-        assert_eq!(acc.get(), -2.0);
+        assert_eq!(acc.into_inner(), -2.0);
     }
 }

@@ -301,9 +301,11 @@ pub struct Team {
     /// `copyprivate` broadcast cell for `single` constructs.
     pub(crate) copy_cell: Mutex<Option<Box<dyn Any + Send>>>,
     /// Double-buffered type-erased accumulators for in-region reductions
-    /// (`ThreadCtx::reduce_value`); indexed by reduction generation
-    /// parity, tagged with the generation so stale values are discarded
-    /// on reuse.
+    /// (`ThreadCtx::reduce_value`, one barrier each); indexed by
+    /// reduction generation parity, tagged with the generation so the
+    /// first arrival of generation `g + 2` discards `g`'s value.
+    /// Combined constructs never touch them: they fold into a
+    /// `RedVar` that the join publishes.
     pub(crate) reduce_cells: [Mutex<RedCell>; 2],
     /// Members (the master included) that have not reached the region
     /// end yet: a worker leaves the region-end drain only once this is
