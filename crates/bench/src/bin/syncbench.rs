@@ -37,8 +37,9 @@
 //! **Server mode** measures many-master fork *throughput*: M
 //! concurrent masters (default M = 1/2/4/8) each drive a tight loop of
 //! small parallel regions, and the suite reports aggregate regions/sec
-//! plus the p99 per-fork latency across all masters, cold and hot —
-//! the workload the sharded idle-worker pool exists for.
+//! plus the p99 per-fork latency across all masters, cold and hot. The
+//! cold rows take and return workers on the pool's one idle list every
+//! fork; the hot rows ring a cached team's doorbells and never touch it.
 //!
 //! Usage: `syncbench [--reps N] [--outer N] [--out PATH]
 //! [--server-m 1,2,4,8] [--server-regions N] [--server-threads T]
@@ -47,7 +48,7 @@
 use romp_bench::{render_table, Args};
 use romp_core::prelude::*;
 use romp_runtime::stats::stats;
-use romp_runtime::{critical, display_env, icv, pool, CancelKind, ProcBind, SumOp};
+use romp_runtime::{critical, display_env, icv, CancelKind, ProcBind, SumOp};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -193,10 +194,10 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 /// Run M concurrent masters, each forking `regions` small parallel
 /// regions of `threads` threads, and measure aggregate throughput and
-/// per-fork latency. Masters are freshly-spawned OS threads (so each
-/// gets its own home shard and, in hot mode, its own cached team) and
-/// start together behind a barrier; the wall clock spans the earliest
-/// start to the latest finish.
+/// per-fork latency. Masters are freshly-spawned OS threads (so in hot
+/// mode each gets its own cached team) and start together behind a
+/// barrier; the wall clock spans the earliest start to the latest
+/// finish.
 fn run_server_cell(
     masters: usize,
     threads: usize,
@@ -513,8 +514,7 @@ fn main() {
             "{}",
             render_table(
                 &format!(
-                    "syncbench server mode — {} masters x {} regions of parallel@{} \
-                     ({} pool shards)",
+                    "syncbench server mode — {} masters x {} regions of parallel@{}",
                     server_ms
                         .iter()
                         .map(|m| m.to_string())
@@ -522,21 +522,10 @@ fn main() {
                         .join("/"),
                     server_regions,
                     server_threads,
-                    pool::shard_count(),
                 ),
                 &["masters", "mode", "regions/s", "p99 fork (us)"],
                 &rows,
             )
-        );
-        let sc = pool::shard_counters();
-        let (acq, stole, cont) = sc
-            .iter()
-            .fold((0u64, 0u64, 0u64), |(a, s, c), &(sa, ss, sd)| {
-                (a + sa, s + ss, c + sd)
-            });
-        println!(
-            "pool shards: {} (acquired={acq} stolen={stole} contended={cont})",
-            sc.len()
         );
     }
 
@@ -618,7 +607,6 @@ fn main() {
         let _ = writeln!(json, "  \"server_mode\": {{");
         let _ = writeln!(json, "    \"threads_per_region\": {server_threads},");
         let _ = writeln!(json, "    \"regions_per_master\": {server_regions},");
-        let _ = writeln!(json, "    \"pool_shard_count\": {},", pool::shard_count());
         let _ = writeln!(json, "    \"results\": [");
         for (i, c) in server_cells.iter().enumerate() {
             let comma = if i + 1 == server_cells.len() { "" } else { "," };

@@ -5,16 +5,14 @@
 //! becomes thread 0 of a team whose other members are drawn from a
 //! lazily-grown, process-global pool of parked worker threads.
 //!
-//! ## The sharded pool
+//! ## The pool
 //!
-//! The idle free list is **sharded**: each forking master hashes to a
-//! home shard, acquires from it first (stealing from the other shards
-//! only when it runs dry) and releases back to it, so many concurrent
-//! masters — the "server" scenario of the syncbench server mode — fork
-//! without serializing on one global lock. The shard count is derived
-//! from the hardware. Thread-limit accounting is a lock-free atomic
-//! reservation counter with a rollback path for failed spawns. See
-//! `Pool` (private) for the design notes.
+//! Idle workers wait on **one free list** under one lock, as in libomp's
+//! thread pool. A master takes the lock only when it builds a lease and
+//! when a lease ends: a repeat fork of the same shape is a hot-team hit
+//! (below) and never touches the list. Thread-limit accounting is a
+//! lock-free atomic reservation counter with a rollback path for failed
+//! spawns. See `Pool` (private) for the design notes.
 //!
 //! ## One fork protocol: doorbell leases
 //!
@@ -52,7 +50,7 @@
 //!
 //! A lease that is not kept ends with its one region: after the join the
 //! master rings every doorbell with a release and hands the slots back
-//! to its shard synchronously. That is how forks run with
+//! to the idle list synchronously. That is how forks run with
 //! `ROMP_HOT_TEAMS=0`, forks from inside a `final` task (every implicit
 //! task of such a region is final — a property of the region, not of a
 //! reusable team), forks nested deeper than `MAX_HOT_LEVELS`, and teams
@@ -89,7 +87,7 @@ use crate::ctx::{
 use crate::icv::{self, Icvs, ProcBind, WaitPolicy};
 use crate::stats::{bump, stats};
 use crate::team::{ForkSnap, Team};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -198,134 +196,43 @@ struct WorkerSlot {
     /// serves regions from that channel until the lease releases it.
     mailbox: Mutex<Option<Arc<HotChannel>>>,
     cv: Condvar,
-    /// Index of the shard this slot is released to — the **home shard of
-    /// the master that last acquired it** (written at acquire time, read
-    /// when the lease ends, both on that master's thread). Keeping
-    /// release affinity with the acquiring master means a master that
-    /// forks repeatedly keeps finding its own workers in its own shard,
-    /// uncontended, and a hot-team resize re-acquires the just-released
-    /// slots without touching other shards. Relaxed ordering suffices:
-    /// other masters only see the slot again through the shard mutex.
-    home: AtomicUsize,
 }
 
-/// One shard of the idle-worker free list, plus its observability
-/// counters (surfaced in the stats banner — see
-/// [`crate::stats::display_stats`]).
-struct Shard {
-    idle: Mutex<Vec<Arc<WorkerSlot>>>,
-    /// Idle slots handed out from this shard to its *own* masters
-    /// (masters whose home hash lands here).
-    acquired: AtomicU64,
-    /// Idle slots stolen *from* this shard by masters homed elsewhere
-    /// (their own shard ran dry).
-    stolen: AtomicU64,
-    /// `try_lock` misses on this shard's free list — a direct measure of
-    /// how often two masters collided on the same shard.
-    contended: AtomicU64,
-}
-
-/// The process-global worker pool: N independent free-list shards plus
-/// one atomic thread-limit account.
+/// The process-global worker pool: one idle free list plus one atomic
+/// thread-limit account.
 ///
-/// The pre-sharding design — a single `Mutex<Vec<WorkerSlot>>` — made
-/// every lease build in the process serialize on one lock, which is
-/// exactly the wrong shape for the "server" scenario of many concurrent
-/// masters forking small regions. Here each master hashes to a **home
-/// shard** ([`Pool::home_index`]); acquire pops from the home shard
-/// first and sweeps the other shards only when it runs dry
-/// (work-stealing fallback, so a worker parked in any shard is always
-/// reachable and none can strand); a lease's release pushes to its
-/// slots' recorded home. Thread-limit accounting was already lock-free
-/// (`total` is an atomic reservation counter) and stays that way; a
-/// failed reservation is simply not taken, and a reservation whose
-/// spawn fails is **rolled back** (see [`Pool::acquire`]).
+/// Only lease builds and lease ends take the lock; a repeat fork of the
+/// same shape is a hot-team hit and never does, so the list stays quiet.
+/// `try_lock` misses are counted
+/// ([`crate::stats::Stats::pool_shard_contention`]) so that a workload
+/// which does collide on it shows. Thread-limit accounting is lock-free
+/// (`total` is an atomic reservation counter); a failed reservation is
+/// simply not taken, and a reservation whose spawn fails is **rolled
+/// back** (see [`Pool::acquire`]).
 struct Pool {
-    shards: Box<[Shard]>,
+    idle: Mutex<Vec<Arc<WorkerSlot>>>,
     total: AtomicUsize,
 }
 
-/// Shard count: the hardware thread count rounded up to a power of two,
-/// floored at 8 — contention comes from concurrent *masters*, which may
-/// well outnumber cores on an oversubscribed host — and capped at 64.
-/// Frozen for the process lifetime at first pool use (like
-/// [`icv::hardware_threads`]).
-fn shard_count_for_hardware() -> usize {
-    icv::hardware_threads().next_power_of_two().clamp(8, 64)
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let shards = (0..shard_count_for_hardware())
-            .map(|_| Shard {
-                idle: Mutex::new(Vec::new()),
-                acquired: AtomicU64::new(0),
-                stolen: AtomicU64::new(0),
-                contended: AtomicU64::new(0),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Pool {
-            shards,
-            total: AtomicUsize::new(0),
-        }
-    })
-}
-
-thread_local! {
-    /// Memoized home-shard index of this thread (`usize::MAX` = not yet
-    /// computed). The shard count is process-lifetime constant, so the
-    /// hash never needs re-evaluation.
-    static HOME_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-}
+static POOL: Pool = Pool {
+    idle: Mutex::new(Vec::new()),
+    total: AtomicUsize::new(0),
+};
 
 impl Pool {
-    /// This thread's home shard: a Fibonacci hash of the OS thread id,
-    /// so masters spread evenly over the shards regardless of how the
-    /// platform allocates thread ids.
-    fn home_index(&self) -> usize {
-        HOME_SHARD.with(|c| {
-            let cached = c.get();
-            if cached != usize::MAX {
-                return cached;
-            }
-            let h = crate::lock::os_thread_id().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let idx = (h >> 32) as usize % self.shards.len();
-            c.set(idx);
-            idx
+    /// Lock the idle list, counting a `try_lock` miss as contention.
+    fn lock_idle(&self) -> MutexGuard<'_, Vec<Arc<WorkerSlot>>> {
+        self.idle.try_lock().unwrap_or_else(|| {
+            bump(&stats().pool_shard_contention);
+            self.idle.lock()
         })
-    }
-
-    /// Pop up to `want - got.len()` idle slots from shard `idx`,
-    /// counting a `try_lock` miss as contention.
-    fn take_idle(&self, idx: usize, want: usize, got: &mut Vec<Arc<WorkerSlot>>) -> usize {
-        let shard = &self.shards[idx];
-        let mut idle = match shard.idle.try_lock() {
-            Some(g) => g,
-            None => {
-                shard.contended.fetch_add(1, Ordering::Relaxed);
-                bump(&stats().pool_shard_contention);
-                shard.idle.lock()
-            }
-        };
-        let before = got.len();
-        while got.len() < want {
-            match idle.pop() {
-                Some(w) => got.push(w),
-                None => break,
-            }
-        }
-        got.len() - before
     }
 
     /// Take up to `want` idle workers, spawning new ones while under the
     /// thread limit. May return fewer than requested (the spec permits
     /// delivering fewer threads than asked).
     ///
-    /// Order of supply: the caller's home shard, then a stealing sweep
-    /// over the remaining shards (so no idle worker is ever stranded
-    /// behind someone else's hash), then fresh spawns under an atomic
+    /// Order of supply: the idle list, then fresh spawns under an atomic
     /// `total` reservation. A reservation whose spawn *fails* is rolled
     /// back and the team is delivered short — spec-legal, and strictly
     /// better than taking the process down mid-request.
@@ -334,38 +241,15 @@ impl Pool {
         if want == 0 {
             return got;
         }
-        let home = self.home_index();
-        let local = self.take_idle(home, want, &mut got);
-        if local > 0 {
-            self.shards[home]
-                .acquired
-                .fetch_add(local as u64, Ordering::Relaxed);
+        {
+            let mut idle = self.lock_idle();
+            let keep = idle.len().saturating_sub(want);
+            got.extend(idle.drain(keep..).rev());
+        }
+        if !got.is_empty() {
             stats()
                 .pool_acquires_local
-                .fetch_add(local as u64, Ordering::Relaxed);
-        }
-        if got.len() < want && self.shards.len() > 1 {
-            for off in 1..self.shards.len() {
-                let victim = (home + off) % self.shards.len();
-                let stolen = self.take_idle(victim, want, &mut got);
-                if stolen > 0 {
-                    self.shards[victim]
-                        .stolen
-                        .fetch_add(stolen as u64, Ordering::Relaxed);
-                    stats()
-                        .pool_acquires_stolen
-                        .fetch_add(stolen as u64, Ordering::Relaxed);
-                }
-                if got.len() == want {
-                    break;
-                }
-            }
-        }
-        // Re-home everything we picked up (stolen slots included) to the
-        // acquiring master's shard: that is where the release will look
-        // for them next.
-        for w in &got {
-            w.home.store(home, Ordering::Relaxed);
+                .fetch_add(got.len() as u64, Ordering::Relaxed);
         }
         // The limit counts all threads; reserve one for the initial thread.
         let worker_cap = icvs.thread_limit.saturating_sub(1);
@@ -379,7 +263,7 @@ impl Pool {
             {
                 break;
             }
-            match spawn_worker(icvs.stacksize, home) {
+            match spawn_worker(icvs.stacksize) {
                 Ok(w) => got.push(w),
                 Err(_) => {
                     // Roll back the reservation the failed spawn was
@@ -438,7 +322,7 @@ fn take_injected_spawn_failure() -> bool {
 /// and produce duplicate-looking names.
 static NEXT_WORKER_ID: AtomicU64 = AtomicU64::new(0);
 
-fn spawn_worker(stacksize: Option<usize>, shard: usize) -> std::io::Result<Arc<WorkerSlot>> {
+fn spawn_worker(stacksize: Option<usize>) -> std::io::Result<Arc<WorkerSlot>> {
     if take_injected_spawn_failure()
         || matches!(
             crate::chaos::chaos_point!(crate::chaos::Site::WorkerSpawn),
@@ -450,11 +334,10 @@ fn spawn_worker(stacksize: Option<usize>, shard: usize) -> std::io::Result<Arc<W
     let slot = Arc::new(WorkerSlot {
         mailbox: Mutex::new(None),
         cv: Condvar::new(),
-        home: AtomicUsize::new(shard),
     });
     let their_slot = slot.clone();
     let id = NEXT_WORKER_ID.fetch_add(1, Ordering::Relaxed);
-    let mut builder = std::thread::Builder::new().name(format!("romp-worker-{id}.s{shard}"));
+    let mut builder = std::thread::Builder::new().name(format!("romp-worker-{id}"));
     if let Some(bytes) = stacksize {
         builder = builder.stack_size(bytes);
     }
@@ -848,14 +731,7 @@ impl Drop for HotTeam {
         if self.slots.is_empty() {
             return;
         }
-        // All bound slots were re-homed to the releasing master's shard
-        // at acquire time, so one shard lock covers the whole batch —
-        // and an immediately-following resize acquire from this same
-        // master starts its search exactly there.
-        let p = pool();
-        let idx = self.slots[0].home.load(Ordering::Relaxed) % p.shards.len();
-        let mut idle = p.shards[idx].idle.lock();
-        idle.extend(self.slots.drain(..));
+        POOL.lock_idle().append(&mut self.slots);
     }
 }
 
@@ -1060,7 +936,7 @@ fn new_lease(
     parent_final: bool,
     job: Job,
 ) -> HotTeam {
-    let workers = pool().acquire(key.n.saturating_sub(1), icvs);
+    let workers = POOL.acquire(key.n.saturating_sub(1), icvs);
     let size = workers.len() + 1;
     // Oversubscription keys on the *delivered* size: a
     // thread-limit-capped team that fits the cores must not get
@@ -1321,37 +1197,15 @@ fn rethrow(team: &Arc<Team>) {
 
 /// Number of workers currently alive in the global pool (diagnostic).
 pub fn pool_size() -> usize {
-    pool().total.load(Ordering::Acquire)
+    POOL.total.load(Ordering::Acquire)
 }
 
-/// Number of workers currently parked on idle free lists, summed across
-/// all shards (diagnostic). When no fork is in flight and no hot-team
-/// lease is held, this converges to [`pool_size`] — the "no stranded
-/// workers" invariant the many-master stress suite pins.
+/// Number of workers currently parked on the idle list (diagnostic). When
+/// no fork is in flight and no hot-team lease is held, this converges to
+/// [`pool_size`] — the "no stranded workers" invariant the many-master
+/// stress suite pins.
 pub fn idle_workers() -> usize {
-    pool().shards.iter().map(|s| s.idle.lock().len()).sum()
-}
-
-/// Number of free-list shards the pool was built with (diagnostic;
-/// resolved once per process — see `resolved_shard_count`).
-pub fn shard_count() -> usize {
-    pool().shards.len()
-}
-
-/// Per-shard `(acquired, stolen, contended)` counter snapshot, in shard
-/// order (diagnostic; rendered by [`crate::stats::display_stats`]).
-pub fn shard_counters() -> Vec<(u64, u64, u64)> {
-    pool()
-        .shards
-        .iter()
-        .map(|s| {
-            (
-                s.acquired.load(Ordering::Relaxed),
-                s.stolen.load(Ordering::Relaxed),
-                s.contended.load(Ordering::Relaxed),
-            )
-        })
-        .collect()
+    POOL.idle.lock().len()
 }
 
 #[cfg(test)]
@@ -1562,32 +1416,20 @@ mod tests {
     }
 
     #[test]
-    fn home_shard_is_stable_and_in_range() {
-        let n = shard_count();
-        assert!(n >= 1);
-        let a = pool().home_index();
-        let b = pool().home_index();
-        assert_eq!(a, b, "home shard must be memoized per thread");
-        assert!(a < n);
-    }
-
-    #[test]
-    fn released_workers_are_reacquired_from_the_home_shard() {
-        // A fresh master thread: its one-region leases release workers
-        // to its home shard, and the next acquire must find them there
-        // instead of spawning (local-acquire counter moves, spawn
-        // counter not).
+    fn released_workers_are_reacquired() {
+        // A fresh master thread: its one-region lease releases workers
+        // to the idle list, and the next acquire must find them there
+        // instead of spawning a full team.
         std::thread::spawn(|| {
             icv::tls_override_mut(|o| o.hot_teams = Some(false));
             fork(ForkSpec::with_num_threads(3), |_| {});
             let before = stats().snapshot();
             fork(ForkSpec::with_num_threads(3), |_| {});
             let d = before.delta(&stats().snapshot());
-            // Concurrent tests may steal from us, so only assert that
-            // the acquire path reused pooled workers (local or stolen)
-            // rather than spawning a full team's worth.
+            // Concurrent tests may take our released workers first, so
+            // only assert that the acquire path reused at least one.
             assert!(
-                d.pool_acquires_local + d.pool_acquires_stolen >= 1,
+                d.pool_acquires_local >= 1,
                 "second fork should reuse pooled workers: {d:?}"
             );
         })
@@ -1596,11 +1438,10 @@ mod tests {
     }
 
     #[test]
-    fn steal_sweep_reaches_workers_in_foreign_shards() {
-        // Masters on different OS threads hash to (generally) different
-        // shards. Whatever shard the releases landed in, a later
-        // acquire from any thread must be able to reach every idle
-        // worker — the no-stranding guarantee of the sweep.
+    fn workers_released_by_one_master_serve_another() {
+        // Workers released by masters on other OS threads must be
+        // reachable by a later acquire from any thread: none is
+        // stranded behind the master that released it.
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 std::thread::spawn(|| {
@@ -1612,8 +1453,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        // One big acquire from a fresh thread: it must gather workers
-        // across shards (or spawn, under the limit) and deliver.
+        // One big acquire from a fresh thread: it must gather the
+        // released workers (or spawn, under the limit) and deliver.
         std::thread::spawn(|| {
             icv::tls_override_mut(|o| o.hot_teams = Some(false));
             let hits = AtomicUsize::new(0);

@@ -41,13 +41,12 @@ pub struct Stats {
     /// test injected a failure); each one rolled back its thread-limit
     /// reservation and degraded the requesting fork to a short team.
     pub worker_spawn_failures: AtomicU64,
-    /// Idle workers a master acquired from its own home shard.
+    /// Idle workers handed out from the pool's idle list (the rest of a
+    /// lease's workers are fresh spawns).
     pub pool_acquires_local: AtomicU64,
-    /// Idle workers a master had to steal from another master's shard
-    /// (its home shard had run dry).
-    pub pool_acquires_stolen: AtomicU64,
-    /// Shard free-list `try_lock` misses — two masters collided on the
-    /// same shard at the same instant.
+    /// Idle-list `try_lock` misses — two masters acquired or released
+    /// workers at the same instant. (The name is kept for the
+    /// benchmark's trace.)
     pub pool_shard_contention: AtomicU64,
     /// Lock acquisitions that had to spin (contended).
     pub contended_locks: AtomicU64,
@@ -105,7 +104,6 @@ static STATS: Stats = Stats {
     workers_spawned: AtomicU64::new(0),
     worker_spawn_failures: AtomicU64::new(0),
     pool_acquires_local: AtomicU64::new(0),
-    pool_acquires_stolen: AtomicU64::new(0),
     pool_shard_contention: AtomicU64::new(0),
     contended_locks: AtomicU64::new(0),
     hot_team_hits: AtomicU64::new(0),
@@ -154,7 +152,10 @@ pub struct Snapshot {
     pub worker_spawn_failures: u64,
     /// See [`Stats::pool_acquires_local`].
     pub pool_acquires_local: u64,
-    /// See [`Stats::pool_acquires_stolen`].
+    /// Always 0: the pool has one idle list, so no acquire is stolen
+    /// from another. Kept only because the benchmark's trace
+    /// (`benchmark/src/trace.rs`) reads it; the benchmark re-baseline
+    /// (ROADMAP item 1) removes it.
     pub pool_acquires_stolen: u64,
     /// See [`Stats::pool_shard_contention`].
     pub pool_shard_contention: u64,
@@ -202,7 +203,7 @@ impl Stats {
             workers_spawned: self.workers_spawned.load(Ordering::Relaxed),
             worker_spawn_failures: self.worker_spawn_failures.load(Ordering::Relaxed),
             pool_acquires_local: self.pool_acquires_local.load(Ordering::Relaxed),
-            pool_acquires_stolen: self.pool_acquires_stolen.load(Ordering::Relaxed),
+            pool_acquires_stolen: 0,
             pool_shard_contention: self.pool_shard_contention.load(Ordering::Relaxed),
             contended_locks: self.contended_locks.load(Ordering::Relaxed),
             hot_team_hits: self.hot_team_hits.load(Ordering::Relaxed),
@@ -237,7 +238,7 @@ impl Snapshot {
             workers_spawned: later.workers_spawned - self.workers_spawned,
             worker_spawn_failures: later.worker_spawn_failures - self.worker_spawn_failures,
             pool_acquires_local: later.pool_acquires_local - self.pool_acquires_local,
-            pool_acquires_stolen: later.pool_acquires_stolen - self.pool_acquires_stolen,
+            pool_acquires_stolen: 0,
             pool_shard_contention: later.pool_shard_contention - self.pool_shard_contention,
             contended_locks: later.contended_locks - self.contended_locks,
             hot_team_hits: later.hot_team_hits - self.hot_team_hits,
@@ -294,7 +295,6 @@ pub fn display_stats_snapshot(s: &Snapshot) -> String {
         s.worker_spawn_failures
     );
     let _ = writeln!(out, "  pool_acquires_local = '{}'", s.pool_acquires_local);
-    let _ = writeln!(out, "  pool_acquires_stolen = '{}'", s.pool_acquires_stolen);
     let _ = writeln!(
         out,
         "  pool_shard_contention = '{}'",
@@ -306,33 +306,11 @@ pub fn display_stats_snapshot(s: &Snapshot) -> String {
     out
 }
 
-/// Render the worker pool's per-shard counters (acquired / stolen /
-/// contended, one line per shard) in the same banner style. The
-/// aggregate `pool_*` counters above say *whether* masters collided;
-/// this says *where* — a single overloaded shard reads very differently
-/// from uniform load.
-pub fn display_pool_shard_counters() -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "ROMP POOL SHARDS BEGIN");
-    let _ = writeln!(out, "  pool_shard_count = '{}'", crate::pool::shard_count());
-    for (i, (acquired, stolen, contended)) in crate::pool::shard_counters().iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  pool_shard[{i}] = 'acquired={acquired} stolen={stolen} contended={contended}'"
-        );
-    }
-    let _ = writeln!(out, "ROMP POOL SHARDS END");
-    out
-}
-
 /// [`display_stats_snapshot`] over the live global counters, followed by
-/// the live per-shard pool counters ([`display_pool_shard_counters`]) and
 /// the kernel-variant registry
 /// ([`crate::variants::display_variants_table`]).
 pub fn display_stats() -> String {
     let mut out = display_stats_snapshot(&stats().snapshot());
-    out.push_str(&display_pool_shard_counters());
     out.push_str(&crate::variants::display_variants_table());
     out
 }
@@ -380,10 +358,7 @@ mod tests {
             "workers_spawned",
             "worker_spawn_failures",
             "pool_acquires_local",
-            "pool_acquires_stolen",
             "pool_shard_contention",
-            "pool_shard_count",
-            "pool_shard[0]",
             "tune_probes",
             "tune_converged",
             "ROMP VARIANT REGISTRY BEGIN",

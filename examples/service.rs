@@ -1,16 +1,17 @@
 //! Server-shaped soak: a bounded job queue drained by many concurrent
 //! masters, each job a full NPB kernel run on the romp runtime.
 //!
-//! This is the deployment shape the sharded worker pool exists for —
-//! not one long-lived data-parallel program, but a service whose
+//! This is the deployment shape in which masters share the pool's idle
+//! list — not one long-lived data-parallel program, but a service whose
 //! request handlers each open small parallel regions: M masters pull
 //! kernel jobs (EP / CG / IS / Mandelbrot / sparse CARP-CG, class S,
 //! mixed round-robin)
 //! off a bounded queue and run them to completion, verification
 //! included, while the pool circulates the same few workers between
 //! them. The soak fails loudly if any kernel misverifies, if the pool
-//! exceeds the thread limit, or if workers are stranded (not back on an
-//! idle list) once the queue drains.
+//! exceeds the thread limit, or if workers are stranded (not back on the
+//! idle list) once the queue drains. With `ROMP_HOT_TEAMS=0` every fork
+//! takes its workers from the list and returns them to it.
 //!
 //! ```text
 //! cargo run --release --example service -- \
@@ -62,8 +63,7 @@ fn main() {
 
     println!(
         "service soak: {masters} masters, {jobs} jobs (queue depth {depth}), \
-         class S kernels @ {threads} threads, {} pool shards",
-        pool::shard_count()
+         class S kernels @ {threads} threads"
     );
 
     // Bounded queue: the producer blocks once `depth` jobs are in
@@ -136,14 +136,13 @@ fn main() {
     }
     println!(
         "\n{jobs} jobs in {wall:.2}s = {:.1} jobs/s; pool {} workers \
-         ({} idle), limit {limit}; forks: {} hot hits, {} local + {} stolen \
-         pool acquires, {} shard-lock contentions",
+         ({} idle), limit {limit}; forks: {} hot hits, {} pool acquires, \
+         {} idle-list contentions",
         jobs as f64 / wall,
         pool::pool_size(),
         pool::idle_workers(),
         d.hot_team_hits,
         d.pool_acquires_local,
-        d.pool_acquires_stolen,
         d.pool_shard_contention,
     );
     if std::env::var_os("ROMP_STATS").is_some() {

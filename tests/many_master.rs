@@ -1,23 +1,24 @@
 //! Many-master stress suite: M OS threads forking concurrently.
 //!
-//! The sharded worker pool (`romp_runtime::pool`) exists for exactly
-//! this shape of load — many concurrent masters, each forking small
-//! parallel regions — so this suite drives it from M independent OS
-//! threads doing one-region leases, hot-team forks and resize churn at the
-//! same time, and pins the invariants that are easy to break under
-//! concurrency:
+//! Many concurrent masters, each forking small parallel regions, are the
+//! load under which the worker pool's one idle list
+//! (`romp_runtime::pool`) is shared: this suite drives it from M
+//! independent OS threads doing one-region leases, hot-team forks and
+//! resize churn at the same time, and pins the invariants that are easy
+//! to break under concurrency:
 //!
 //! * **Sane geometry** — every delivered team reports one consistent
 //!   `num_threads` in `1..=requested`, and each member runs exactly
 //!   once with a distinct `thread_num`.
 //! * **Thread-limit accounting** — `pool_size()` (the atomic
 //!   reservation counter) never exceeds `thread-limit-var − 1`, even
-//!   while many masters race reservations.
+//!   while many masters race reservations, and the idle list never
+//!   counts more workers than are alive.
 //! * **No stranded workers** — once every master has exited (leases
 //!   dropped), every worker the pool ever
-//!   created is findable on some shard's idle list: `idle_workers()`
-//!   converges to `pool_size()`. A worker lost to a mis-homed release
-//!   or a consumed-but-never-honored wake would hang this forever.
+//!   created is back on the idle list: `idle_workers()` converges to
+//!   `pool_size()`. A worker lost to a dropped release or a
+//!   consumed-but-never-honored wake would hang this forever.
 //!
 //! Discipline: every fork happens on a freshly-spawned master thread,
 //! never on a test-harness thread — harness threads outlive the test,
@@ -65,7 +66,7 @@ fn checked_fork(want: usize) {
     assert_eq!(members, n, "every member must run exactly once");
 }
 
-/// Wait until every pool worker is back on an idle list. Generous
+/// Wait until every pool worker is back on the idle list. Generous
 /// deadline: concurrently-running tests in this binary may still hold
 /// workers mid-fork, but all of them terminate well within it.
 fn assert_no_stranded_workers() {
@@ -78,8 +79,7 @@ fn assert_no_stranded_workers() {
         }
         assert!(
             Instant::now() < deadline,
-            "stranded workers: {idle} idle of {total} alive (shards: {:?})",
-            pool::shard_counters()
+            "stranded workers: {idle} idle of {total} alive"
         );
         std::thread::yield_now();
         std::thread::sleep(Duration::from_millis(5));
@@ -144,13 +144,20 @@ fn many_masters_lease_storm_respects_thread_limit() {
     let stop = Arc::new(AtomicBool::new(false));
     // A sampler races the storm, asserting the reservation counter
     // never exceeds the worker cap even transiently (a rollback bug or
-    // a double-count would show up here).
+    // a double-count would show up here), and that the idle list, read
+    // first, never holds more workers than are alive.
     let sampler = {
         let stop = stop.clone();
         std::thread::spawn(move || {
             let mut max_seen = 0;
             while !stop.load(Ordering::Acquire) {
-                max_seen = max_seen.max(pool::pool_size());
+                let idle = pool::idle_workers();
+                let alive = pool::pool_size();
+                assert!(
+                    idle <= alive,
+                    "idle list holds {idle} workers but only {alive} are alive"
+                );
+                max_seen = max_seen.max(alive);
                 std::thread::yield_now();
             }
             max_seen
@@ -183,10 +190,10 @@ fn many_masters_lease_storm_respects_thread_limit() {
     );
     let d = before.delta(&stats().snapshot());
     // 320 one-region leases must overwhelmingly reuse pooled workers, not
-    // spawn fresh ones; local + stolen acquires prove the sharded free
-    // lists circulated them.
+    // spawn fresh ones; acquires from the idle list prove it circulated
+    // them.
     assert!(
-        d.pool_acquires_local + d.pool_acquires_stolen >= (MASTERS * ROUNDS) as u64 / 4,
+        d.pool_acquires_local >= (MASTERS * ROUNDS) as u64 / 4,
         "lease storm barely reused the pool: {d:?}"
     );
     icv::with_global_mut(|i| i.hot_teams = prev);
@@ -211,8 +218,7 @@ fn many_masters_hot_teams_stay_independent() {
                     gate.wait();
                     // Same shape every round: after the first build,
                     // every fork from this master must hit its own
-                    // cached team — per-master caches never interfere,
-                    // whichever shard their workers came from.
+                    // cached team — per-master caches never interfere.
                     for _ in 0..ROUNDS {
                         checked_fork(2);
                     }
