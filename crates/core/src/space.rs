@@ -11,7 +11,9 @@
 //! ([`ThreadCtx::ws_for_normalized`]); every front end — the builder's
 //! generic [`ParFor`](crate::builder::ParFor), the directive macros,
 //! and the `//#omp` translator — lowers through the helpers here, so
-//! trip accounting and decoding exist exactly once.
+//! trip accounting and decoding exist exactly once: the runtime has no
+//! strided entry of its own, and its one chunk-claim loop serves every
+//! schedule, `ordered` and `sections` alike.
 //!
 //! Decoding is chunk-granular by design: the scheduler hands a thread a
 //! contiguous normalized chunk `[lo, hi)`, and
@@ -202,9 +204,12 @@ impl IterSpace for StridedRange {
         self.trip
     }
 
+    /// Wrapping arithmetic: a point of the space is an `i64`, but
+    /// `k * step` alone can leave the `i64` range when the span exceeds
+    /// `i64::MAX` (the sum wraps back to the exact point).
     #[inline]
     fn decode(&self, k: u64) -> i64 {
-        self.start + (k as i64) * self.step
+        self.start.wrapping_add((k as i64).wrapping_mul(self.step))
     }
 
     #[inline]
@@ -513,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn strided_spaces_match_ws_for_step_semantics() {
+    fn strided_spaces_walk_canonical_progressions() {
         let up = StridedRange::new(0, 10, 3);
         assert_eq!(enumerate(&up), vec![0, 3, 6, 9]);
         let down = StridedRange::new(10, 0, -3);
@@ -523,6 +528,25 @@ mod tests {
         assert_eq!(StridedRange::new(5, 5, 1).trip(), 0);
         assert_eq!(StridedRange::new(5, 2, 1).trip(), 0);
         assert_eq!(StridedRange::new(2, 5, -1).trip(), 0);
+    }
+
+    #[test]
+    fn strided_space_spanning_more_than_i64_max() {
+        // The span is 2^64 - 2: trip and decode must stay in `u64` /
+        // wrapping arithmetic where `end - start` would overflow.
+        let s = StridedRange::new(i64::MIN + 1, i64::MAX, 1 << 62);
+        assert_eq!(s.trip(), 4);
+        let want = vec![i64::MIN + 1, i64::MIN + 1 + (1 << 62), 1, 1 + (1 << 62)];
+        assert_eq!(enumerate(&s), want);
+        for (k, &w) in want.iter().enumerate() {
+            assert_eq!(s.decode(k as u64), w);
+            assert_eq!(s.chunk(k as u64, 4).collect::<Vec<_>>(), want[k..]);
+        }
+        let down = StridedRange::new(i64::MAX, i64::MIN, -(1 << 62));
+        assert_eq!(
+            enumerate(&down),
+            vec![i64::MAX, i64::MAX - (1 << 62), -1, -1 - (1 << 62)]
+        );
     }
 
     #[test]

@@ -13,11 +13,12 @@
 
 use crate::barrier::BarrierLocal;
 use crate::lock::os_thread_id;
+use crate::sched::Schedule;
 use crate::task::{
     current_children, current_groups, in_final, innermost_group, make_raw_task, FinalGuard,
     TaskDeps, TaskGroup, TaskHooks, GROUP_STACK,
 };
-use crate::team::Team;
+use crate::team::{Team, WsSlot};
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -434,11 +435,20 @@ impl<'scope> ThreadCtx<'scope> {
             .get_or_init(|| Arc::new(AtomicUsize::new(0)))
     }
 
-    /// Next worksharing-construct generation for this thread.
-    pub(crate) fn next_gen(&self) -> u64 {
-        let g = self.ws_gen.get();
-        self.ws_gen.set(g + 1);
-        g
+    /// Join the slot of this thread's next worksharing construct,
+    /// installing its shared state with `init` if this thread wins the
+    /// installation race. `None` means the region was cancelled and the
+    /// construct is skipped; a team abort unwinds.
+    pub(crate) fn enter_slot(&self, init: impl FnOnce(&WsSlot)) -> Option<&WsSlot> {
+        let gen = self.ws_gen.get();
+        self.ws_gen.set(gen + 1);
+        let team = &*self.team;
+        let slot = team.slot(gen);
+        if slot.enter(gen, team.size, &team.abort, &team.cancel_parallel, init) {
+            return Some(slot);
+        }
+        self.panic_if_aborted();
+        None
     }
 
     fn panic_if_aborted(&self) {
@@ -649,24 +659,8 @@ impl<'scope> ThreadCtx<'scope> {
     /// and race for the claim. `None` means the region was cancelled
     /// and the construct is skipped; otherwise the caller got
     /// `(slot, winner)` and must `slot.leave()` when done.
-    fn single_enter(&self) -> Option<(&crate::team::WsSlot, bool)> {
-        let gen = self.next_gen();
-        let slot = self.team.slot(gen);
-        let ok = slot.enter(
-            gen,
-            self.team.size(),
-            &self.team.abort,
-            &self.team.cancel_parallel,
-            |s| {
-                s.claimed.store(false, Ordering::Relaxed);
-            },
-        );
-        if !ok {
-            if self.team.abort.load(Ordering::Relaxed) {
-                std::panic::panic_any(SiblingPanic);
-            }
-            return None;
-        }
+    fn single_enter(&self) -> Option<(&WsSlot, bool)> {
+        let slot = self.enter_slot(|s| s.claimed.store(false, Ordering::Relaxed))?;
         let winner = slot
             .claimed
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
@@ -808,46 +802,14 @@ impl<'scope> ThreadCtx<'scope> {
     /// `sections` construct: `count` independent blocks distributed over
     /// the team, each executed exactly once. `body(i)` is invoked for the
     /// section indices this thread claims. Implies a barrier unless
-    /// `nowait`.
+    /// `nowait`. As in libgomp, this is a `dynamic,1` loop over the
+    /// section indices (so `cancel sections` stops it between sections).
     pub fn sections(&self, count: usize, nowait: bool, mut body: impl FnMut(usize)) {
-        let cgen = self.enter_cancellable_ws();
-        let gen = self.next_gen();
-        let slot = self.team.slot(gen);
-        let ok = slot.enter(
-            gen,
-            self.team.size(),
-            &self.team.abort,
-            &self.team.cancel_parallel,
-            |s| {
-                s.next.store(0, Ordering::Relaxed);
-                s.end.store(count as u64, Ordering::Relaxed);
-            },
-        );
-        if !ok {
-            self.exit_cancellable_ws();
-            if self.team.abort.load(Ordering::Relaxed) {
-                std::panic::panic_any(SiblingPanic);
+        self.ws_for_normalized(count as u64, Schedule::dynamic(), nowait, |lo, hi| {
+            for i in lo..hi {
+                body(i as usize);
             }
-            return; // cancelled region: skip the construct
-        }
-        let watch = self.team.cancellable();
-        loop {
-            // `cancel sections` (or `cancel parallel`): stop claiming.
-            if watch && self.ws_cancelled(cgen) {
-                break;
-            }
-            let i = slot.next.fetch_add(1, Ordering::AcqRel);
-            if i >= count as u64 {
-                break;
-            }
-            crate::stats::bump(&crate::stats::stats().dispatched_chunks);
-            body(i as usize);
-        }
-        slot.leave();
-        self.exit_cancellable_ws();
-        if !nowait {
-            self.barrier();
-        }
+        });
     }
 
     // ------------------------------------------------------------------

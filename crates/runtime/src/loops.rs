@@ -6,40 +6,33 @@
 //! computed thread-locally ([`StaticChunks`]), dynamic/guided schedules
 //! go through the team's shared dispatch slot.
 //!
-//! All loops are internally normalized to `0..trip`; the public entry
-//! points map normalized indices back to the user's iteration space
-//! (including strided `i64` loops, which the pragma translator emits for
-//! `for i in (a..b).step_by(s)`-shaped sources).
+//! All loops are internally normalized to `0..trip` and claim their
+//! chunks through one loop, `ThreadCtx::claim_chunks`: the `ordered`
+//! loop and `sections` (a `dynamic,1` loop over the section indices,
+//! as in libgomp) go through it too. Strided, signed and
+//! collapsed spaces — including the `step_by`/`step(..)` headers the
+//! macros and the `//#omp` translator accept — are lowered by
+//! `romp-core`'s `IterSpace` (`StridedRange` for strides) onto the
+//! same normalized driver.
 
 use crate::ctx::{SiblingPanic, ThreadCtx};
 use crate::sched::{guided_grab, Schedule, StaticChunks};
-use crate::team::{KIND_DYNAMIC, KIND_GUIDED};
+use crate::team::{Team, WsSlot};
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Handle passed to the body of an `ordered` loop; see
 /// [`ThreadCtx::ws_for_ordered`].
 pub struct Ordered<'a> {
-    slot: &'a crate::team::WsSlot,
+    team: &'a Team,
+    slot: &'a WsSlot,
+    /// This construct's cancellable generation: a `cancel for` makes
+    /// siblings skip whole chunks whose turns then never advance, so
+    /// turn waiters watch the team's construct-scoped flag for it.
+    cgen: u64,
     current: Cell<u64>,
     ran: Cell<bool>,
-    abort: &'a std::sync::atomic::AtomicBool,
-    /// The team's `cancel parallel` flag: a cancelled region abandons
-    /// the ordered turn protocol (waiters must not block on turns that
-    /// will never be taken).
-    cancel: &'a std::sync::atomic::AtomicBool,
-    /// The team's construct-scoped `cancel for` cell plus this
-    /// construct's cancellable generation: a `cancel for` makes static
-    /// siblings skip whole chunks — turns of those chunks never
-    /// advance, so waiters must watch this flag too.
-    cancel_ws: &'a std::sync::atomic::AtomicU64,
-    cgen: u64,
-    /// `cancel-var` fork-time snapshot: when false, `cancel` can never
-    /// be raised in this region, so the section-body lock (only needed
-    /// against out-of-turn cancel-released waiters) is skipped and the
-    /// disarmed ordered path is byte-for-byte the pre-cancellation one.
-    cancellable: bool,
 }
 
 impl Ordered<'_> {
@@ -47,29 +40,19 @@ impl Ordered<'_> {
     /// their ordered regions in iteration order. Call at most once per
     /// iteration.
     ///
-    /// Under region cancellation a waiter can be released before its
-    /// turn (earlier iterations may have been skipped and will never
+    /// Under cancellation a waiter can be released before its turn
+    /// (earlier iterations may have been skipped and will never
     /// release it). Ordering is then moot — the region's result is
     /// unspecified — but **mutual exclusion is not negotiable**: user
-    /// code relies on it for unsynchronized shared writes, so an
-    /// out-of-turn section still serializes against in-turn ones
-    /// through the slot's `claimed` spinlock (uncontended one-CAS cost
-    /// on the normal path, where turn order already excludes).
+    /// code relies on it for unsynchronized shared writes, so every
+    /// section body runs under the slot's `claimed` spinlock (one
+    /// uncontended CAS when turn order already excludes).
     pub fn section<R>(&self, f: impl FnOnce() -> R) -> R {
         assert!(
             !self.ran.get(),
             "ordered region executed twice in one iteration"
         );
         self.ran.set(true);
-        if !self.cancellable {
-            // Disarmed: turn order alone is the exclusion, as before.
-            self.wait_turn();
-            let out = f();
-            self.slot
-                .ordered_next
-                .store(self.current.get() + 1, Ordering::Release);
-            return out;
-        }
         let in_turn = self.wait_turn();
         self.lock_section();
         let out = f();
@@ -84,17 +67,17 @@ impl Ordered<'_> {
 
     /// Wait for this iteration's turn. Returns `true` when the turn was
     /// actually acquired; `false` when the wait was released early by
-    /// region cancellation (the caller must then neither assume
-    /// exclusivity nor advance the turn counter).
+    /// cancellation (the caller must then neither assume exclusivity
+    /// nor advance the turn counter).
     fn wait_turn(&self) -> bool {
         let me = self.current.get();
         let mut spins = 0u32;
         while self.slot.ordered_next.load(Ordering::Acquire) != me {
-            if self.abort.load(Ordering::Relaxed) {
+            if self.team.abort.load(Ordering::Relaxed) {
                 std::panic::panic_any(SiblingPanic);
             }
-            if self.cancel.load(Ordering::Relaxed)
-                || self.cancel_ws.load(Ordering::Relaxed) == self.cgen + 1
+            if self.team.cancel_parallel.load(Ordering::Relaxed)
+                || self.team.cancel_ws.load(Ordering::Relaxed) == self.cgen + 1
             {
                 // Cancelled region or construct: earlier iterations may
                 // have been skipped and will never take their turn —
@@ -121,7 +104,7 @@ impl Ordered<'_> {
             .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_err()
         {
-            if self.abort.load(Ordering::Relaxed) {
+            if self.team.abort.load(Ordering::Relaxed) {
                 std::panic::panic_any(SiblingPanic);
             }
             spins += 1;
@@ -143,6 +126,61 @@ impl Ordered<'_> {
                 .store(self.current.get() + 1, Ordering::Release);
         }
         self.ran.set(false);
+    }
+}
+
+/// A schedule resolved once for one loop (see
+/// [`ThreadCtx::resolve_schedule`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dispatch {
+    /// Thread-local plan ([`StaticChunks`]): `None` = one block per
+    /// thread, `Some(c)` = round-robin chunks of `c`.
+    Static(Option<u64>),
+    /// Claimed from the construct slot's shared cursor: `dynamic`
+    /// grabs of `chunk`, or `guided` grabs of at least `chunk`.
+    Shared { chunk: u64, guided: bool },
+}
+
+/// One thread's view of a `dynamic` or `guided` loop: chunks of
+/// `0..trip` claimed from the construct slot's shared cursor.
+struct SharedChunks<'a> {
+    next: &'a AtomicU64,
+    trip: u64,
+    chunk: u64,
+    guided: bool,
+    size: usize,
+}
+
+impl Iterator for SharedChunks<'_> {
+    type Item = Range<u64>;
+
+    /// Claim the next chunk; `None` once the space is exhausted.
+    fn next(&mut self) -> Option<Range<u64>> {
+        let (next, trip, chunk) = (self.next, self.trip, self.chunk);
+        let claimed = if self.guided {
+            // CAS loop: shrinking grabs proportional to the remaining
+            // work.
+            let mut cur = next.load(Ordering::Acquire);
+            loop {
+                if cur >= trip {
+                    return None;
+                }
+                let g = guided_grab(trip - cur, self.size, chunk);
+                match next.compare_exchange_weak(cur, cur + g, Ordering::AcqRel, Ordering::Acquire)
+                {
+                    Ok(_) => break cur..cur + g,
+                    Err(seen) => cur = seen,
+                }
+            }
+        } else {
+            let cur = next.fetch_add(chunk, Ordering::AcqRel);
+            if cur >= trip {
+                return None;
+            }
+            cur..cur.saturating_add(chunk).min(trip)
+        };
+        crate::stats::bump(&crate::stats::stats().dispatched_chunks);
+        Some(claimed)
     }
 }
 
@@ -183,37 +221,6 @@ impl<'scope> ThreadCtx<'scope> {
         });
     }
 
-    /// Strided worksharing loop: iterates `start, start+step, …` while
-    /// `< end` (positive step) or `> end` (negative step), matching the
-    /// canonical OpenMP loop forms.
-    pub fn ws_for_step(
-        &self,
-        start: i64,
-        end: i64,
-        step: i64,
-        sched: Schedule,
-        nowait: bool,
-        mut body: impl FnMut(i64),
-    ) {
-        assert!(step != 0, "worksharing loop step must be nonzero");
-        let trip: u64 = if step > 0 {
-            if end > start {
-                ((end - start) as u64).div_ceil(step as u64)
-            } else {
-                0
-            }
-        } else if start > end {
-            ((start - end) as u64).div_ceil(step.unsigned_abs())
-        } else {
-            0
-        };
-        self.ws_for_normalized(trip, sched, nowait, move |lo, hi| {
-            for k in lo..hi {
-                body(start + (k as i64) * step);
-            }
-        });
-    }
-
     /// Normalized worksharing driver: distribute the dense `u64` space
     /// `0..trip` according to `sched`, invoking `chunk_body(lo, hi)` for
     /// each chunk this thread claims. Implies an end barrier unless
@@ -221,7 +228,7 @@ impl<'scope> ThreadCtx<'scope> {
     ///
     /// This is the single entry every loop shape funnels through:
     /// [`ws_for`](Self::ws_for), [`ws_for_chunks`](Self::ws_for_chunks)
-    /// and [`ws_for_step`](Self::ws_for_step) normalize their iteration
+    /// and [`sections`](Self::sections) normalize their iteration
     /// spaces to a trip count and map chunks back; `romp-core`'s
     /// `IterSpace` lowering does the same for strided/signed/collapsed
     /// spaces. All trip accounting is `u64`, so collapsed spaces larger
@@ -236,103 +243,130 @@ impl<'scope> ThreadCtx<'scope> {
         trip: u64,
         sched: Schedule,
         nowait: bool,
-        mut chunk_body: impl FnMut(u64, u64),
+        chunk_body: impl FnMut(u64, u64),
     ) {
-        let sched = self.resolve_schedule(sched);
         let cgen = self.enter_cancellable_ws();
-        let watch = self.team().cancellable();
-        match sched {
-            Schedule::Static { chunk } => {
-                for r in StaticChunks::new(trip, self.num_threads(), self.thread_num(), chunk) {
-                    self.chaos_chunk_grab();
-                    if watch && self.ws_cancelled(cgen) {
-                        break;
-                    }
-                    chunk_body(r.start, r.end);
-                }
+        match self.resolve_schedule(sched, trip) {
+            Dispatch::Static(chunk) => {
+                self.claim_chunks(self.static_chunks(trip, chunk), cgen, chunk_body);
             }
-            Schedule::Dynamic { chunk } | Schedule::Guided { chunk } => {
-                let guided = matches!(sched, Schedule::Guided { .. });
-                let chunk = chunk.max(1);
-                let gen = self.next_gen();
-                let team = self.team().clone();
-                let slot = team.slot(gen);
-                let size = self.num_threads();
-                let ok = slot.enter(gen, size, &team.abort, &team.cancel_parallel, |s| {
-                    s.next.store(0, Ordering::Relaxed);
-                    s.end.store(trip, Ordering::Relaxed);
-                    s.chunk.store(chunk, Ordering::Relaxed);
-                    s.kind.store(
-                        if guided { KIND_GUIDED } else { KIND_DYNAMIC },
-                        Ordering::Relaxed,
-                    );
-                });
-                if !ok {
-                    if team.abort.load(Ordering::Relaxed) {
-                        std::panic::panic_any(SiblingPanic);
-                    }
+            Dispatch::Shared { chunk, guided } => {
+                let Some(slot) = self.enter_slot(|s| s.next.store(0, Ordering::Relaxed)) else {
                     // Cancelled region: skip the whole construct.
                     self.exit_cancellable_ws();
                     return;
-                }
-                loop {
-                    self.chaos_chunk_grab();
-                    if watch && self.ws_cancelled(cgen) {
-                        break;
-                    }
-                    let grabbed = if guided {
-                        // CAS loop: shrinking grabs proportional to the
-                        // remaining work.
-                        loop {
-                            let cur = slot.next.load(Ordering::Acquire);
-                            if cur >= trip {
-                                break None;
-                            }
-                            let g = guided_grab(trip - cur, size, chunk);
-                            match slot.next.compare_exchange_weak(
-                                cur,
-                                cur + g,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            ) {
-                                Ok(_) => break Some((cur, cur + g)),
-                                Err(_) => continue,
-                            }
-                        }
-                    } else {
-                        let cur = slot.next.fetch_add(chunk, Ordering::AcqRel);
-                        if cur >= trip {
-                            None
-                        } else {
-                            Some((cur, (cur + chunk).min(trip)))
-                        }
-                    };
-                    match grabbed {
-                        Some((lo, hi)) => {
-                            crate::stats::bump(&crate::stats::stats().dispatched_chunks);
-                            chunk_body(lo, hi);
-                        }
-                        None => break,
-                    }
-                }
+                };
+                self.claim_chunks(
+                    self.shared_chunks(slot, trip, chunk, guided),
+                    cgen,
+                    chunk_body,
+                );
                 slot.leave();
-            }
-            Schedule::Runtime | Schedule::Auto => {
-                // `resolve_schedule` only returns concrete kinds. If
-                // that invariant ever breaks, run the resolved default
-                // (block static) rather than aborting a release build.
-                debug_assert!(false, "unresolved schedule {sched} reached dispatch");
-                for r in StaticChunks::new(trip, self.num_threads(), self.thread_num(), None) {
-                    if watch && self.ws_cancelled(cgen) {
-                        break;
-                    }
-                    chunk_body(r.start, r.end);
-                }
             }
         }
         self.exit_cancellable_ws();
         if !nowait {
             self.barrier();
+        }
+    }
+
+    /// Worksharing loop with an `ordered` clause: `body(i, ord)` may call
+    /// `ord.section(..)` once to run code in strict iteration order.
+    pub fn ws_for_ordered(
+        &self,
+        range: Range<usize>,
+        sched: Schedule,
+        nowait: bool,
+        mut body: impl FnMut(usize, &Ordered<'_>),
+    ) {
+        let base = range.start;
+        let trip = range.end.saturating_sub(range.start) as u64;
+        let cgen = self.enter_cancellable_ws();
+        // Ordered loops always take a slot: the turnstile lives there
+        // even for static schedules. `claimed` is the section-body lock
+        // (see `Ordered::section`); a previous `single` in this slot
+        // may have left it set.
+        let Some(slot) = self.enter_slot(|s| {
+            s.next.store(0, Ordering::Relaxed);
+            s.ordered_next.store(0, Ordering::Relaxed);
+            s.claimed.store(false, Ordering::Relaxed);
+        }) else {
+            self.exit_cancellable_ws();
+            return; // cancelled region
+        };
+        let ord = Ordered {
+            team: self.team(),
+            slot,
+            cgen,
+            current: Cell::new(0),
+            ran: Cell::new(false),
+        };
+        let run = |lo: u64, hi: u64| {
+            for i in lo..hi {
+                ord.current.set(i);
+                ord.ran.set(false);
+                body(base + i as usize, &ord);
+                ord.finish_iteration();
+            }
+        };
+        match self.resolve_schedule(sched, trip) {
+            Dispatch::Static(chunk) => {
+                self.claim_chunks(self.static_chunks(trip, chunk), cgen, run)
+            }
+            Dispatch::Shared { chunk, guided } => {
+                self.claim_chunks(self.shared_chunks(slot, trip, chunk, guided), cgen, run)
+            }
+        }
+        slot.leave();
+        self.exit_cancellable_ws();
+        if !nowait {
+            self.barrier();
+        }
+    }
+
+    /// The one chunk-claim loop: run `run(lo, hi)` on every chunk this
+    /// thread claims from `chunks` (its static plan, or a slot's
+    /// [`SharedChunks`]) until the space is exhausted or the construct
+    /// (or the region) is cancelled.
+    #[inline]
+    fn claim_chunks(
+        &self,
+        mut chunks: impl Iterator<Item = Range<u64>>,
+        cgen: u64,
+        mut run: impl FnMut(u64, u64),
+    ) {
+        let watch = self.team().cancellable();
+        loop {
+            self.chaos_chunk_grab();
+            if watch && self.ws_cancelled(cgen) {
+                break;
+            }
+            match chunks.next() {
+                Some(r) => run(r.start, r.end),
+                None => break,
+            }
+        }
+    }
+
+    /// This thread's static plan for `0..trip`.
+    fn static_chunks(&self, trip: u64, chunk: Option<u64>) -> StaticChunks {
+        StaticChunks::new(trip, self.num_threads(), self.thread_num(), chunk)
+    }
+
+    /// Chunks of `0..trip` claimed from `slot`'s shared cursor.
+    fn shared_chunks<'a>(
+        &self,
+        slot: &'a WsSlot,
+        trip: u64,
+        chunk: u64,
+        guided: bool,
+    ) -> SharedChunks<'a> {
+        SharedChunks {
+            next: &slot.next,
+            trip,
+            chunk,
+            guided,
+            size: self.num_threads(),
         }
     }
 
@@ -352,139 +386,29 @@ impl<'scope> ThreadCtx<'scope> {
         }
     }
 
-    /// Worksharing loop with an `ordered` clause: `body(i, ord)` may call
-    /// `ord.section(..)` once to run code in strict iteration order.
-    pub fn ws_for_ordered(
-        &self,
-        range: Range<usize>,
-        sched: Schedule,
-        nowait: bool,
-        mut body: impl FnMut(usize, &Ordered<'_>),
-    ) {
-        let sched = self.resolve_schedule(sched);
-        let base = range.start;
-        let trip = range.end.saturating_sub(range.start) as u64;
-        // Ordered loops always take a slot: the ordered turnstile lives
-        // there even for static schedules.
-        let gen = self.next_gen();
-        let team = self.team().clone();
-        let slot = team.slot(gen);
-        let size = self.num_threads();
-        let (guided, chunk, uses_dispatch) = match sched {
-            Schedule::Dynamic { chunk } => (false, chunk.max(1), true),
-            Schedule::Guided { chunk } => (true, chunk.max(1), true),
-            Schedule::Static { .. } => (false, 1, false),
-            Schedule::Runtime | Schedule::Auto => {
-                // `resolve_schedule` only returns concrete kinds; fall
-                // back to the resolved default (block static) if the
-                // invariant ever breaks.
-                debug_assert!(false, "unresolved schedule {sched} reached dispatch");
-                (false, 1, false)
-            }
-        };
-        let cgen = self.enter_cancellable_ws();
-        let watch = team.cancellable();
-        let ok = slot.enter(gen, size, &team.abort, &team.cancel_parallel, |s| {
-            s.next.store(0, Ordering::Relaxed);
-            s.end.store(trip, Ordering::Relaxed);
-            s.ordered_next.store(0, Ordering::Relaxed);
-            // `claimed` doubles as the section-body lock (see
-            // `Ordered::section`); a previous `single` in this slot may
-            // have left it set.
-            s.claimed.store(false, Ordering::Relaxed);
-        });
-        if !ok {
-            self.exit_cancellable_ws();
-            if team.abort.load(Ordering::Relaxed) {
-                std::panic::panic_any(SiblingPanic);
-            }
-            return; // cancelled region
-        }
-        let ord = Ordered {
-            slot,
-            current: Cell::new(0),
-            ran: Cell::new(false),
-            abort: &team.abort,
-            cancel: &team.cancel_parallel,
-            cancel_ws: &team.cancel_ws,
-            cgen,
-            cancellable: watch,
-        };
-        let mut run_chunk = |lo: u64, hi: u64| {
-            for i in lo..hi {
-                ord.current.set(i);
-                ord.ran.set(false);
-                body(base + i as usize, &ord);
-                ord.finish_iteration();
-            }
-        };
-        if uses_dispatch {
-            loop {
-                if watch && self.ws_cancelled(cgen) {
-                    break;
-                }
-                let grabbed = if guided {
-                    loop {
-                        let cur = slot.next.load(Ordering::Acquire);
-                        if cur >= trip {
-                            break None;
-                        }
-                        let g = guided_grab(trip - cur, size, chunk);
-                        match slot.next.compare_exchange_weak(
-                            cur,
-                            cur + g,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        ) {
-                            Ok(_) => break Some((cur, cur + g)),
-                            Err(_) => continue,
-                        }
-                    }
-                } else {
-                    let cur = slot.next.fetch_add(chunk, Ordering::AcqRel);
-                    if cur >= trip {
-                        None
-                    } else {
-                        Some((cur, (cur + chunk).min(trip)))
-                    }
-                };
-                match grabbed {
-                    Some((lo, hi)) => run_chunk(lo, hi),
-                    None => break,
-                }
-            }
-        } else {
-            let static_chunk = match sched {
-                Schedule::Static { chunk } => chunk,
-                _ => None, // the debug-assert fallback above: block static
-            };
-            for r in StaticChunks::new(trip, size, self.thread_num(), static_chunk) {
-                if watch && self.ws_cancelled(cgen) {
-                    break;
-                }
-                run_chunk(r.start, r.end);
-            }
-        }
-        slot.leave();
-        self.exit_cancellable_ws();
-        if !nowait {
-            self.barrier();
-        }
-    }
-
-    /// Resolve `runtime` (against the team's `run-sched-var` snapshot,
-    /// so every team thread agrees) and `auto` (to `static`).
-    pub fn resolve_schedule(&self, sched: Schedule) -> Schedule {
-        match sched {
-            Schedule::Runtime => {
-                let s = self.team().run_sched();
-                match s {
-                    Schedule::Runtime | Schedule::Auto => Schedule::default(),
-                    other => other,
-                }
-            }
-            Schedule::Auto => Schedule::default(),
+    /// Resolve `sched` once for a loop of `trip` iterations: `runtime`
+    /// reads the team's `run-sched-var` snapshot (so every team thread
+    /// agrees), `auto` — as a clause or as that snapshot — is block
+    /// static, and every chunk is clamped to `1..=max(trip, 1)`. A
+    /// chunk past the trip count names the same partition as one equal
+    /// to it; the clamp keeps the chunk arithmetic far from `u64::MAX`.
+    fn resolve_schedule(&self, sched: Schedule, trip: u64) -> Dispatch {
+        let sched = match sched {
+            Schedule::Runtime => self.team().run_sched(),
             other => other,
+        };
+        let clamp = |chunk: u64| chunk.clamp(1, trip.max(1));
+        match sched {
+            Schedule::Static { chunk } => Dispatch::Static(chunk.map(clamp)),
+            Schedule::Dynamic { chunk } => Dispatch::Shared {
+                chunk: clamp(chunk),
+                guided: false,
+            },
+            Schedule::Guided { chunk } => Dispatch::Shared {
+                chunk: clamp(chunk),
+                guided: true,
+            },
+            Schedule::Runtime | Schedule::Auto => Dispatch::Static(None),
         }
     }
 }
@@ -552,44 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn negative_step_loop() {
-        let seen = Mutex::new(Vec::new());
-        fork(ForkSpec::with_num_threads(2), |ctx| {
-            ctx.ws_for_step(10, 0, -3, Schedule::dynamic(), false, |i| {
-                seen.lock().push(i);
-            });
-        });
-        let mut v = seen.into_inner();
-        v.sort_unstable();
-        assert_eq!(v, vec![1, 4, 7, 10]);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn zero_step_panics() {
-        fork(ForkSpec::with_num_threads(1), |ctx| {
-            ctx.ws_for_step(0, 10, 0, Schedule::default(), false, |_| {});
-        });
-    }
-
-    #[test]
-    fn empty_and_reversed_step_ranges() {
-        fork(ForkSpec::with_num_threads(2), |ctx| {
-            // Positive step, end <= start: zero iterations.
-            ctx.ws_for_step(5, 5, 1, Schedule::default(), false, |_| {
-                panic!("no iterations expected")
-            });
-            ctx.ws_for_step(5, 2, 1, Schedule::default(), false, |_| {
-                panic!("no iterations expected")
-            });
-            // Negative step, start <= end: zero iterations.
-            ctx.ws_for_step(2, 5, -1, Schedule::default(), false, |_| {
-                panic!("no iterations expected")
-            });
-        });
-    }
-
-    #[test]
     fn consecutive_nowait_loops_do_not_corrupt() {
         // Many back-to-back nowait dynamic loops stress the slot ring
         // (generation recycling with threads racing ahead).
@@ -649,15 +535,42 @@ mod tests {
 
     #[test]
     fn resolve_schedule_maps_runtime_and_auto() {
+        use super::Dispatch;
         fork(ForkSpec::with_num_threads(1), |ctx| {
-            assert_eq!(ctx.resolve_schedule(Schedule::Auto), Schedule::default());
-            // Runtime resolves to the run-sched ICV (static by default,
-            // never Runtime/Auto itself).
-            let r = ctx.resolve_schedule(Schedule::Runtime);
-            assert!(!matches!(r, Schedule::Runtime | Schedule::Auto));
             assert_eq!(
-                ctx.resolve_schedule(Schedule::dynamic_chunk(5)),
-                Schedule::Dynamic { chunk: 5 }
+                ctx.resolve_schedule(Schedule::Auto, 10),
+                Dispatch::Static(None)
+            );
+            // Runtime resolves as the team's run-sched-var snapshot.
+            assert_eq!(
+                ctx.resolve_schedule(Schedule::Runtime, 10),
+                ctx.resolve_schedule(ctx.team().run_sched(), 10)
+            );
+            assert_eq!(
+                ctx.resolve_schedule(Schedule::dynamic_chunk(5), 10),
+                Dispatch::Shared {
+                    chunk: 5,
+                    guided: false
+                }
+            );
+            // Chunks are clamped to `1..=max(trip, 1)`.
+            assert_eq!(
+                ctx.resolve_schedule(Schedule::guided_chunk(0), 10),
+                Dispatch::Shared {
+                    chunk: 1,
+                    guided: true
+                }
+            );
+            assert_eq!(
+                ctx.resolve_schedule(Schedule::static_chunk(1 << 63), 10),
+                Dispatch::Static(Some(10))
+            );
+            assert_eq!(
+                ctx.resolve_schedule(Schedule::dynamic_chunk(u64::MAX), 0),
+                Dispatch::Shared {
+                    chunk: 1,
+                    guided: false
+                }
             );
         });
     }

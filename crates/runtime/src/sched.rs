@@ -2,9 +2,9 @@
 //!
 //! This module contains the *pure* scheduling mathematics: given an
 //! iteration space, a team size and a schedule kind, which iterations does
-//! each thread run? The shared-state dispatchers that `dynamic` and
-//! `guided` need at run time live in [`crate::team`]; the driver that ties
-//! both together is [`crate::loops`].
+//! each thread run? The shared cursor that `dynamic` and `guided` claim
+//! from lives in a [`crate::team`] slot; the one claim loop that serves
+//! both kinds is in [`crate::loops`].
 //!
 //! The semantics follow OpenMP 5.2 §11.5.3 (the paper implements the
 //! `schedule` clause on its worksharing-loop directive):
@@ -217,13 +217,19 @@ impl StaticChunks {
             }
             Some(c) => {
                 assert!(c > 0, "chunk must be positive");
+                // A chunk past the trip count names the same partition
+                // (thread 0 runs everything). Clamping it and saturating
+                // keeps `t * c` and the stride from wrapping onto
+                // another thread's indices.
+                let c = c.min(trip.max(1));
+                let next = t.saturating_mul(c);
                 StaticChunks {
                     trip,
-                    stride: n * c,
-                    next: t * c,
+                    stride: n.saturating_mul(c),
+                    next,
                     chunk: c,
                     block_mode: false,
-                    exhausted: t * c >= trip,
+                    exhausted: next >= trip,
                 }
             }
         }
@@ -238,11 +244,11 @@ impl Iterator for StaticChunks {
             return None;
         }
         let lo = self.next;
-        let hi = (lo + self.chunk).min(self.trip);
+        let hi = lo.saturating_add(self.chunk).min(self.trip);
         if self.block_mode {
             self.exhausted = true;
         } else {
-            self.next = lo + self.stride;
+            self.next = lo.saturating_add(self.stride);
             if self.next >= self.trip {
                 self.exhausted = true;
             }
@@ -303,7 +309,7 @@ mod tests {
     fn static_chunked_covers_exactly() {
         for trip in [0u64, 1, 5, 64, 100, 101, 1000] {
             for nth in [1usize, 2, 3, 8] {
-                for c in [1u64, 2, 3, 16, 1000] {
+                for c in [1u64, 2, 3, 16, 1000, 1 << 63, u64::MAX] {
                     assert_exact_cover(trip, &collect_all(trip, nth, Some(c)));
                 }
             }

@@ -3,8 +3,8 @@
 //! A [`Team`] is created per `parallel` construct (the analogue of
 //! libomp's `kmp_team_t`). Besides the barrier and panic plumbing it owns
 //! a small ring of **worksharing slots** (`WsSlot`): the shared state a
-//! `dynamic`/`guided` loop, a `single`, a `sections` or an `ordered`
-//! construct needs.
+//! `dynamic`/`guided` loop (`sections` is one), an `ordered` loop or a
+//! `single` needs. Threads join a slot through `ThreadCtx::enter_slot`.
 //!
 //! ## The slot protocol
 //!
@@ -40,7 +40,7 @@ use crate::icv::{ProcBind, WaitPolicy};
 use crate::task::TaskSystem;
 use parking_lot::{Mutex, RwLock};
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Number of in-flight worksharing constructs a team supports before
@@ -60,10 +60,6 @@ const fn pack(gen: u64, state: u64) -> u64 {
     (gen << STATE_BITS) | state
 }
 
-/// Dispatch kind stored in a slot.
-pub(crate) const KIND_DYNAMIC: u8 = 0;
-pub(crate) const KIND_GUIDED: u8 = 1;
-
 /// Shared state for one worksharing construct.
 #[derive(Debug)]
 pub(crate) struct WsSlot {
@@ -74,14 +70,10 @@ pub(crate) struct WsSlot {
     /// Threads that have finished the installed construct.
     done: AtomicUsize,
     /// Dispatch cursor (next unclaimed iteration, normalized space).
+    /// Each thread keeps the loop's trip count and chunk itself.
     pub next: AtomicU64,
-    /// One past the last iteration.
-    pub end: AtomicU64,
-    /// Chunk size (dynamic) / minimum chunk (guided).
-    pub chunk: AtomicU64,
-    /// `KIND_DYNAMIC` or `KIND_GUIDED`.
-    pub kind: AtomicU8,
-    /// `single`: set by the one thread that executes the block.
+    /// `single`: set by the one thread that executes the block;
+    /// `ordered`: the section-body lock.
     pub claimed: AtomicBool,
     /// `ordered`: the iteration whose turn it is.
     pub ordered_next: AtomicU64,
@@ -93,9 +85,6 @@ impl WsSlot {
             word: AtomicU64::new(pack(initial_gen, STATE_FREE)),
             done: AtomicUsize::new(0),
             next: AtomicU64::new(0),
-            end: AtomicU64::new(0),
-            chunk: AtomicU64::new(1),
-            kind: AtomicU8::new(KIND_DYNAMIC),
             claimed: AtomicBool::new(false),
             ordered_next: AtomicU64::new(0),
         }
@@ -469,12 +458,11 @@ mod tests {
         let slot = team.slot(0);
         // First thread installs.
         assert!(slot.enter(0, 2, &abort, &cancel, |s| {
-            s.next.store(0, Ordering::Relaxed);
-            s.end.store(100, Ordering::Relaxed);
+            s.next.store(100, Ordering::Relaxed);
         }));
         // Second thread joins without re-initializing.
         assert!(slot.enter(0, 2, &abort, &cancel, |_| panic!("double install")));
-        assert_eq!(slot.end.load(Ordering::Relaxed), 100);
+        assert_eq!(slot.next.load(Ordering::Relaxed), 100);
         slot.leave();
         slot.leave();
     }
@@ -487,12 +475,14 @@ mod tests {
         // Generations 0 and WS_SLOTS map to the same slot.
         let g2 = WS_SLOTS as u64;
         let slot = team.slot(0);
-        assert!(slot.enter(0, 1, &abort, &cancel, |s| s.end.store(7, Ordering::Relaxed)));
+        assert!(slot.enter(0, 1, &abort, &cancel, |s| s
+            .next
+            .store(7, Ordering::Relaxed)));
         slot.leave();
         assert!(slot.enter(g2, 1, &abort, &cancel, |s| s
-            .end
+            .next
             .store(9, Ordering::Relaxed)));
-        assert_eq!(slot.end.load(Ordering::Relaxed), 9);
+        assert_eq!(slot.next.load(Ordering::Relaxed), 9);
         slot.leave();
     }
 
@@ -558,7 +548,7 @@ mod tests {
         // poison a reduce cell, consume the join counter.
         let slot = team.slot(0);
         assert!(slot.enter(0, 2, &abort, &cancel, |s| s
-            .end
+            .next
             .store(11, Ordering::Relaxed)));
         slot.leave();
         slot.leave();
@@ -590,9 +580,9 @@ mod tests {
         // (generation counter 0) can install again.
         let slot = team.slot(0);
         assert!(slot.enter(0, 2, &abort, &cancel, |s| s
-            .end
+            .next
             .store(99, Ordering::Relaxed)));
-        assert_eq!(slot.end.load(Ordering::Relaxed), 99);
+        assert_eq!(slot.next.load(Ordering::Relaxed), 99);
         slot.leave();
         slot.leave();
     }

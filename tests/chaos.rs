@@ -3,6 +3,7 @@
 //!
 //! The soak arms a randomized [`ChaosPlan`] per iteration and drives a
 //! mixed workload — fork/join churn, dependence-graph task storms,
+//! `sections`, ordered and guided loops with `cancel-var` armed,
 //! in-region KACZ sweeps over CSR and SELL-C-σ on `dynamic,1`, CARP-CG
 //! with the convergence-cancel path armed — then asserts the runtime
 //! came back whole:
@@ -169,6 +170,32 @@ fn task_graph_workload(threads: usize) {
     }));
 }
 
+/// Every construct the runtime's one chunk-claim loop serves, with
+/// `cancel-var` armed so injected `ChunkGrab` panics and cancels reach
+/// each of them: a `sections`, an ordered `dynamic,3` loop and a guided
+/// loop in one region. Results are unchecked: an injected cancel
+/// legally truncates any of them.
+fn worksharing_workload(threads: usize) {
+    let prev = icv::set_cancellation_override(Some(true));
+    let hits = AtomicU64::new(0);
+    let _ = catch_unwind(AssertUnwindSafe(|| {
+        fork(ForkSpec::with_num_threads(threads), |ctx| {
+            ctx.sections(5, false, |_| {
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+            ctx.ws_for_ordered(0..48, Schedule::dynamic_chunk(3), false, |i, ord| {
+                if i % 2 == 0 {
+                    ord.section(|| hits.fetch_add(1, Ordering::Relaxed));
+                }
+            });
+            ctx.ws_for(0..256, Schedule::guided(), false, |_| {
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+        });
+    }));
+    icv::set_cancellation_override(prev);
+}
+
 /// One in-region KACZ sweep per format — CSR row groups and the
 /// lockstep SELL tiles, the path CARP-CG runs — on `dynamic,1`
 /// (maximum chunk-grab traffic). Results are unchecked: an injected
@@ -232,6 +259,7 @@ fn soak_iteration(fx: &Arc<Fixture>, seed: u64, deadline: Duration) {
             let threads = soak_threads();
             churn_workload(seed, threads);
             task_graph_workload(threads);
+            worksharing_workload(threads);
             kacz_workload(&fx2, threads);
             carp_workload(&fx2, threads);
             churn_workload(seed ^ 0xFF, threads);
@@ -323,31 +351,54 @@ fn on_fresh_master(f: impl FnOnce() + Send + 'static) {
 }
 
 /// Fault class 1: a panic injected at the chunk-grab edge of a
-/// worksharing loop unwinds out of `fork` with the [`chaos::ChaosPanic`]
-/// payload, and the very next fork delivers a clean team.
+/// worksharing construct unwinds out of `fork` with the
+/// [`chaos::ChaosPanic`] payload, and the very next fork delivers a
+/// clean team — for a dynamic loop and for the `sections`, ordered and
+/// guided constructs that share its claim loop.
 #[test]
 fn panic_in_chunk_grab_unwinds_cleanly() {
-    on_fresh_master(|| {
-        let guard = chaos::arm(
-            ChaosPlan::bare(0xC0)
-                .with_rule(Site::ChunkGrab, Fault::Panic, 1.0)
-                .with_budget(1),
-        );
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            fork(ForkSpec::with_num_threads(4), |ctx| {
-                ctx.ws_for(0..256, Schedule::dynamic(), false, |i| {
-                    std::hint::black_box(i);
-                });
-            });
-        }))
-        .expect_err("the injected chunk-grab panic must propagate to the master");
-        assert!(
-            err.is::<chaos::ChaosPanic>(),
-            "the rethrown payload must be the chaos marker, not a real bug's"
-        );
-        assert_eq!(guard.injected().panics, 1);
-        drop(guard);
-        assert_geometry(4);
+    type Construct = fn(&romp::runtime::ThreadCtx<'_>);
+    let constructs: [(&str, Construct); 4] = [
+        ("dynamic loop", |ctx| {
+            ctx.ws_for(0..256, Schedule::dynamic(), false, |i| {
+                std::hint::black_box(i);
+            })
+        }),
+        ("sections", |ctx| {
+            ctx.sections(5, false, |i| {
+                std::hint::black_box(i);
+            })
+        }),
+        ("ordered dynamic,3 loop", |ctx| {
+            ctx.ws_for_ordered(0..48, Schedule::dynamic_chunk(3), false, |i, ord| {
+                ord.section(|| std::hint::black_box(i));
+            })
+        }),
+        ("guided loop", |ctx| {
+            ctx.ws_for(0..256, Schedule::guided(), false, |i| {
+                std::hint::black_box(i);
+            })
+        }),
+    ];
+    on_fresh_master(move || {
+        for (name, construct) in constructs {
+            let guard = chaos::arm(
+                ChaosPlan::bare(0xC0)
+                    .with_rule(Site::ChunkGrab, Fault::Panic, 1.0)
+                    .with_budget(1),
+            );
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                fork(ForkSpec::with_num_threads(4), |ctx| construct(ctx));
+            }))
+            .expect_err("the injected chunk-grab panic must propagate to the master");
+            assert!(
+                err.is::<chaos::ChaosPanic>(),
+                "{name}: the rethrown payload must be the chaos marker, not a real bug's"
+            );
+            assert_eq!(guard.injected().panics, 1, "{name}");
+            drop(guard);
+            assert_geometry(4);
+        }
     });
 }
 

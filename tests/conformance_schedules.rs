@@ -10,6 +10,7 @@
 //! size × thread count (1, 2, 4, oversubscribed) × iteration space
 //! (empty, single, prime-sized, huge-stride).
 
+use romp::core::space::{ws_space, StridedRange};
 use romp::runtime::{fork, icv, omp_set_schedule, ForkSpec, Schedule};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -28,10 +29,14 @@ fn team_sizes() -> Vec<usize> {
 const TRIPS: &[usize] = &[0, 1, 101, 1009];
 
 /// The full set of schedule variants under test. `Runtime` is covered
-/// separately (it resolves through the `run-sched-var` ICV).
+/// separately (it resolves through the `run-sched-var` ICV). The
+/// chunks past every trip count include `2^63`, which
+/// `OMP_SCHEDULE=static,9223372036854775808` reaches: `t * c` and the
+/// round-robin stride must not wrap onto another thread's chunk (nor
+/// the dynamic cursor wrap back to 0).
 fn schedule_matrix() -> Vec<Schedule> {
     let mut m = vec![Schedule::static_block(), Schedule::Auto];
-    for chunk in [1u64, 3, 16, 1000] {
+    for chunk in [1u64, 3, 16, 1000, 1 << 63, u64::MAX] {
         m.push(Schedule::static_chunk(chunk));
         m.push(Schedule::dynamic_chunk(chunk));
         m.push(Schedule::guided_chunk(chunk));
@@ -102,14 +107,29 @@ fn runtime_schedule_follows_run_sched_var() {
     omp_set_schedule(prior);
 }
 
-/// Huge-stride spaces: `ws_for_step` must hit exactly the arithmetic
+/// The points of the canonical loop `for (i = start; i < end (or > end
+/// for a negative step); i += step)`, in `i128` so the oracle itself
+/// cannot overflow.
+fn progression(start: i64, end: i64, step: i64) -> Vec<i64> {
+    let (end, step) = (end as i128, step as i128);
+    let mut out = Vec::new();
+    let mut i = start as i128;
+    while (step > 0 && i < end) || (step < 0 && i > end) {
+        out.push(i as i64);
+        i += step;
+    }
+    out
+}
+
+/// Huge-stride spaces: a `StridedRange` must hit exactly the arithmetic
 /// progression, including steps in the billions (where any chunk
-/// arithmetic done in the user's iteration domain would overflow), and
-/// negative strides.
+/// arithmetic done in the user's iteration domain would overflow),
+/// negative strides, and a span past `i64::MAX` (where `end - start`
+/// itself overflows `i64`).
 #[test]
 fn huge_stride_spaces_hit_exact_progression() {
     let step = 1_000_000_007i64; // prime, > 2^29
-    let cases: &[(i64, i64, i64)] = &[
+    let mut cases: Vec<(i64, i64, i64)> = [
         // (start, step, len): end computed as start + len*step.
         (-3_000_000_000, step, 23),
         (0, step, 1),
@@ -118,7 +138,12 @@ fn huge_stride_spaces_hit_exact_progression() {
         // Negative stride, walking down.
         (3_000_000_000, -step, 23),
         (42, -1, 101),
-    ];
+    ]
+    .iter()
+    .map(|&(start, step, len)| (start, start + len * step, step))
+    .collect();
+    // Four points spread over a span of 2^64 - 2.
+    cases.push((i64::MIN + 1, i64::MAX, 1 << 62));
     for sched in [
         Schedule::static_block(),
         Schedule::static_chunk(3),
@@ -126,22 +151,22 @@ fn huge_stride_spaces_hit_exact_progression() {
         Schedule::guided(),
         Schedule::Auto,
     ] {
-        for &(start, step, len) in cases {
+        for &(start, end, step) in &cases {
+            let mut want = progression(start, end, step);
+            want.sort_unstable();
+            let space = StridedRange::new(start, end, step);
             for &threads in &team_sizes() {
-                let end = start + len * step;
                 let hits = Mutex::new(Vec::new());
                 fork(ForkSpec::with_num_threads(threads), |ctx| {
-                    ctx.ws_for_step(start, end, step, sched, false, |i| {
+                    ws_space(ctx, &space, sched, false, |i| {
                         hits.lock().unwrap().push(i);
                     });
                 });
                 let mut got = hits.into_inner().unwrap();
-                let mut want: Vec<i64> = (0..len).map(|k| start + k * step).collect();
                 got.sort_unstable();
-                want.sort_unstable();
                 assert_eq!(
                     got, want,
-                    "{sched} on {threads} threads: stride {step} from {start}"
+                    "{sched} on {threads} threads: stride {step} from {start} to {end}"
                 );
             }
         }

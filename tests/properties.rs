@@ -119,7 +119,8 @@ proptest! {
         let end = start + len * step;
         let hits = std::sync::Mutex::new(Vec::new());
         fork(ForkSpec::with_num_threads(threads), |ctx| {
-            ctx.ws_for_step(start, end, step, Schedule::dynamic_chunk(3), false, |i| {
+            let space = StridedRange::new(start, end, step);
+            romp::core::space::ws_space(ctx, &space, Schedule::dynamic_chunk(3), false, |i| {
                 hits.lock().unwrap().push(i);
             });
         });
