@@ -356,7 +356,10 @@ pub fn collapse3<A: IterSpace, B: IterSpace, C: IterSpace>(a: A, b: B, c: C) -> 
         c,
         div_b,
         div_c,
-        div_bc: div_b * div_c,
+        // Fits whenever `trip` is non-zero; an empty outer space may
+        // pair with inner trips whose product overflows, and then no
+        // index is ever decoded.
+        div_bc: div_b.saturating_mul(div_c),
         trip,
     }
 }
@@ -582,6 +585,10 @@ mod tests {
         assert_eq!(collapse2(0..10usize, 0..0usize).trip(), 0);
         assert_eq!(collapse2(0..0usize, 0..10usize).trip(), 0);
         assert_eq!(collapse3(0..4usize, 0..0usize, 0..9usize).trip(), 0);
+        // Empty outer space, inner trips whose product overflows u64.
+        let s = collapse3(0..0usize, 0..1usize << 40, 0..1usize << 40);
+        assert_eq!(s.trip(), 0);
+        assert_eq!(s.chunk(0, 0).count(), 0);
     }
 
     #[test]

@@ -14,14 +14,11 @@
 use crate::barrier::BarrierLocal;
 use crate::lock::os_thread_id;
 use crate::sched::Schedule;
-use crate::task::{
-    current_children, current_groups, in_final, innermost_group, make_raw_task, FinalGuard,
-    TaskDeps, TaskGroup, TaskHooks, GROUP_STACK,
-};
+use crate::task::{in_final, in_taskgroup, innermost_group, make_raw_task, TaskDeps};
 use crate::team::{Team, WsSlot};
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Where am I in the region nest? One entry per enclosing parallel
@@ -122,9 +119,9 @@ pub struct SiblingPanic;
 /// body — where OpenMP says the construct belongs, and where no
 /// `&ThreadCtx` can be captured (task closures must be `Send`;
 /// `ThreadCtx` is not `Sync`). Consults the executing thread's region
-/// for the `cancel-var` snapshot and its task-group TLS (maintained by
-/// the task executor) for the innermost group. The directive front
-/// ends route `cancel taskgroup` here.
+/// for the `cancel-var` snapshot and the current task's environment
+/// for the innermost group. The directive front ends route `cancel
+/// taskgroup` here.
 ///
 /// # Panics
 ///
@@ -323,11 +320,6 @@ pub struct ThreadCtx<'scope> {
     thread_num: usize,
     ws_gen: Cell<u64>,
     barrier_local: RefCell<BarrierLocal>,
-    /// Children of this thread's *implicit* task (targets of `taskwait`
-    /// outside any explicit task). Lazily allocated: regions that never
-    /// spawn tasks — the overwhelming fast path — skip the heap
-    /// round-trip per thread per region.
-    implicit_children: std::sync::OnceLock<Arc<AtomicUsize>>,
     steal_seed: Cell<u64>,
     /// Per-thread count of in-region reduction constructs: picks the
     /// team's reduction cell and tags it (see
@@ -354,7 +346,6 @@ impl<'scope> ThreadCtx<'scope> {
             thread_num,
             ws_gen: Cell::new(0),
             barrier_local: RefCell::new(BarrierLocal::default()),
-            implicit_children: std::sync::OnceLock::new(),
             steal_seed: Cell::new(os_thread_id() | 1),
             red_gen: Cell::new(0),
             cancel_gen: Cell::new(0),
@@ -427,12 +418,6 @@ impl<'scope> ThreadCtx<'scope> {
 
     pub(crate) fn team(&self) -> &Arc<Team> {
         &self.team
-    }
-
-    /// The implicit task's children counter (allocated on first use).
-    fn implicit_children(&self) -> &Arc<AtomicUsize> {
-        self.implicit_children
-            .get_or_init(|| Arc::new(AtomicUsize::new(0)))
     }
 
     /// Join the slot of this thread's next worksharing construct,
@@ -618,9 +603,9 @@ impl<'scope> ThreadCtx<'scope> {
     /// worksharing construct, or `CancelKind::Taskgroup` outside any
     /// taskgroup region (both are constraint violations in OpenMP).
     pub fn cancel(&self, kind: CancelKind) -> bool {
-        // Taskgroup requests resolve everything from TLS (group stack +
-        // region snapshot) and share one implementation with the
-        // context-free entry the task-body front ends use.
+        // Taskgroup requests resolve everything from TLS (task
+        // environment + region snapshot) and share one implementation
+        // with the context-free entry the task-body front ends use.
         if kind == CancelKind::Taskgroup {
             return cancel_taskgroup();
         }
@@ -848,23 +833,11 @@ impl<'scope> ThreadCtx<'scope> {
     /// dependences are satisfied — so they still take their place in
     /// the dependence graph.
     pub fn task_spec<F: FnOnce() + Send + 'scope>(&self, spec: TaskSpec, f: F) {
-        let hooks = TaskHooks {
-            parent_children: current_children(self.implicit_children()),
-            groups: current_groups(),
-        };
         let make_final = spec.final_clause.unwrap_or(false) || in_final();
         let deferred = spec.if_clause.unwrap_or(true) && !make_final;
-        let boxed: Box<dyn FnOnce() + Send + 'scope> = if make_final {
-            Box::new(move || {
-                let _final = FinalGuard::enter();
-                f();
-            })
-        } else {
-            Box::new(f)
-        };
         // SAFETY: the region-end implicit barrier drains every deferred
         // task before `fork` returns, and `'scope` data outlives `fork`.
-        let raw = unsafe { make_raw_task(boxed, hooks) };
+        let raw = unsafe { make_raw_task(Box::new(f), self.thread_num, make_final) };
         if deferred {
             unsafe { self.team.tasks.push(self.thread_num, raw, spec.deps) };
         } else {
@@ -878,14 +851,13 @@ impl<'scope> ThreadCtx<'scope> {
         }
     }
 
-    /// `taskwait`: block until all children of the current task have
-    /// completed, helping to execute queued tasks meanwhile.
+    /// `taskwait`: block until all children of this thread's implicit
+    /// task have completed, helping to execute queued tasks meanwhile.
     pub fn taskwait(&self) {
-        let children = current_children(self.implicit_children());
         let mut seed = self.steal_seed.get();
         self.team.tasks.work_until(self.thread_num, &mut seed, || {
             self.panic_if_aborted();
-            children.load(Ordering::Acquire) == 0
+            self.team.tasks.children(self.thread_num) == 0
         });
         self.steal_seed.set(seed);
     }
@@ -941,26 +913,13 @@ impl<'scope> ThreadCtx<'scope> {
     }
 
     /// `taskgroup`: run `f`, then wait for all tasks created inside it
-    /// (transitively, including by stolen children — the executor of a
-    /// member task adopts its group set, so grandchildren join too) to
-    /// finish. If the group is cancelled (`cancel taskgroup`), member
-    /// tasks that have not started are discarded instead of executed,
-    /// and the wait completes as soon as the running ones retire.
+    /// (including inside nested taskgroups, which close first) to
+    /// finish. If the group or an enclosing one is cancelled (`cancel
+    /// taskgroup`), member tasks that have not started are discarded
+    /// instead of executed, and the wait completes as soon as the
+    /// running ones retire.
     pub fn taskgroup<R>(&self, f: impl FnOnce() -> R) -> R {
-        let group = Arc::new(TaskGroup::default());
-        GROUP_STACK.with(|g| g.borrow_mut().push(group.clone()));
-        struct PopGroup;
-        impl Drop for PopGroup {
-            fn drop(&mut self) {
-                GROUP_STACK.with(|g| {
-                    g.borrow_mut().pop();
-                });
-            }
-        }
-        let out = {
-            let _pop = PopGroup;
-            f()
-        };
+        let (out, group) = in_taskgroup(f);
         let mut seed = self.steal_seed.get();
         self.team.tasks.work_until(self.thread_num, &mut seed, || {
             self.panic_if_aborted();

@@ -397,10 +397,10 @@ fn run_region(team: &Arc<Team>, thread_num: usize, job: Job) {
     if let Some(places) = team.places() {
         crate::affinity::apply(&places, thread_num);
     }
-    // A region forked from a final task is executed by final implicit
-    // tasks on *every* team thread: re-establish the TLS flag here so
-    // tasks spawned by any member come out included (undeferred).
-    let _final = team.parent_final.then(crate::task::FinalGuard::enter);
+    // Each member runs a fresh implicit task: outside any taskgroup,
+    // and final on *every* team thread when the region was forked from
+    // a final task. The enclosing task's environment comes back on exit.
+    let _task = crate::task::implicit_task(team.parent_final);
     let ctx: ThreadCtx<'_> = ThreadCtx::new(team.clone(), thread_num);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         // SAFETY: the master blocks in `hot_join` until every team thread has

@@ -8,16 +8,28 @@
 //! largest-grained work). Stealing happens when a thread is waiting at a
 //! barrier, in `taskwait`, or at the end of a `taskgroup`.
 //!
+//! ## One task record
+//!
+//! As in libomp's `kmp_taskdata_t`, a task is one record: closure,
+//! parent, innermost taskgroup. A task body cannot reach a `ThreadCtx`
+//! (task closures are `Send`, the context is not `Sync`), so only
+//! implicit tasks spawn a team's tasks, and a task's parent is the
+//! spawning thread's number: that thread's queue counts the `children`
+//! its `taskwait` waits on. Taskgroups form a chain through their
+//! `parent` link; a task counts in its innermost group only, and
+//! cancelling a group also discards the unstarted members of the groups
+//! nested in it. Each thread has one current-task environment
+//! (innermost group, `final` flag): a region's implicit task starts a
+//! fresh one, a task runs in its own, a `taskgroup` swaps in a child
+//! group, and each restores the previous one when it ends. A task that
+//! captures nothing allocates nothing.
+//!
 //! Queues are `Mutex<VecDeque<…>>` rather than a lock-free Chase–Lev
-//! deque. Tasks are not free: the repo benchmark's
-//! `runtime.task_spawn_us` reads about 1.26 µs per task at two threads
-//! (`sync-fine --trace 1`), and most of that is allocation and shared
-//! counters around the queue, not the queue lock. A lock-free deque
-//! would be one more hand-rolled atomic protocol; it waits until the
-//! runtime's atomic protocols can be model-checked. The work-stealing
-//! *policy* — LIFO pop, FIFO steal, bounded-retry randomized victim
-//! selection guided by per-queue approximate lengths — matches the
-//! classical design.
+//! deque. A lock-free deque would be one more hand-rolled atomic
+//! protocol; it waits until the runtime's atomic protocols can be
+//! model-checked. The work-stealing *policy* — LIFO pop, FIFO steal,
+//! bounded-retry randomized victim selection guided by per-queue
+//! approximate lengths — matches the classical design.
 //!
 //! ## Task dependences
 //!
@@ -33,8 +45,9 @@
 //! The bookkeeping is one table per team (`address → last writer +
 //! pending readers`) plus one node per in-flight dependent task (unmet
 //! predecessor count + successor list). A task with unmet predecessors
-//! is *stalled* — held outside the ready queues — and is released onto
-//! the completing thread's deque when its last predecessor finishes.
+//! is *stalled* — held in its node, outside the ready queues — and is
+//! released onto the completing thread's deque when its last
+//! predecessor finishes.
 //! Tasks without dependences never touch the table and keep the old
 //! zero-overhead path.
 //!
@@ -57,6 +70,7 @@
 //! argument `std::thread::scope` makes.
 
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -110,44 +124,61 @@ impl TaskDeps {
     }
 }
 
-/// Completion counters a task must decrement when it finishes: its
-/// parent's children count plus any enclosing taskgroups.
-pub(crate) struct TaskHooks {
-    pub parent_children: Arc<AtomicUsize>,
-    pub groups: Vec<Arc<TaskGroup>>,
-}
-
-/// One `taskgroup` region's shared record: the count of live member
-/// tasks (the thing the construct's end waits on) and the cancellation
-/// flag raised by `cancel taskgroup`. Membership is transitive — a task
-/// spawned while executing a member task joins the same groups, because
-/// [`TaskSystem::execute`] swaps the executing thread's group stack to
-/// the task's own group set for the duration of the body.
+/// One `taskgroup` region's shared record: the count of live tasks
+/// whose innermost group it is (the thing the construct's end waits
+/// on), the cancellation flag raised by `cancel taskgroup`, and the
+/// enclosing group. A member task opens no group of this team, so it
+/// finishes before the group it was spawned in can close; an inner
+/// group's wait therefore always ends inside the outer group's body,
+/// and counting a task in its innermost group alone covers every
+/// enclosing group's wait.
 #[derive(Debug, Default)]
 pub(crate) struct TaskGroup {
-    /// Live member tasks (created and not yet finished/discarded).
+    /// Live tasks whose innermost group this is (created and not yet
+    /// finished or discarded).
     pub count: AtomicUsize,
-    /// Raised by `cancel taskgroup`: members that have not started are
-    /// discarded instead of executed.
+    /// Raised by `cancel taskgroup`: members that have not started —
+    /// of this group or of any group nested in it — are discarded
+    /// instead of executed.
     pub cancelled: AtomicBool,
+    /// The group this one was opened in (`None` for an outermost one).
+    parent: Option<Arc<TaskGroup>>,
+}
+
+impl TaskGroup {
+    /// Is this group or any group enclosing it cancelled?
+    fn chain_cancelled(&self) -> bool {
+        std::iter::successors(Some(self), |g| g.parent.as_deref())
+            .any(|g| g.cancelled.load(Ordering::Relaxed))
+    }
 }
 
 pub(crate) struct RawTask {
     func: Box<dyn FnOnce() + Send + 'static>,
-    hooks: TaskHooks,
+    /// The innermost taskgroup open where the task was created.
+    group: Option<Arc<TaskGroup>>,
     /// Dependence-graph node id, for tasks registered with a non-empty
     /// [`TaskDeps`] record; `None` for independent tasks.
     node: Option<u64>,
+    /// Thread number of the implicit task that created it: the queue
+    /// whose `children` count it is in.
+    parent: usize,
+    /// A final task: tasks created while it runs are included.
+    is_final: bool,
 }
 
-/// One ready deque plus a relaxed mirror of its length, so thieves can
-/// skip obviously empty queues without taking the lock.
+/// One thread's ready deque plus a relaxed mirror of its length, so
+/// thieves can skip obviously empty queues without taking the lock,
+/// and the live children of the thread's implicit task.
 struct TaskQueue {
     deque: Mutex<VecDeque<RawTask>>,
     /// Approximate length: written under the deque lock, read without
     /// it. Staleness is benign — a miss only delays a steal, and every
     /// waiting loop retries.
     approx_len: AtomicUsize,
+    /// Tasks this thread's implicit task created that have not finished
+    /// (what its `taskwait` waits on).
+    children: AtomicUsize,
 }
 
 impl TaskQueue {
@@ -155,6 +186,7 @@ impl TaskQueue {
         TaskQueue {
             deque: Mutex::new(VecDeque::new()),
             approx_len: AtomicUsize::new(0),
+            children: AtomicUsize::new(0),
         }
     }
 }
@@ -174,6 +206,10 @@ struct DepNode {
     unmet: usize,
     /// Dependent tasks to notify when this one completes.
     succs: Vec<u64>,
+    /// The task itself while it is stalled on `unmet` predecessors.
+    /// Undeferred tasks stay `None`: their spawning thread keeps them
+    /// and polls `unmet` instead.
+    task: Option<RawTask>,
 }
 
 /// The per-team dependence graph (single lock: dependence registration
@@ -183,10 +219,6 @@ struct DepGraph {
     next_id: u64,
     table: HashMap<usize, AddrState>,
     nodes: HashMap<u64, DepNode>,
-    /// Tasks held back by unmet predecessors, by node id. Undeferred
-    /// tasks with dependences are *not* stored here — their spawning
-    /// thread keeps them and polls [`DepGraph::nodes`] instead.
-    stalled: HashMap<u64, RawTask>,
 }
 
 impl DepGraph {
@@ -237,6 +269,7 @@ impl DepGraph {
             DepNode {
                 unmet,
                 succs: Vec::new(),
+                task: None,
             },
         );
         (id, unmet == 0)
@@ -276,13 +309,20 @@ impl TaskSystem {
     }
 
     /// Account a new task in the completion counters (team pending,
-    /// parent children, enclosing taskgroups).
+    /// parent children, innermost taskgroup).
     fn account(&self, task: &RawTask) {
         self.pending.fetch_add(1, Ordering::AcqRel);
-        task.hooks.parent_children.fetch_add(1, Ordering::AcqRel);
-        for g in &task.hooks.groups {
+        self.queues[task.parent]
+            .children
+            .fetch_add(1, Ordering::AcqRel);
+        if let Some(g) = &task.group {
             g.count.fetch_add(1, Ordering::AcqRel);
         }
+    }
+
+    /// Unfinished children of `thread_num`'s implicit task.
+    pub(crate) fn children(&self, thread_num: usize) -> usize {
+        self.queues[thread_num].children.load(Ordering::Acquire)
     }
 
     /// Put a ready task on `thread_num`'s deque.
@@ -317,7 +357,7 @@ impl TaskSystem {
             self.enqueue(thread_num, task);
         } else {
             crate::stats::bump(&crate::stats::stats().tasks_dep_stalled);
-            g.stalled.insert(id, task);
+            g.nodes.get_mut(&id).expect("node just registered").task = Some(task);
         }
     }
 
@@ -347,7 +387,6 @@ impl TaskSystem {
                 if !ready {
                     crate::stats::bump(&crate::stats::stats().tasks_dep_stalled);
                 }
-                let _ = ready;
                 id
             };
             task.node = Some(id);
@@ -460,56 +499,49 @@ impl TaskSystem {
         None
     }
 
-    /// Run one task to completion on the current thread, maintaining the
-    /// task-frame TLS so nested `task`/`taskwait` see the right parent,
-    /// and releasing dependence-graph successors when it finishes.
+    /// Run one task to completion on the current thread, in its own
+    /// task environment, and release dependence-graph successors when
+    /// it finishes.
     ///
     /// **Cancellation**: a task whose parallel region (`cancel_all`) or
-    /// any enclosing taskgroup was cancelled before it started is
+    /// any taskgroup of its chain was cancelled before it started is
     /// *discarded* — its body never runs, but it still flows through the
     /// completion bookkeeping (dependence-node release, parent/group/
     /// pending decrements), so waiting constructs drain and dependence
     /// successors are released (to be discarded in turn). This is how
     /// queued *and* dependence-stalled tasks of a cancelled taskgroup
     /// die without executing.
-    ///
-    /// **Group transitivity**: the executing thread's taskgroup stack is
-    /// swapped to the task's own group set for the duration of the body,
-    /// so tasks spawned by a member (on whatever thread stole it) join
-    /// the same groups — and tasks spawned by an unrelated task executed
-    /// while *helping* inside a taskgroup wait do not leak into it.
     pub(crate) fn execute(&self, thread_num: usize, task: RawTask) {
+        let RawTask {
+            func,
+            group,
+            node,
+            parent,
+            is_final,
+        } = task;
         let discard = self.cancel_all.load(Ordering::Relaxed)
-            || task
-                .hooks
-                .groups
-                .iter()
-                .any(|g| g.cancelled.load(Ordering::Relaxed));
-        let frame = Arc::new(TaskFrame {
-            children: Arc::new(AtomicUsize::new(0)),
-        });
-        let prev = CURRENT_FRAME.with(|c| c.replace(Some(frame.clone())));
-        let prev_groups = GROUP_STACK
-            .with(|g| std::mem::replace(&mut *g.borrow_mut(), task.hooks.groups.clone()));
+            || group.as_deref().is_some_and(TaskGroup::chain_cancelled);
         // Run; panics propagate to the executing thread's region handler,
         // but the counters must be consistent either way.
         struct Finish<'a> {
             sys: &'a TaskSystem,
-            hooks: TaskHooks,
             node: Option<u64>,
             thread_num: usize,
-            prev: Option<Arc<TaskFrame>>,
-            prev_groups: Vec<Arc<TaskGroup>>,
+            parent: usize,
+            prev: TaskEnv,
         }
         impl Drop for Finish<'_> {
             fn drop(&mut self) {
-                CURRENT_FRAME.with(|c| *c.borrow_mut() = self.prev.take());
-                GROUP_STACK.with(|g| *g.borrow_mut() = std::mem::take(&mut self.prev_groups));
+                // Every scope that changes the environment restores it,
+                // so what comes back is the task's own, group included.
+                let own = swap_env(std::mem::take(&mut self.prev));
                 if let Some(id) = self.node {
                     self.sys.complete_node(id, self.thread_num);
                 }
-                self.hooks.parent_children.fetch_sub(1, Ordering::AcqRel);
-                for g in &self.hooks.groups {
+                self.sys.queues[self.parent]
+                    .children
+                    .fetch_sub(1, Ordering::AcqRel);
+                if let Some(g) = own.group {
                     g.count.fetch_sub(1, Ordering::AcqRel);
                 }
                 self.sys.pending.fetch_sub(1, Ordering::AcqRel);
@@ -517,15 +549,14 @@ impl TaskSystem {
         }
         let _finish = Finish {
             sys: self,
-            hooks: task.hooks,
-            node: task.node,
+            node,
             thread_num,
-            prev,
-            prev_groups,
+            parent,
+            prev: swap_env(TaskEnv { group, is_final }),
         };
         if discard {
             crate::stats::bump(&crate::stats::stats().tasks_discarded);
-            drop(task.func);
+            drop(func);
         } else {
             crate::stats::bump(&crate::stats::stats().tasks_executed);
             // Chaos: panic/delay in place of the body. Legal here —
@@ -534,7 +565,7 @@ impl TaskSystem {
             // execute_joining_task), and the Finish guard above keeps
             // the completion ledger consistent through an unwind.
             let _ = crate::chaos::chaos_point!(crate::chaos::Site::TaskExecute);
-            (task.func)();
+            func();
         }
     }
 
@@ -563,11 +594,9 @@ impl TaskSystem {
                 if let Some(sn) = g.nodes.get_mut(&s) {
                     sn.unmet -= 1;
                     if sn.unmet == 0 {
-                        // Absent from `stalled` = an undeferred task
-                        // whose spawner is polling; it will notice.
-                        if let Some(t) = g.stalled.remove(&s) {
-                            released.push(t);
-                        }
+                        // No task = an undeferred task whose spawner is
+                        // polling; it will notice.
+                        released.extend(sn.task.take());
                     }
                 }
             }
@@ -611,10 +640,11 @@ impl TaskSystem {
             dropped += d.len() as u64;
             d.clear();
             q.approx_len.store(0, Ordering::Relaxed);
+            // Never-run tasks leave their parent's count here.
+            q.children.store(0, Ordering::Relaxed);
         }
         let mut g = self.deps.lock();
-        dropped += g.stalled.len() as u64;
-        g.stalled.clear();
+        dropped += g.nodes.values().filter(|n| n.task.is_some()).count() as u64;
         g.table.clear();
         g.nodes.clear();
         drop(g);
@@ -643,93 +673,104 @@ impl TaskSystem {
         let mut g = self.deps.lock();
         g.table.clear();
         g.nodes.clear();
-        g.stalled.clear();
         g.next_id = 0;
         drop(g);
         self.cancel_all.store(false, Ordering::Relaxed);
     }
 }
 
-/// The dynamically enclosing explicit task (for `taskwait` semantics).
-pub(crate) struct TaskFrame {
-    pub children: Arc<AtomicUsize>,
+/// The current task's environment on one thread: what a task created,
+/// a `taskgroup` opened or a region forked here inherits.
+#[derive(Default)]
+struct TaskEnv {
+    /// Innermost open taskgroup (`None` outside any).
+    group: Option<Arc<TaskGroup>>,
+    /// Inside a final task: tasks created here are included
+    /// (undeferred and themselves final).
+    is_final: bool,
 }
 
 thread_local! {
-    pub(crate) static CURRENT_FRAME: std::cell::RefCell<Option<Arc<TaskFrame>>> =
-        const { std::cell::RefCell::new(None) };
-    /// Taskgroup nesting stack for the current thread. While an
-    /// explicit task executes, this holds the *task's* group set (see
-    /// [`TaskSystem::execute`]), so membership is transitive under
-    /// stealing and cancellation finds the right innermost group.
-    pub(crate) static GROUP_STACK: std::cell::RefCell<Vec<Arc<TaskGroup>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-    /// Are we dynamically inside a `final` task? Descendants of a final
-    /// task are *included* tasks: undeferred and themselves final.
-    pub(crate) static IN_FINAL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static ENV: RefCell<TaskEnv> = const {
+        RefCell::new(TaskEnv {
+            group: None,
+            is_final: false,
+        })
+    };
+}
+
+/// Install `env` as this thread's task environment; returns the old one.
+fn swap_env(env: TaskEnv) -> TaskEnv {
+    ENV.with(|e| std::mem::replace(&mut *e.borrow_mut(), env))
+}
+
+/// Restores the task environment that an implicit task or a taskgroup
+/// replaced, when it ends (unwinding included).
+pub(crate) struct EnvScope(TaskEnv);
+
+impl Drop for EnvScope {
+    fn drop(&mut self) {
+        swap_env(std::mem::take(&mut self.0));
+    }
+}
+
+/// Begin an implicit task on this thread: outside any taskgroup, and
+/// final if the region was forked from a final task (so tasks spawned
+/// by any member come out included).
+pub(crate) fn implicit_task(is_final: bool) -> EnvScope {
+    EnvScope(swap_env(TaskEnv {
+        group: None,
+        is_final,
+    }))
 }
 
 /// Is the current task a final task (so children must be included)?
 pub(crate) fn in_final() -> bool {
-    IN_FINAL.with(|f| f.get())
-}
-
-/// RAII for the `final` flag around a final task's body.
-pub(crate) struct FinalGuard {
-    prev: bool,
-}
-
-impl FinalGuard {
-    pub(crate) fn enter() -> Self {
-        let prev = IN_FINAL.with(|f| f.replace(true));
-        FinalGuard { prev }
-    }
-}
-
-impl Drop for FinalGuard {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        IN_FINAL.with(|f| f.set(prev));
-    }
-}
-
-/// Children counter of the current task (explicit task frame if inside
-/// one, else the given implicit-task counter).
-pub(crate) fn current_children(implicit: &Arc<AtomicUsize>) -> Arc<AtomicUsize> {
-    CURRENT_FRAME.with(|c| {
-        c.borrow()
-            .as_ref()
-            .map(|f| f.children.clone())
-            .unwrap_or_else(|| implicit.clone())
-    })
-}
-
-/// Snapshot of the enclosing taskgroup records (innermost last).
-pub(crate) fn current_groups() -> Vec<Arc<TaskGroup>> {
-    GROUP_STACK.with(|g| g.borrow().clone())
+    ENV.with(|e| e.borrow().is_final)
 }
 
 /// The innermost taskgroup of the current task, if any — the target of
 /// `cancel taskgroup` / `cancellation point taskgroup`.
 pub(crate) fn innermost_group() -> Option<Arc<TaskGroup>> {
-    GROUP_STACK.with(|g| g.borrow().last().cloned())
+    ENV.with(|e| e.borrow().group.clone())
 }
 
-/// Build a lifetime-erased task.
+/// Run `body` as a `taskgroup` region: a new group, child of the
+/// current innermost one, is innermost while `body` runs. Returns the
+/// body's result and the group, whose members the caller waits for.
+pub(crate) fn in_taskgroup<R>(body: impl FnOnce() -> R) -> (R, Arc<TaskGroup>) {
+    let group = Arc::new(TaskGroup {
+        parent: innermost_group(),
+        ..TaskGroup::default()
+    });
+    let scope = EnvScope(swap_env(TaskEnv {
+        group: Some(group.clone()),
+        is_final: in_final(),
+    }));
+    let out = body();
+    drop(scope);
+    (out, group)
+}
+
+/// Build a lifetime-erased task, child of `parent`'s implicit task and
+/// member of the current innermost taskgroup.
 ///
 /// # Safety
 ///
 /// See [`TaskSystem::push`].
 pub(crate) unsafe fn make_raw_task<'a>(
     f: Box<dyn FnOnce() + Send + 'a>,
-    hooks: TaskHooks,
+    parent: usize,
+    is_final: bool,
 ) -> RawTask {
     // SAFETY: contract delegated to the caller (region-end drain).
     let func: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(f) };
     RawTask {
         func,
-        hooks,
+        group: innermost_group(),
         node: None,
+        parent,
+        is_final,
     }
 }
 
@@ -737,20 +778,8 @@ pub(crate) unsafe fn make_raw_task<'a>(
 mod tests {
     use super::*;
 
-    fn hooks() -> (TaskHooks, Arc<AtomicUsize>) {
-        let parent = Arc::new(AtomicUsize::new(0));
-        (
-            TaskHooks {
-                parent_children: parent.clone(),
-                groups: vec![],
-            },
-            parent,
-        )
-    }
-
-    fn raw(f: impl FnOnce() + Send + 'static) -> (RawTask, Arc<AtomicUsize>) {
-        let (h, parent) = hooks();
-        (unsafe { make_raw_task(Box::new(f), h) }, parent)
+    fn raw(f: impl FnOnce() + Send + 'static) -> RawTask {
+        unsafe { make_raw_task(Box::new(f), 0, false) }
     }
 
     #[test]
@@ -758,17 +787,17 @@ mod tests {
         let sys = TaskSystem::new(2);
         let ran = Arc::new(AtomicUsize::new(0));
         let r2 = ran.clone();
-        let (task, parent) = raw(move || {
+        let task = raw(move || {
             r2.fetch_add(1, Ordering::SeqCst);
         });
         unsafe { sys.push(0, task, TaskDeps::new()) };
         assert_eq!(sys.pending(), 1);
-        assert_eq!(parent.load(Ordering::SeqCst), 1);
+        assert_eq!(sys.children(0), 1);
         let mut seed = 1;
         sys.drain(0, &mut seed);
         assert_eq!(ran.load(Ordering::SeqCst), 1);
         assert_eq!(sys.pending(), 0);
-        assert_eq!(parent.load(Ordering::SeqCst), 0);
+        assert_eq!(sys.children(0), 0);
     }
 
     #[test]
@@ -777,7 +806,7 @@ mod tests {
         let order = Arc::new(Mutex::new(Vec::new()));
         for i in 0..3 {
             let order = order.clone();
-            let (t, _p) = raw(move || {
+            let t = raw(move || {
                 order.lock().push(i);
             });
             unsafe { sys.push(0, t, TaskDeps::new()) };
@@ -797,62 +826,49 @@ mod tests {
     #[test]
     fn counters_restored_even_on_panic() {
         let sys = TaskSystem::new(1);
-        let (t, parent) = raw(|| panic!("task boom"));
-        unsafe { sys.push(0, t, TaskDeps::new()) };
+        let ((), group) =
+            in_taskgroup(|| unsafe { sys.push(0, raw(|| panic!("task boom")), TaskDeps::new()) });
         let mut seed = 1;
         let task = sys.pop_or_steal(0, &mut seed).unwrap();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.execute(0, task)));
         assert!(r.is_err());
         assert_eq!(sys.pending(), 0);
-        assert_eq!(parent.load(Ordering::SeqCst), 0);
-        assert!(CURRENT_FRAME.with(|c| c.borrow().is_none()));
+        assert_eq!(sys.children(0), 0);
+        assert_eq!(group.count.load(Ordering::SeqCst), 0);
+        assert!(innermost_group().is_none());
     }
 
     #[test]
     fn group_counters_tracked() {
+        // A task counts in its innermost group only.
         let sys = TaskSystem::new(1);
-        let group = Arc::new(TaskGroup::default());
-        let parent = Arc::new(AtomicUsize::new(0));
-        let t = unsafe {
-            make_raw_task(
-                Box::new(|| {}),
-                TaskHooks {
-                    parent_children: parent.clone(),
-                    groups: vec![group.clone()],
-                },
-            )
-        };
-        unsafe { sys.push(0, t, TaskDeps::new()) };
-        assert_eq!(group.count.load(Ordering::SeqCst), 1);
+        let (inner, outer) =
+            in_taskgroup(|| in_taskgroup(|| unsafe { sys.push(0, raw(|| {}), TaskDeps::new()) }).1);
+        assert!(Arc::ptr_eq(inner.parent.as_ref().unwrap(), &outer));
+        assert_eq!(inner.count.load(Ordering::SeqCst), 1);
+        assert_eq!(outer.count.load(Ordering::SeqCst), 0);
+        assert!(innermost_group().is_none(), "taskgroup scope leaked");
         let mut seed = 1;
         sys.drain(0, &mut seed);
-        assert_eq!(group.count.load(Ordering::SeqCst), 0);
+        assert_eq!(inner.count.load(Ordering::SeqCst), 0);
     }
 
     #[test]
     fn cancelled_group_discards_queued_and_stalled_tasks() {
         let sys = TaskSystem::new(1);
-        let group = Arc::new(TaskGroup::default());
-        let parent = Arc::new(AtomicUsize::new(0));
         let ran = Arc::new(AtomicUsize::new(0));
         let x = 0u8;
         // One ready task and one dependence-stalled behind it, both in
         // the group.
-        for _ in 0..2 {
-            let ran = ran.clone();
-            let t = unsafe {
-                make_raw_task(
-                    Box::new(move || {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                    }),
-                    TaskHooks {
-                        parent_children: parent.clone(),
-                        groups: vec![group.clone()],
-                    },
-                )
-            };
-            unsafe { sys.push(0, t, TaskDeps::new().inout(&x)) };
-        }
+        let ((), group) = in_taskgroup(|| {
+            for _ in 0..2 {
+                let ran = ran.clone();
+                let t = raw(move || {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+                unsafe { sys.push(0, t, TaskDeps::new().inout(&x)) };
+            }
+        });
         group.cancelled.store(true, Ordering::SeqCst);
         let mut seed = 1;
         sys.drain(0, &mut seed);
@@ -861,7 +877,7 @@ mod tests {
         assert_eq!(ran.load(Ordering::SeqCst), 0);
         assert_eq!(sys.pending(), 0);
         assert_eq!(group.count.load(Ordering::SeqCst), 0);
-        assert_eq!(parent.load(Ordering::SeqCst), 0);
+        assert_eq!(sys.children(0), 0);
     }
 
     #[test]
@@ -870,7 +886,7 @@ mod tests {
         let ran = Arc::new(AtomicUsize::new(0));
         for _ in 0..3 {
             let ran = ran.clone();
-            let (t, _p) = raw(move || {
+            let t = raw(move || {
                 ran.fetch_add(1, Ordering::SeqCst);
             });
             unsafe { sys.push(0, t, TaskDeps::new()) };
@@ -888,8 +904,8 @@ mod tests {
         let x = 0u8; // address token
         let log = Arc::new(Mutex::new(Vec::new()));
         let (l1, l2) = (log.clone(), log.clone());
-        let (writer, _p1) = raw(move || l1.lock().push("w"));
-        let (reader, _p2) = raw(move || l2.lock().push("r"));
+        let writer = raw(move || l1.lock().push("w"));
+        let reader = raw(move || l2.lock().push("r"));
         unsafe { sys.push(0, writer, TaskDeps::new().output(&x)) };
         unsafe { sys.push(0, reader, TaskDeps::new().input(&x)) };
         // Only the writer is ready: the reader is stalled.
@@ -911,7 +927,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let mk = |tag: &'static str, log: &Arc<Mutex<Vec<&'static str>>>| {
             let log = log.clone();
-            raw(move || log.lock().push(tag)).0
+            raw(move || log.lock().push(tag))
         };
         unsafe {
             sys.push(0, mk("w1", &log), TaskDeps::new().output(&x));
@@ -933,8 +949,8 @@ mod tests {
     fn independent_addresses_do_not_order() {
         let sys = TaskSystem::new(1);
         let (x, y) = (0u8, 0u8);
-        let (a, _pa) = raw(|| {});
-        let (b, _pb) = raw(|| {});
+        let a = raw(|| {});
+        let b = raw(|| {});
         unsafe { sys.push(0, a, TaskDeps::new().output(&x)) };
         unsafe { sys.push(0, b, TaskDeps::new().output(&y)) };
         // Both ready immediately.
@@ -947,8 +963,8 @@ mod tests {
     fn pending_counts_stalled_tasks() {
         let sys = TaskSystem::new(1);
         let x = 0u8;
-        let (a, _pa) = raw(|| {});
-        let (b, _pb) = raw(|| {});
+        let a = raw(|| {});
+        let b = raw(|| {});
         unsafe { sys.push(0, a, TaskDeps::new().output(&x)) };
         unsafe { sys.push(0, b, TaskDeps::new().output(&x)) };
         assert_eq!(sys.pending(), 2);
@@ -963,9 +979,9 @@ mod tests {
         let x = 0u8;
         let log = Arc::new(Mutex::new(Vec::new()));
         let (l1, l2) = (log.clone(), log.clone());
-        let (writer, _p1) = raw(move || l1.lock().push("w"));
+        let writer = raw(move || l1.lock().push("w"));
         unsafe { sys.push(0, writer, TaskDeps::new().output(&x)) };
-        let (undeferred, _p2) = raw(move || l2.lock().push("u"));
+        let undeferred = raw(move || l2.lock().push("u"));
         let mut seed = 1;
         unsafe { sys.run_undeferred(0, &mut seed, undeferred, TaskDeps::new().input(&x)) };
         // The undeferred task had to help-execute the writer first.
@@ -977,7 +993,7 @@ mod tests {
     fn same_address_in_and_out_is_not_a_self_cycle() {
         let sys = TaskSystem::new(1);
         let x = 0u8;
-        let (t, _p) = raw(|| {});
+        let t = raw(|| {});
         unsafe { sys.push(0, t, TaskDeps::new().input(&x).output(&x)) };
         let mut seed = 1;
         assert!(sys.pop_or_steal(0, &mut seed).is_some(), "must be ready");

@@ -11,6 +11,9 @@ use romp_runtime::{
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+
+const TWO_MINUTES: Duration = Duration::from_secs(120);
 
 /// Repeated fork-join: hundreds of regions of varying size through the
 /// persistent pool, each doing real work, must neither lose updates nor
@@ -102,9 +105,9 @@ fn nested_fork_serializes_by_default() {
 }
 
 /// Taskgroup under work stealing: every team thread floods the deques
-/// with tasks spawning subtasks; `taskgroup` must not return while any
-/// transitively-created task is live, even when other threads steal
-/// and run them.
+/// with tasks; `taskgroup` must not return while any member is live,
+/// even when other threads steal and run them. (Task bodies cannot
+/// reach the `ThreadCtx`, so members spawn no subtasks of this team.)
 #[test]
 fn taskgroup_waits_for_stolen_subtasks() {
     let threads = 4;
@@ -115,9 +118,8 @@ fn taskgroup_waits_for_stolen_subtasks() {
             ctx.taskgroup(|| {
                 for _ in 0..25 {
                     let done = done.clone();
+                    // Thieves may run it; the group waits for it anyway.
                     ctx.task(move || {
-                        // Subtask created *inside* a group task: the
-                        // group must wait for it transitively.
                         done.fetch_add(1, Ordering::Relaxed);
                     });
                 }
@@ -349,16 +351,44 @@ fn region_end_barrier_drains_stalled_dependents() {
     }
 }
 
+/// A region forked inside an explicit task runs a fresh implicit task:
+/// its `taskwait` waits for that implicit task's own children. Here the
+/// task forks region B, B spawns one task and forks region C, and C's
+/// `taskwait` has nothing to wait for. It once waited on the enclosing
+/// task's count, which held B's task — queued where only the waiting
+/// thread could run it. `num_threads(1)` keeps B and C serialized at
+/// any `max-active-levels`, so no worker of B can run that task.
+#[test]
+fn taskwait_in_a_region_nested_in_a_task_waits_for_its_own_children() {
+    within(Duration::from_secs(5), || {
+        let ran = AtomicUsize::new(0);
+        let ran = &ran;
+        fork(ForkSpec::with_num_threads(2), |ctx| {
+            ctx.single(false, || {
+                ctx.task(move || {
+                    fork(ForkSpec::with_num_threads(1), |b| {
+                        b.task(move || {
+                            ran.fetch_add(1, Ordering::Relaxed);
+                        });
+                        fork(ForkSpec::with_num_threads(1), |c| c.taskwait());
+                    });
+                });
+            });
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 1);
+    });
+}
+
 /// Run `f` on its own thread and fail — instead of hanging the suite —
-/// if it has not finished within two minutes (a wedged team never
-/// returns; its thread is abandoned).
-fn within_two_minutes(f: impl FnOnce() + Send + 'static) {
+/// if it has not finished within `limit` (a wedged team never returns;
+/// its thread is abandoned).
+fn within(limit: Duration, f: impl FnOnce() + Send + 'static) {
     let (tx, rx) = std::sync::mpsc::channel();
     let worker = std::thread::spawn(move || {
         f();
         let _ = tx.send(());
     });
-    match rx.recv_timeout(std::time::Duration::from_secs(120)) {
+    match rx.recv_timeout(limit) {
         Ok(()) => worker.join().expect("worker finished"),
         Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
             std::panic::resume_unwind(worker.join().expect_err("worker panicked"))
@@ -377,7 +407,7 @@ fn slot_ring_survives_thousands_of_nowait_constructs() {
     const CONSTRUCTS: u64 = 10_000;
     const TRIP: u64 = 6;
     for threads in [2, 4] {
-        within_two_minutes(move || {
+        within(TWO_MINUTES, move || {
             let singles = AtomicU64::new(0);
             let iterations = AtomicU64::new(0);
             fork(ForkSpec::with_num_threads(threads), |ctx| {
@@ -404,7 +434,7 @@ fn slot_ring_survives_thousands_of_nowait_constructs() {
 #[test]
 fn barrier_is_one_episode_even_when_siblings_spawn_right_after() {
     const ROUNDS: u64 = 20_000;
-    within_two_minutes(|| {
+    within(TWO_MINUTES, || {
         let threads = icv::hardware_threads() * 2;
         let ran = AtomicU64::new(0);
         let granted = AtomicUsize::new(0);

@@ -382,6 +382,176 @@ fn cancel_taskgroup_from_inside_a_member_task() {
     assert!(ran.load(Ordering::SeqCst) <= 16);
 }
 
+/// A task-local ledger: the body of a task holding an [`Entry`] marks
+/// it executed, and a closure dropped without running — a discarded
+/// task — marks it discarded. Unlike the global stats counters, no
+/// other test can touch it.
+#[derive(Default)]
+struct Ledger {
+    executed: AtomicUsize,
+    discarded: AtomicUsize,
+}
+
+struct Entry<'a> {
+    ran: bool,
+    ledger: &'a Ledger,
+}
+
+impl Ledger {
+    fn entry(&self) -> Entry<'_> {
+        Entry {
+            ran: false,
+            ledger: self,
+        }
+    }
+
+    fn counts(&self) -> (usize, usize) {
+        (
+            self.executed.load(Ordering::SeqCst),
+            self.discarded.load(Ordering::SeqCst),
+        )
+    }
+}
+
+impl Entry<'_> {
+    fn run(mut self) {
+        self.ran = true;
+        self.ledger.executed.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+impl Drop for Entry<'_> {
+    fn drop(&mut self) {
+        if !self.ran {
+            self.ledger.discarded.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Spawn `n` tasks that each hold an entry of `ledger`.
+fn spawn_members<'s>(ctx: &ThreadCtx<'s>, ledger: &'s Ledger, n: usize) {
+    for _ in 0..n {
+        let entry = ledger.entry();
+        ctx.task(move || entry.run());
+    }
+}
+
+/// Spin until `flag` is raised, or [`DEADLINE`] passes.
+fn wait_for(flag: &AtomicBool) {
+    let start = Instant::now();
+    while !flag.load(Ordering::SeqCst) && start.elapsed() < DEADLINE {
+        std::thread::yield_now();
+    }
+}
+
+/// Cancelling an outer taskgroup discards the unstarted members of the
+/// groups nested in it. The master's implicit task opens G and, inside
+/// it, H. A G member spawned before H — the oldest task, so the one the
+/// sibling steals first — waits until H's members are queued, then
+/// cancels its innermost group, G. Every H member is discarded, H's
+/// wait still returns, and each task is executed or discarded. Needs
+/// the sibling to run the G member while the master waits, so a team
+/// delivered short skips the checks.
+#[test]
+fn cancelling_an_outer_taskgroup_discards_nested_members() {
+    const MEMBERS: usize = 8;
+    let _arm = ArmCancellation::new();
+    let (g, h) = (Ledger::default(), Ledger::default());
+    let (h_queued, cancelled) = (AtomicBool::new(false), AtomicBool::new(false));
+    let team = AtomicUsize::new(0);
+    {
+        let (g, h, h_queued, cancelled) = (&g, &h, &h_queued, &cancelled);
+        parallel().num_threads(2).run(|ctx| {
+            team.store(ctx.num_threads(), Ordering::SeqCst);
+            if ctx.thread_num() != 0 || ctx.num_threads() < 2 {
+                return;
+            }
+            ctx.taskgroup(|| {
+                let entry = g.entry();
+                ctx.task(move || {
+                    entry.run();
+                    wait_for(h_queued);
+                    cancelled.store(cancel_taskgroup(), Ordering::SeqCst);
+                });
+                ctx.taskgroup(|| {
+                    spawn_members(ctx, h, MEMBERS);
+                    h_queued.store(true, Ordering::SeqCst);
+                    wait_for(cancelled);
+                });
+                assert_eq!(h.counts(), (0, MEMBERS), "H closed with members left");
+            });
+        });
+    }
+    if team.load(Ordering::SeqCst) < 2 {
+        return;
+    }
+    assert!(
+        cancelled.load(Ordering::SeqCst),
+        "the G member's cancel must see the armed group"
+    );
+    assert_eq!(
+        h.counts(),
+        (0, MEMBERS),
+        "unstarted H members must be discarded"
+    );
+    assert_eq!(g.counts(), (1, 0));
+}
+
+/// Cancelling an inner taskgroup leaves the outer group alone: the
+/// master opens G, spawns G members, opens H and spawns a canceller
+/// followed by H members. The sibling steals oldest first, so it runs
+/// the G members and then the canceller, which cancels H; the master
+/// waits for that before it closes H. Every unstarted H member is
+/// discarded, and every G member — spawned before H or after it —
+/// still runs. A team delivered short skips the checks.
+#[test]
+fn cancelling_an_inner_taskgroup_spares_the_outer_members() {
+    const MEMBERS: usize = 8;
+    let _arm = ArmCancellation::new();
+    let (g, h) = (Ledger::default(), Ledger::default());
+    let cancelled = AtomicBool::new(false);
+    let team = AtomicUsize::new(0);
+    {
+        let (g, h, cancelled) = (&g, &h, &cancelled);
+        parallel().num_threads(2).run(|ctx| {
+            team.store(ctx.num_threads(), Ordering::SeqCst);
+            if ctx.thread_num() != 0 || ctx.num_threads() < 2 {
+                return;
+            }
+            ctx.taskgroup(|| {
+                spawn_members(ctx, g, MEMBERS);
+                ctx.taskgroup(|| {
+                    let entry = h.entry();
+                    ctx.task(move || {
+                        entry.run();
+                        cancelled.store(cancel_taskgroup(), Ordering::SeqCst);
+                    });
+                    spawn_members(ctx, h, MEMBERS);
+                    wait_for(cancelled);
+                });
+                spawn_members(ctx, g, MEMBERS);
+            });
+        });
+    }
+    if team.load(Ordering::SeqCst) < 2 {
+        return;
+    }
+    assert!(
+        cancelled.load(Ordering::SeqCst),
+        "the canceller must see the armed group"
+    );
+    assert_eq!(
+        h.counts(),
+        (1, MEMBERS),
+        "unstarted H members must be discarded"
+    );
+    assert_eq!(
+        g.counts(),
+        (2 * MEMBERS, 0),
+        "cancelling H must not discard G's members"
+    );
+}
+
 /// Why `cancelled_sections_stop_claiming` bounds the sections started
 /// *after the cancel request is visible* rather than the sections
 /// claimed: the canceller can be delayed for any length of time between
