@@ -6,6 +6,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::OnceLock;
 
 /// NPB problem class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,6 +46,30 @@ impl FromStr for Class {
             "C" => Ok(Class::C),
             other => Err(format!("unknown NPB class `{other}` (use S, W, A, B or C)")),
         }
+    }
+}
+
+/// A value computed at most once per class — the memo behind each
+/// kernel's verification value. A first caller computes; concurrent
+/// first callers of the same class wait for it instead of computing
+/// again, and every later call is one atomic load.
+pub struct PerClass<T>([OnceLock<T>; 5]);
+
+impl<T> PerClass<T> {
+    /// An empty memo (usable in a `static`).
+    pub const fn new() -> Self {
+        PerClass([const { OnceLock::new() }; 5])
+    }
+
+    /// The value for `class`, computing it with `init` on first use.
+    pub fn get_or_init(&self, class: Class, init: impl FnOnce() -> T) -> &T {
+        self.0[class as usize].get_or_init(init)
+    }
+}
+
+impl<T> Default for PerClass<T> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -169,6 +194,28 @@ mod tests {
             assert!(w[0].ep_m() < w[1].ep_m());
             assert!(w[0].is_params().0 < w[1].is_params().0);
         }
+    }
+
+    #[test]
+    fn per_class_memo_computes_once_per_class() {
+        static MEMO: PerClass<usize> = PerClass::new();
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let get = |c: Class| {
+            *MEMO.get_or_init(c, || {
+                calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                c as usize * 10
+            })
+        };
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for c in [Class::S, Class::W, Class::C, Class::S] {
+                        assert_eq!(get(c), c as usize * 10);
+                    }
+                });
+            }
+        });
+        assert_eq!(calls.into_inner(), 3, "S, W and C once each");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! that lies past the end of the row, keeps computing but no longer
 //! counts.
 
-use crate::classes::Class;
+use crate::classes::{Class, PerClass};
 use crate::verify::{KernelResult, Variant};
 use romp_core::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,18 +130,12 @@ pub fn run_serial(class: Class) -> (u64, f64) {
 /// (in parallel — the sum of per-row integers is order-independent, so
 /// the value is exact).
 pub fn expected_checksum(class: Class) -> u64 {
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<HashMap<Class, u64>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(&v) = cache.lock().unwrap().get(&class) {
-        return v;
-    }
-    let v = render_rows(class, None, Schedule::dynamic_chunk(1))
-        .iter()
-        .sum();
-    cache.lock().unwrap().insert(class, v);
-    v
+    static MEMO: PerClass<u64> = PerClass::new();
+    *MEMO.get_or_init(class, || {
+        render_rows(class, None, Schedule::dynamic_chunk(1))
+            .iter()
+            .sum()
+    })
 }
 
 fn result(

@@ -15,7 +15,9 @@
 //! reference codes do with their `randlc(t2, t2)` doubling loops.
 //!
 //! The same leapfrog, at stride `L = FILL_CHAINS` (4) instead of a block,
-//! drives [`Randlc::fill`] (`vranlc`): `L` chains stepping by `A^L`
+//! drives [`Randlc::fill`] (`vranlc`) and [`Randlc::fill_symbols`] (the
+//! integer quantizer behind the SW sequences and the FS haystack): `L`
+//! chains stepping by `A^L`
 //! produce the values `x_{j+1}, x_{j+1+L}, …` interleaved, which is the
 //! serial sequence itself, so a batch fill costs `L` overlapping
 //! multiplies per `L` values instead of `L` dependent ones.
@@ -88,6 +90,28 @@ impl Randlc {
     /// behind — is exactly that of calling [`Randlc::next_f64`]
     /// `out.len()` times.
     pub fn fill(&mut self, out: &mut [f64]) {
+        self.fill_map(out, to_unit);
+    }
+
+    /// Fill `out` with consecutive symbols of a `2^bits`-letter alphabet
+    /// (`bits` in `1..=8`): the top `bits` bits of each state,
+    /// `x >> (46 − bits)`, produced by the same interleaved chains as
+    /// [`Randlc::fill`].
+    ///
+    /// Each symbol is exactly the float quantizer
+    /// `((next_f64() · 2^bits) as u8).min(2^bits − 1)`: the state is
+    /// below 2^46, so `x · 2^-46` and its product with the power of two
+    /// `2^bits` are exact, and the product's floor is `x >> (46 − bits)`,
+    /// which is already below `2^bits`, so the clamp never applies.
+    pub fn fill_symbols(&mut self, bits: u32, out: &mut [u8]) {
+        assert!((1..=8).contains(&bits), "{bits}-bit symbols");
+        self.fill_map(out, |x| (x >> (46 - bits)) as u8);
+    }
+
+    /// The next `out.len()` states, each mapped through `f`, by
+    /// `FILL_CHAINS` interleaved chains (see [`Randlc::fill`]).
+    #[inline(always)]
+    fn fill_map<T>(&mut self, out: &mut [T], f: impl Fn(u64) -> T) {
         let mut chains = [0u64; FILL_CHAINS];
         let mut x = self.x;
         for c in chains.iter_mut() {
@@ -97,12 +121,12 @@ impl Randlc {
         let mut blocks = out.chunks_exact_mut(FILL_CHAINS);
         for block in &mut blocks {
             for (v, c) in block.iter_mut().zip(chains.iter_mut()) {
-                *v = to_unit(*c);
+                *v = f(*c);
                 *c = mul_mod46(*c, A_FILL);
             }
         }
         for (v, &c) in blocks.into_remainder().iter_mut().zip(&chains) {
-            *v = to_unit(c);
+            *v = f(c);
         }
         self.skip(out.len() as u64);
     }
@@ -234,6 +258,23 @@ mod tests {
             for &v in &more {
                 assert_eq!(v.to_bits(), b.next_f64().to_bits(), "after len {len}");
             }
+        }
+    }
+
+    #[test]
+    fn fill_symbols_equals_the_float_quantizer() {
+        for bits in [2, 4] {
+            let top = (1u8 << bits) - 1;
+            let mut ints = Randlc::new(SEED_EP);
+            let mut floats = Randlc::new(SEED_EP);
+            // Not a multiple of the chain count: the remainder path too.
+            let mut syms = vec![0u8; 1_000_003];
+            ints.fill_symbols(bits, &mut syms);
+            for (i, &s) in syms.iter().enumerate() {
+                let want = ((floats.next_f64() * f64::from(1u32 << bits)) as u8).min(top);
+                assert_eq!(s, want, "bits {bits}, draw {i}");
+            }
+            assert_eq!(ints.state(), floats.state());
         }
     }
 
