@@ -198,11 +198,11 @@ pub(crate) fn bind_to_cpus(cpus: &[usize]) -> bool {
     }
     match sys_sched_setaffinity(&mask) {
         Ok(()) => {
-            crate::stats::bump(&crate::stats::stats().affinity_binds);
+            crate::stats::bump(|s| &s.affinity_binds);
             true
         }
         Err(err) => {
-            crate::stats::bump(&crate::stats::stats().affinity_bind_failures);
+            crate::stats::bump(|s| &s.affinity_bind_failures);
             warn_once(err);
             false
         }

@@ -87,7 +87,7 @@ impl TeamBarrier {
     /// discarded or `reset` (hot recycle).
     #[must_use]
     pub fn wait(&self, local: &mut BarrierLocal, abort: &AtomicBool, cancel: &AtomicBool) -> bool {
-        crate::stats::bump(&crate::stats::stats().barriers);
+        crate::stats::bump(|s| &s.barriers);
         // Chaos: delay-only site (a panic here could fire outside a
         // region body's catch scope) — staggered arrival is the
         // schedule that exposes release/reset races between episodes.

@@ -139,7 +139,7 @@ pub fn cancel_taskgroup() -> bool {
     let group = innermost_group()
         .unwrap_or_else(|| panic!("cancel(taskgroup) must be nested inside a taskgroup region"));
     if !group.cancelled.swap(true, Ordering::Release) {
-        crate::stats::bump(&crate::stats::stats().cancels_activated);
+        crate::stats::bump(|s| &s.cancels_activated);
     }
     true
 }
@@ -616,7 +616,7 @@ impl<'scope> ThreadCtx<'scope> {
             CancelKind::Parallel => {
                 if !self.team.cancel_parallel.swap(true, Ordering::Release) {
                     self.team.tasks.cancel_all.store(true, Ordering::Release);
-                    crate::stats::bump(&crate::stats::stats().cancels_activated);
+                    crate::stats::bump(|s| &s.cancels_activated);
                 }
             }
             CancelKind::For | CancelKind::Sections => {
@@ -632,7 +632,7 @@ impl<'scope> ThreadCtx<'scope> {
                 // request clobber a newer one already recorded, or the
                 // newer construct would silently run to completion.
                 if self.team.cancel_ws.fetch_max(g + 1, Ordering::AcqRel) < g + 1 {
-                    crate::stats::bump(&crate::stats::stats().cancels_activated);
+                    crate::stats::bump(|s| &s.cancels_activated);
                 }
             }
             CancelKind::Taskgroup => unreachable!("delegated above"),

@@ -60,7 +60,7 @@ impl OmpLock {
         {
             return;
         }
-        crate::stats::bump(&crate::stats::stats().contended_locks);
+        crate::stats::bump(|s| &s.contended_locks);
         let mut backoff = 1u32;
         loop {
             // Test-and-test-and-set: spin on a plain load first so the

@@ -179,7 +179,7 @@ impl Iterator for SharedChunks<'_> {
             }
             cur..cur.saturating_add(chunk).min(trip)
         };
-        crate::stats::bump(&crate::stats::stats().dispatched_chunks);
+        crate::stats::bump(|s| &s.dispatched_chunks);
         Some(claimed)
     }
 }

@@ -85,7 +85,7 @@ use crate::ctx::{
     forking_ancestors, forking_position, RegionInfo, SiblingPanic, ThreadCtx, REGION_STACK,
 };
 use crate::icv::{self, Icvs, ProcBind, WaitPolicy};
-use crate::stats::{bump, stats};
+use crate::stats::{add, bump};
 use crate::team::{ForkSnap, Team};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::{Cell, RefCell, UnsafeCell};
@@ -204,7 +204,7 @@ struct WorkerSlot {
 /// Only lease builds and lease ends take the lock; a repeat fork of the
 /// same shape is a hot-team hit and never does, so the list stays quiet.
 /// `try_lock` misses are counted
-/// ([`crate::stats::Stats::pool_shard_contention`]) so that a workload
+/// ([`crate::stats::Snapshot::pool_shard_contention`]) so that a workload
 /// which does collide on it shows. Thread-limit accounting is lock-free
 /// (`total` is an atomic reservation counter); a failed reservation is
 /// simply not taken, and a reservation whose spawn fails is **rolled
@@ -223,7 +223,7 @@ impl Pool {
     /// Lock the idle list, counting a `try_lock` miss as contention.
     fn lock_idle(&self) -> MutexGuard<'_, Vec<Arc<WorkerSlot>>> {
         self.idle.try_lock().unwrap_or_else(|| {
-            bump(&stats().pool_shard_contention);
+            bump(|s| &s.pool_shard_contention);
             self.idle.lock()
         })
     }
@@ -247,9 +247,7 @@ impl Pool {
             got.extend(idle.drain(keep..).rev());
         }
         if !got.is_empty() {
-            stats()
-                .pool_acquires_local
-                .fetch_add(got.len() as u64, Ordering::Relaxed);
+            add(|s| &s.pool_acquires_local, got.len() as u64);
         }
         // The limit counts all threads; reserve one for the initial thread.
         let worker_cap = icvs.thread_limit.saturating_sub(1);
@@ -271,7 +269,7 @@ impl Pool {
                     // effective thread limit — and degrade to a short
                     // team rather than panicking the whole process.
                     self.total.fetch_sub(1, Ordering::AcqRel);
-                    bump(&stats().worker_spawn_failures);
+                    bump(|s| &s.worker_spawn_failures);
                     break;
                 }
             }
@@ -342,7 +340,7 @@ fn spawn_worker(stacksize: Option<usize>) -> std::io::Result<Arc<WorkerSlot>> {
         builder = builder.stack_size(bytes);
     }
     builder.spawn(move || worker_main(their_slot))?;
-    bump(&stats().workers_spawned);
+    bump(|s| &s.workers_spawned);
     Ok(slot)
 }
 
@@ -853,9 +851,9 @@ fn hot_fork(
                 // consumed by a stale-epoch re-park and, the doorbell
                 // park being untimed, the worker is stranded forever
                 // (and the join with it).
-                bump(&stats().hot_team_hits);
+                bump(|s| &s.hot_team_hits);
                 if level > 0 {
-                    bump(&stats().hot_team_nested_hits);
+                    bump(|s| &s.hot_team_nested_hits);
                 }
                 ht.team.recycle(snap);
                 for ch in ht.channels.iter().rev() {
@@ -880,12 +878,12 @@ fn hot_fork(
             if cache[level].take().is_some() {
                 // Shape changed: drop the lease (workers return to the
                 // pool, possibly to be re-acquired two lines down).
-                bump(&stats().hot_team_resizes);
+                bump(|s| &s.hot_team_resizes);
             } else {
-                bump(&stats().hot_team_misses);
+                bump(|s| &s.hot_team_misses);
             }
             if level > 0 {
-                bump(&stats().hot_team_nested_misses);
+                bump(|s| &s.hot_team_nested_misses);
             }
             let ht = new_lease(key, level, active_level, icvs, snap, false, job);
             let team = ht.team.clone();
@@ -908,7 +906,7 @@ fn hot_fork(
         team
     };
     if team.size() == 1 {
-        bump(&stats().serialized_forks);
+        bump(|s| &s.serialized_forks);
     }
     let join_idle = IdleWait::join(icvs.wait_policy, team.size() > icv::hardware_threads());
     run_region(&team, 0, job);
@@ -1089,7 +1087,7 @@ where
         n = 1;
     }
     n = n.clamp(1, icvs.thread_limit.max(1));
-    bump(&stats().forks);
+    bump(|s| &s.forks);
 
     let job = make_job(&f);
     // The effective binding: clause beats the per-level `bind-var`
@@ -1141,7 +1139,7 @@ where
     // workers on every serial/parallel alternation, and a serial region
     // gains nothing from bound workers anyway.
     if n == 1 {
-        bump(&stats().serialized_forks);
+        bump(|s| &s.serialized_forks);
         let team = Arc::new(Team::new(
             1,
             level + 1,
@@ -1212,6 +1210,7 @@ pub fn idle_workers() -> usize {
 mod tests {
     use super::*;
     use crate::sched::Schedule;
+    use crate::stats::stats;
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -1252,11 +1251,11 @@ mod tests {
     fn workers_are_reused_across_regions() {
         // Warm the pool.
         fork(ForkSpec::with_num_threads(4), |_| {});
-        let spawned_before = stats().workers_spawned.load(Ordering::Relaxed);
+        let spawned_before = stats().snapshot().workers_spawned;
         for _ in 0..50 {
             fork(ForkSpec::with_num_threads(4), |_| {});
         }
-        let spawned_after = stats().workers_spawned.load(Ordering::Relaxed);
+        let spawned_after = stats().snapshot().workers_spawned;
         // Other tests run concurrently and may spawn workers of their own,
         // but 50 sequential same-size regions must not need 50 new teams'
         // worth of threads.

@@ -343,7 +343,7 @@ impl TaskSystem {
     /// region (enforced by the `'scope` bound on `ThreadCtx::task` plus
     /// the region-end drain).
     pub(crate) unsafe fn push(&self, thread_num: usize, mut task: RawTask, deps: TaskDeps) {
-        crate::stats::bump(&crate::stats::stats().tasks_spawned);
+        crate::stats::bump(|s| &s.tasks_spawned);
         self.account(&task);
         if deps.is_empty() {
             self.enqueue(thread_num, task);
@@ -356,7 +356,7 @@ impl TaskSystem {
             drop(g);
             self.enqueue(thread_num, task);
         } else {
-            crate::stats::bump(&crate::stats::stats().tasks_dep_stalled);
+            crate::stats::bump(|s| &s.tasks_dep_stalled);
             g.nodes.get_mut(&id).expect("node just registered").task = Some(task);
         }
     }
@@ -377,15 +377,15 @@ impl TaskSystem {
         mut task: RawTask,
         deps: TaskDeps,
     ) {
-        crate::stats::bump(&crate::stats::stats().tasks_spawned);
-        crate::stats::bump(&crate::stats::stats().tasks_inline);
+        crate::stats::bump(|s| &s.tasks_spawned);
+        crate::stats::bump(|s| &s.tasks_inline);
         self.account(&task);
         if !deps.is_empty() {
             let id = {
                 let mut g = self.deps.lock();
                 let (id, ready) = g.register(&deps);
                 if !ready {
-                    crate::stats::bump(&crate::stats::stats().tasks_dep_stalled);
+                    crate::stats::bump(|s| &s.tasks_dep_stalled);
                 }
                 id
             };
@@ -471,7 +471,7 @@ impl TaskSystem {
             let t = deque.pop_front();
             q.approx_len.store(deque.len(), Ordering::Relaxed);
             if t.is_some() {
-                crate::stats::bump(&crate::stats::stats().tasks_stolen);
+                crate::stats::bump(|s| &s.tasks_stolen);
             }
             t
         };
@@ -555,10 +555,10 @@ impl TaskSystem {
             prev: swap_env(TaskEnv { group, is_final }),
         };
         if discard {
-            crate::stats::bump(&crate::stats::stats().tasks_discarded);
+            crate::stats::bump(|s| &s.tasks_discarded);
             drop(func);
         } else {
-            crate::stats::bump(&crate::stats::stats().tasks_executed);
+            crate::stats::bump(|s| &s.tasks_executed);
             // Chaos: panic/delay in place of the body. Legal here —
             // every execute() caller runs under a catch_unwind (workers
             // inside run_region, the joining master through
@@ -651,9 +651,7 @@ impl TaskSystem {
         // Close the task ledger: spawned == executed + discarded +
         // purged must hold once a region fully settles (the chaos soak
         // asserts it), so every never-run closure is counted here.
-        crate::stats::stats()
-            .tasks_purged
-            .fetch_add(dropped, Ordering::Relaxed);
+        crate::stats::add(|s| &s.tasks_purged, dropped);
         // The dropped tasks never decrement `pending` through the
         // execute path; zero it so nothing spins on the count.
         self.pending.store(0, Ordering::Release);

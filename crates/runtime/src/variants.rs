@@ -186,13 +186,13 @@ pub fn record(choice: VariantChoice, elapsed_sec: f64) {
     let mut s = choice.entry.state.lock();
     if s.learner.locked.is_none() {
         s.probes += 1;
-        crate::stats::bump(&crate::stats::stats().tune_probes);
+        crate::stats::bump(|s| &s.tune_probes);
         // Cost per unit of work: the learner minimizes it, which
         // maximizes throughput.
         if s.learner
             .record(choice.index, elapsed_sec.max(0.0) / choice.work as f64)
         {
-            crate::stats::bump(&crate::stats::stats().tune_converged);
+            crate::stats::bump(|s| &s.tune_converged);
         }
     }
 }
