@@ -4,17 +4,14 @@
 //! and flips the global sense. One hot cache line, but minimal memory
 //! and cheap at the team sizes a fork-per-loop runtime runs.
 //!
-//! Waiters spin for the wait policy's budget, then park; the release
-//! takes the park lock and wakes the parked only when there are any, so
-//! an episode whose waiters are all still spinning costs no system call.
-//! Every wait loop watches an abort flag so that a panicking sibling
-//! unwinds the whole team instead of deadlocking it (see
-//! [`crate::pool`]).
+//! Waiters wait on the team's ladder ([`crate::wait`]); the release
+//! flips the sense with a `SeqCst` store and then wakes the team's
+//! sleepers, which costs one load while every waiter is still spinning.
+//! Every wait watches an abort flag so that a panicking sibling unwinds
+//! the whole team instead of deadlocking it (see [`crate::pool`]).
 
-use crate::icv::WaitPolicy;
-use parking_lot::{Condvar, Mutex};
+use crate::wait::{self, Ladder, Sleepers};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// Per-thread barrier bookkeeping, owned by the thread's context.
 #[derive(Debug, Clone)]
@@ -32,29 +29,19 @@ impl Default for BarrierLocal {
 #[derive(Debug)]
 pub struct TeamBarrier {
     size: usize,
-    spin_budget: u32,
+    ladder: Ladder,
     count: AtomicUsize,
     sense: AtomicBool,
-    park_lock: Mutex<()>,
-    park_cv: Condvar,
-    /// Waiters in the park phase. A waiter counts itself in (holding the
-    /// park lock) before its last look at `sense`, and the releaser
-    /// looks at this count after flipping `sense` — both `SeqCst` — so
-    /// either the waiter sees the flip or the releaser sees the waiter.
-    parked: AtomicUsize,
 }
 
 impl TeamBarrier {
-    /// Build a barrier for `size` threads.
-    pub fn new(size: usize, policy: WaitPolicy) -> Self {
+    /// Build a barrier for `size` threads that wait on `ladder`.
+    pub(crate) fn new(size: usize, ladder: Ladder) -> Self {
         TeamBarrier {
             size,
-            spin_budget: policy.spin_budget(),
+            ladder,
             count: AtomicUsize::new(size),
             sense: AtomicBool::new(true),
-            park_lock: Mutex::new(()),
-            park_cv: Condvar::new(),
-            parked: AtomicUsize::new(0),
         }
     }
 
@@ -77,16 +64,23 @@ impl TeamBarrier {
         self.sense.store(true, Ordering::Relaxed);
     }
 
-    /// Wait at the barrier. Returns `true` when the episode completed
-    /// and `false` when the wait was released early — either `abort`
-    /// (a sibling panicked; callers unwind) or `cancel` (the binding
-    /// region was cancelled; barriers are cancellation points, so a
-    /// blocked thread must be released to proceed to the region end).
-    /// Once either flag is up the barrier state may be left mid-episode;
-    /// that is fine because no further episode runs before the team is
-    /// discarded or `reset` (hot recycle).
+    /// Wait at the barrier, parking in `sleepers`. Returns `true` when
+    /// the episode completed and `false` when the wait was released
+    /// early — either `abort` (a sibling panicked; callers unwind) or
+    /// `cancel` (the binding region was cancelled; barriers are
+    /// cancellation points, so a blocked thread must be released to
+    /// proceed to the region end). Whoever raises either flag wakes
+    /// `sleepers`. Once either flag is up the barrier state may be left
+    /// mid-episode; that is fine because no further episode runs before
+    /// the team is discarded or `reset` (hot recycle).
     #[must_use]
-    pub fn wait(&self, local: &mut BarrierLocal, abort: &AtomicBool, cancel: &AtomicBool) -> bool {
+    pub(crate) fn wait(
+        &self,
+        local: &mut BarrierLocal,
+        abort: &AtomicBool,
+        cancel: &AtomicBool,
+        sleepers: &Sleepers,
+    ) -> bool {
         crate::stats::bump(|s| &s.barriers);
         // Chaos: delay-only site (a panic here could fire outside a
         // region body's catch scope) — staggered arrival is the
@@ -95,9 +89,10 @@ impl TeamBarrier {
         if self.size <= 1 {
             return !abort.load(Ordering::Relaxed);
         }
+        let released_early = || abort.load(Ordering::Relaxed) || cancel.load(Ordering::Relaxed);
         // Entry check: a cancelled region's threads must not keep
         // mutating episode state they will never complete.
-        if abort.load(Ordering::Relaxed) || cancel.load(Ordering::Relaxed) {
+        if released_early() {
             return false;
         }
         let my_sense = local.sense;
@@ -106,71 +101,72 @@ impl TeamBarrier {
             // Last arrival: reset and release the episode.
             self.count.store(self.size, Ordering::Relaxed);
             self.sense.store(!my_sense, Ordering::SeqCst);
-            if self.parked.load(Ordering::SeqCst) > 0 {
-                // A parked waiter either already saw the flip or is
-                // inside `wait_for` once we get the lock.
-                drop(self.park_lock.lock());
-                self.park_cv.notify_all();
-            }
-            return !abort.load(Ordering::Relaxed) && !cancel.load(Ordering::Relaxed);
+            sleepers.wake_all();
+        } else {
+            wait::until(self.ladder, sleepers, || {
+                self.sense.load(Ordering::Acquire) != my_sense || released_early()
+            });
         }
-        // Spin phase.
-        let mut spins = 0u32;
-        while self.sense.load(Ordering::Acquire) == my_sense {
-            if abort.load(Ordering::Relaxed) || cancel.load(Ordering::Relaxed) {
-                return false;
-            }
-            spins += 1;
-            if spins >= self.spin_budget {
-                break;
-            }
-            std::hint::spin_loop();
-        }
-        // Park phase.
-        let mut guard = self.park_lock.lock();
-        self.parked.fetch_add(1, Ordering::SeqCst);
-        let mut released = true;
-        while self.sense.load(Ordering::SeqCst) == my_sense {
-            if abort.load(Ordering::Relaxed) || cancel.load(Ordering::Relaxed) {
-                released = false;
-                break;
-            }
-            // Timed wait so we re-check the abort flag even if the wakeup
-            // notification raced ahead of our park.
-            self.park_cv.wait_for(&mut guard, Duration::from_millis(1));
-        }
-        self.parked.fetch_sub(1, Ordering::Relaxed);
-        released && !abort.load(Ordering::Relaxed) && !cancel.load(Ordering::Relaxed)
+        !released_early()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::icv::WaitPolicy;
     use std::sync::atomic::AtomicU32;
     use std::sync::Arc;
+    use std::time::Duration;
+
+    /// A barrier with the team state its waits need.
+    struct Rig {
+        barrier: TeamBarrier,
+        abort: AtomicBool,
+        cancel: AtomicBool,
+        sleepers: Sleepers,
+    }
+
+    impl Rig {
+        fn new(size: usize, policy: WaitPolicy) -> Arc<Rig> {
+            Arc::new(Rig {
+                barrier: TeamBarrier::new(size, Ladder::new(policy, false)),
+                abort: AtomicBool::new(false),
+                cancel: AtomicBool::new(false),
+                sleepers: Sleepers::new(),
+            })
+        }
+
+        fn wait(&self, local: &mut BarrierLocal) -> bool {
+            self.barrier
+                .wait(local, &self.abort, &self.cancel, &self.sleepers)
+        }
+
+        /// Raise `flag` the way the runtime does: `SeqCst`, then wake.
+        fn raise(&self, flag: &AtomicBool) {
+            flag.store(true, Ordering::SeqCst);
+            self.sleepers.wake_all();
+        }
+    }
 
     fn exercise(n: usize, episodes: u32) {
-        let barrier = Arc::new(TeamBarrier::new(n, WaitPolicy::Hybrid));
-        let abort = Arc::new(AtomicBool::new(false));
+        let rig = Rig::new(n, WaitPolicy::Hybrid);
         let phase = Arc::new(AtomicU32::new(0));
         let mut handles = vec![];
         for t in 0..n {
-            let barrier = barrier.clone();
-            let abort = abort.clone();
+            let rig = rig.clone();
             let phase = phase.clone();
             handles.push(std::thread::spawn(move || {
-                let cancel = AtomicBool::new(false);
                 let mut local = BarrierLocal::default();
                 for e in 0..episodes {
                     // Everybody must observe the phase of the current
                     // episode before anyone moves past the barrier.
                     assert_eq!(phase.load(Ordering::SeqCst), e);
-                    assert!(barrier.wait(&mut local, &abort, &cancel));
+                    assert!(rig.wait(&mut local));
                     if t == 0 {
                         phase.store(e + 1, Ordering::SeqCst);
                     }
-                    assert!(barrier.wait(&mut local, &abort, &cancel));
+                    assert!(rig.wait(&mut local));
                 }
             }));
         }
@@ -188,79 +184,60 @@ mod tests {
 
     #[test]
     fn abort_unblocks_waiters() {
-        let barrier = Arc::new(TeamBarrier::new(2, WaitPolicy::Passive));
-        let abort = Arc::new(AtomicBool::new(false));
-        let b = barrier.clone();
-        let a = abort.clone();
-        let waiter = std::thread::spawn(move || {
-            let cancel = AtomicBool::new(false);
-            let mut local = BarrierLocal::default();
-            // Partner never arrives; abort must release us with `false`.
-            b.wait(&mut local, &a, &cancel)
-        });
+        let rig = Rig::new(2, WaitPolicy::Passive);
+        let r = rig.clone();
+        // Partner never arrives; abort must release us with `false`.
+        let waiter = std::thread::spawn(move || r.wait(&mut BarrierLocal::default()));
         std::thread::sleep(Duration::from_millis(20));
-        abort.store(true, Ordering::SeqCst);
+        rig.raise(&rig.abort);
         assert!(!waiter.join().unwrap());
     }
 
     #[test]
     fn single_thread_barrier_is_noop() {
-        let barrier = TeamBarrier::new(1, WaitPolicy::Active);
-        let abort = AtomicBool::new(false);
-        let cancel = AtomicBool::new(false);
+        let rig = Rig::new(1, WaitPolicy::Active);
         let mut local = BarrierLocal::default();
         for _ in 0..100 {
-            assert!(barrier.wait(&mut local, &abort, &cancel));
+            assert!(rig.wait(&mut local));
         }
     }
 
-    /// Both kinds of wait: `active` stays in the spin loop, `passive`
-    /// goes straight to the park loop; each must watch the cancel flag.
+    /// Both kinds of wait: `active` stays on the spin rung, `passive`
+    /// parks at once; each must watch the cancel flag.
     #[test]
     fn cancel_unblocks_waiters_on_both_kinds() {
         for policy in [WaitPolicy::Active, WaitPolicy::Passive] {
-            let barrier = Arc::new(TeamBarrier::new(2, policy));
-            let cancel = Arc::new(AtomicBool::new(false));
-            let b = barrier.clone();
-            let c = cancel.clone();
-            let waiter = std::thread::spawn(move || {
-                let abort = AtomicBool::new(false);
-                let mut local = BarrierLocal::default();
-                // Partner never arrives; cancellation must release us.
-                b.wait(&mut local, &abort, &c)
-            });
+            let rig = Rig::new(2, policy);
+            let r = rig.clone();
+            // Partner never arrives; cancellation must release us.
+            let waiter = std::thread::spawn(move || r.wait(&mut BarrierLocal::default()));
             std::thread::sleep(Duration::from_millis(20));
-            cancel.store(true, Ordering::SeqCst);
+            rig.raise(&rig.cancel);
             assert!(!waiter.join().unwrap(), "{policy:?}");
             // With the flag already up, a fresh wait returns early
             // without touching episode state.
-            let abort = AtomicBool::new(false);
-            let mut local = BarrierLocal::default();
-            assert!(!barrier.wait(&mut local, &abort, &cancel));
+            assert!(!rig.wait(&mut BarrierLocal::default()));
         }
     }
 
     #[test]
     fn reset_restores_fresh_local_compatibility() {
-        let barrier = Arc::new(TeamBarrier::new(3, WaitPolicy::Hybrid));
+        let rig = Rig::new(3, WaitPolicy::Hybrid);
         // Run an odd number of episodes so the sense is flipped.
-        exercise_shared(&barrier, 3);
-        barrier.reset();
+        exercise_shared(&rig, 3);
+        rig.barrier.reset();
         // Fresh locals (the per-region state) must work again.
-        exercise_shared(&barrier, 2);
+        exercise_shared(&rig, 2);
     }
 
-    fn exercise_shared(barrier: &Arc<TeamBarrier>, episodes: u32) {
-        let abort = Arc::new(AtomicBool::new(false));
+    fn exercise_shared(rig: &Arc<Rig>, episodes: u32) {
         let mut handles = vec![];
-        for _ in 0..barrier.size() {
-            let barrier = barrier.clone();
-            let abort = abort.clone();
+        for _ in 0..rig.barrier.size() {
+            let rig = rig.clone();
             handles.push(std::thread::spawn(move || {
-                let cancel = AtomicBool::new(false);
                 let mut local = BarrierLocal::default();
                 for _ in 0..episodes {
-                    assert!(barrier.wait(&mut local, &abort, &cancel));
+                    assert!(rig.wait(&mut local));
                 }
             }));
         }

@@ -429,7 +429,7 @@ impl<'scope> ThreadCtx<'scope> {
         self.ws_gen.set(gen + 1);
         let team = &*self.team;
         let slot = team.slot(gen);
-        if slot.enter(gen, team.size, &team.abort, &team.cancel_parallel, init) {
+        if slot.enter(gen, team, init) {
             return Some(slot);
         }
         self.panic_if_aborted();
@@ -462,6 +462,7 @@ impl<'scope> ThreadCtx<'scope> {
             &mut self.barrier_local.borrow_mut(),
             &self.team.abort,
             &self.team.cancel_parallel,
+            self.team.sleepers(),
         );
         if !ok {
             if self.team.abort.load(Ordering::Relaxed) {
@@ -517,14 +518,18 @@ impl<'scope> ThreadCtx<'scope> {
                     &mut self.barrier_local.borrow_mut(),
                     &team.abort,
                     &team.cancel_parallel,
+                    team.sleepers(),
                 );
             }
             return;
         }
-        // AcqRel here, Acquire below: a member spawns only before it
-        // arrives, so once the count reads zero every spawn is visible
-        // to the `pending` read that follows it.
-        team.unarrived.0.fetch_sub(1, Ordering::AcqRel);
+        // SeqCst here (the last arrival wakes members parked on the
+        // count), Acquire below: a member spawns only before it arrives,
+        // so once the count reads zero every spawn is visible to the
+        // `pending` read that follows it.
+        if team.unarrived.0.fetch_sub(1, Ordering::SeqCst) == 1 {
+            team.sleepers().wake_all();
+        }
         let master = self.thread_num == 0;
         let mut seed = self.steal_seed.get();
         team.tasks.work_until(self.thread_num, &mut seed, || {
@@ -541,9 +546,10 @@ impl<'scope> ThreadCtx<'scope> {
     /// dependence graph is still producing work — a stalled task is
     /// released onto its *finisher's* deque, so a parked sibling would
     /// otherwise never pick it up and the graph would drain serially on
-    /// one thread. (`work_until` backs off to a sleep when nothing is
-    /// stealable, so waiting on one long task does not burn the core.)
-    /// Bails out on team abort (the barrier wait reports it).
+    /// one thread. (`work_until` parks on the team's ladder when nothing
+    /// is stealable, so waiting on one long task does not burn the core;
+    /// a push or the last completion wakes it.) Bails out on team abort
+    /// (the barrier wait reports it).
     fn help_tasks_while_pending(&self) {
         let mut seed = self.steal_seed.get();
         self.team.tasks.work_until(self.thread_num, &mut seed, || {
@@ -614,9 +620,10 @@ impl<'scope> ThreadCtx<'scope> {
         }
         match kind {
             CancelKind::Parallel => {
-                if !self.team.cancel_parallel.swap(true, Ordering::Release) {
+                if !self.team.cancel_parallel.swap(true, Ordering::SeqCst) {
                     self.team.tasks.cancel_all.store(true, Ordering::Release);
                     crate::stats::bump(|s| &s.cancels_activated);
+                    self.team.sleepers().wake_all();
                 }
             }
             CancelKind::For | CancelKind::Sections => {
@@ -631,8 +638,9 @@ impl<'scope> ThreadCtx<'scope> {
                 // romp tolerates it) — never let an older construct's
                 // request clobber a newer one already recorded, or the
                 // newer construct would silently run to completion.
-                if self.team.cancel_ws.fetch_max(g + 1, Ordering::AcqRel) < g + 1 {
+                if self.team.cancel_ws.fetch_max(g + 1, Ordering::SeqCst) < g + 1 {
                     crate::stats::bump(|s| &s.cancels_activated);
+                    self.team.sleepers().wake_all();
                 }
             }
             CancelKind::Taskgroup => unreachable!("delegated above"),
@@ -699,7 +707,7 @@ impl<'scope> ThreadCtx<'scope> {
         // `None` from the shared entry = cancelled region: skip.
         let (slot, winner) = self.single_enter()?;
         let out = if winner { Some(f()) } else { None };
-        slot.leave();
+        slot.leave(&self.team);
         if !nowait {
             self.barrier();
         }
@@ -728,40 +736,34 @@ impl<'scope> ThreadCtx<'scope> {
         let produced = if winner {
             let v = f();
             *self.team.copy_cell.lock() = Some(Box::new(v.clone()));
+            self.team.sleepers().wake_all();
             Some(v)
         } else {
             None
         };
-        slot.leave();
+        slot.leave(&self.team);
         self.barrier();
         let out = match produced {
             Some(v) => v,
             None => {
-                let mut spins = 0u32;
-                loop {
-                    let got = self
+                // Waits only when cancellation degenerated the barrier:
+                // the winner (whose claim this thread lost) is still
+                // computing — wait for the publish itself. The cell's
+                // lock orders the publish against the waiter's
+                // registration.
+                let mut got = None;
+                crate::wait::until(self.team.ladder(), self.team.sleepers(), || {
+                    got = self
                         .team
                         .copy_cell
                         .lock()
                         .as_ref()
                         .and_then(|b| b.downcast_ref::<T>())
                         .cloned();
-                    if let Some(v) = got {
-                        break v;
-                    }
-                    // Only reachable when cancellation degenerated the
-                    // barrier: the winner (whose claim this thread
-                    // lost) is still computing — wait for the publish
-                    // itself, yielding so a descheduled winner gets the
-                    // core on an oversubscribed host.
-                    self.panic_if_aborted();
-                    spins += 1;
-                    if spins > 10_000 {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
+                    got.is_some() || self.team.abort.load(Ordering::Relaxed)
+                });
+                self.panic_if_aborted();
+                got.expect("published or aborted")
             }
         };
         // Second barrier so the producer can clear the cell only after

@@ -27,19 +27,8 @@ pub enum WaitPolicy {
     Active,
     /// Park almost immediately (`OMP_WAIT_POLICY=passive`).
     Passive,
-    /// Spin briefly, then park (the default).
+    /// Spin, then yield, then park (the default).
     Hybrid,
-}
-
-impl WaitPolicy {
-    /// Number of spin iterations before parking.
-    pub fn spin_budget(self) -> u32 {
-        match self {
-            WaitPolicy::Active => u32::MAX,
-            WaitPolicy::Passive => 8,
-            WaitPolicy::Hybrid => 20_000,
-        }
-    }
 }
 
 /// Thread-affinity policy (`OMP_PROC_BIND` / `proc_bind` clause). The
@@ -169,6 +158,12 @@ impl Icvs {
 fn global_cell() -> &'static RwLock<Icvs> {
     static GLOBAL: OnceLock<RwLock<Icvs>> = OnceLock::new();
     GLOBAL.get_or_init(|| RwLock::new(crate::env::icvs_from_env()))
+}
+
+/// The global `wait-policy-var` (no thread overrides it), without
+/// copying the whole block as [`current`] does.
+pub(crate) fn wait_policy() -> WaitPolicy {
+    global_cell().read().wait_policy
 }
 
 /// Read a copy of the global ICVs (with any thread-local overrides from
@@ -373,11 +368,5 @@ mod tests {
         ));
         set_places_override(prev);
         TLS_OVERRIDE.with(|o| *o.borrow_mut() = None);
-    }
-
-    #[test]
-    fn wait_policy_budgets_ordered() {
-        assert!(WaitPolicy::Active.spin_budget() > WaitPolicy::Hybrid.spin_budget());
-        assert!(WaitPolicy::Hybrid.spin_budget() > WaitPolicy::Passive.spin_budget());
     }
 }

@@ -19,8 +19,10 @@
 //!   nested parallelism, serialization when resources are exhausted.
 //! * **Worksharing loops** — `static`, `static,chunk`, `dynamic`,
 //!   `guided`, `runtime`, `auto` schedules ([`sched`], [`loops`]).
-//! * **Barriers** — a centralized sense-reversing barrier with a
-//!   spin-then-park wait policy ([`barrier`]).
+//! * **Barriers** — a centralized sense-reversing barrier ([`barrier`]).
+//! * **Waiting** — one spin → yield → park ladder, chosen by the wait
+//!   policy, under every blocking construct, with releasers that wake
+//!   only registered sleepers ([`wait`]).
 //! * **Reductions** — operator lattice and a team reduction slot
 //!   ([`reduction`]).
 //! * **Synchronization** — `omp_lock`/`omp_nest_lock` equivalents,
@@ -85,6 +87,7 @@ pub mod stats;
 pub mod task;
 pub mod team;
 pub mod variants;
+pub mod wait;
 pub mod wtime;
 
 pub use api::*;

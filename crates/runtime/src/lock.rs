@@ -6,11 +6,12 @@
 //! use. A scoped [`OmpLock::with`] helper is provided for idiomatic call
 //! sites; `critical` sections build on it (see [`mod@crate::critical`]).
 //!
-//! The implementation is a test-and-test-and-set lock with bounded
-//! exponential backoff, degrading to `yield` — the construction from the
-//! "Rust Atomics and Locks" playbook. No OS futex is required, which
-//! keeps the crate portable.
+//! The implementation is a test-and-test-and-set lock: a contended
+//! `set` waits for the lock word to read unlocked on the runtime's one
+//! wait ladder ([`crate::wait`]), parking in the lock's own sleeper set,
+//! and `unset` wakes one sleeper.
 
+use crate::wait::{self, Ladder, Sleepers};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -40,6 +41,7 @@ const LOCKED: usize = 1;
 #[derive(Debug, Default)]
 pub struct OmpLock {
     state: AtomicUsize,
+    sleepers: Sleepers,
 }
 
 impl OmpLock {
@@ -47,6 +49,7 @@ impl OmpLock {
     pub const fn new() -> Self {
         OmpLock {
             state: AtomicUsize::new(UNLOCKED),
+            sleepers: Sleepers::new(),
         }
     }
 
@@ -61,20 +64,13 @@ impl OmpLock {
             return;
         }
         crate::stats::bump(|s| &s.contended_locks);
-        let mut backoff = 1u32;
+        let ladder = Ladder::current();
         loop {
-            // Test-and-test-and-set: spin on a plain load first so the
+            // Test-and-test-and-set: wait on a plain load first so the
             // cache line stays shared while the lock is held.
-            while self.state.load(Ordering::Relaxed) == LOCKED {
-                for _ in 0..backoff {
-                    std::hint::spin_loop();
-                }
-                if backoff < 1 << 10 {
-                    backoff <<= 1;
-                } else {
-                    std::thread::yield_now();
-                }
-            }
+            wait::until(ladder, &self.sleepers, || {
+                self.state.load(Ordering::Relaxed) == UNLOCKED
+            });
             if self
                 .state
                 .compare_exchange(UNLOCKED, LOCKED, Ordering::Acquire, Ordering::Relaxed)
@@ -95,8 +91,9 @@ impl OmpLock {
     /// `omp_unset_lock`. Panics if the lock is not held (which the spec
     /// declares undefined behaviour; we choose to catch it).
     pub fn unset(&self) {
-        let prev = self.state.swap(UNLOCKED, Ordering::Release);
+        let prev = self.state.swap(UNLOCKED, Ordering::SeqCst);
         assert_eq!(prev, LOCKED, "omp_unset_lock on an unlocked lock");
+        self.sleepers.wake_one();
     }
 
     /// Scoped acquire: run `f` while holding the lock. Unlocks even if

@@ -56,12 +56,13 @@ impl Ordered<'_> {
         let in_turn = self.wait_turn();
         self.lock_section();
         let out = f();
-        self.slot.claimed.store(false, Ordering::Release);
+        self.slot.claimed.store(false, Ordering::SeqCst);
         if in_turn {
             self.slot
                 .ordered_next
-                .store(self.current.get() + 1, Ordering::Release);
+                .store(self.current.get() + 1, Ordering::SeqCst);
         }
+        self.team.sleepers().wake_all();
         out
     }
 
@@ -71,47 +72,40 @@ impl Ordered<'_> {
     /// nor advance the turn counter).
     fn wait_turn(&self) -> bool {
         let me = self.current.get();
-        let mut spins = 0u32;
-        while self.slot.ordered_next.load(Ordering::Acquire) != me {
-            if self.team.abort.load(Ordering::Relaxed) {
-                std::panic::panic_any(SiblingPanic);
-            }
-            if self.team.cancel_parallel.load(Ordering::Relaxed)
-                || self.team.cancel_ws.load(Ordering::Relaxed) == self.cgen + 1
-            {
-                // Cancelled region or construct: earlier iterations may
-                // have been skipped and will never take their turn —
-                // give up the wait (the section body still serializes
-                // through the `claimed` lock).
-                return false;
-            }
-            spins += 1;
-            if spins > 10_000 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+        let team = self.team;
+        // Cancelled region or construct: earlier iterations may have
+        // been skipped and will never take their turn — give up the
+        // wait (the section body still serializes through the
+        // `claimed` lock).
+        let cancelled = || {
+            team.cancel_parallel.load(Ordering::Relaxed)
+                || team.cancel_ws.load(Ordering::Relaxed) == self.cgen + 1
+        };
+        let mut turn = false;
+        crate::wait::until(team.ladder(), team.sleepers(), || {
+            turn = self.slot.ordered_next.load(Ordering::Acquire) == me;
+            turn || team.abort.load(Ordering::Relaxed) || cancelled()
+        });
+        if !turn && team.abort.load(Ordering::Relaxed) {
+            std::panic::panic_any(SiblingPanic);
         }
-        true
+        turn
     }
 
-    /// Spin-acquire the slot's `claimed` flag as the section-body lock.
+    /// Acquire the slot's `claimed` flag as the section-body lock.
     fn lock_section(&self) {
-        let mut spins = 0u32;
+        let team = self.team;
         while self
             .slot
             .claimed
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_err()
         {
-            if self.team.abort.load(Ordering::Relaxed) {
+            crate::wait::until(team.ladder(), team.sleepers(), || {
+                !self.slot.claimed.load(Ordering::Relaxed) || team.abort.load(Ordering::Relaxed)
+            });
+            if team.abort.load(Ordering::Relaxed) {
                 std::panic::panic_any(SiblingPanic);
-            }
-            spins += 1;
-            if spins > 10_000 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
             }
         }
     }
@@ -123,7 +117,8 @@ impl Ordered<'_> {
         if !self.ran.get() && self.wait_turn() {
             self.slot
                 .ordered_next
-                .store(self.current.get() + 1, Ordering::Release);
+                .store(self.current.get() + 1, Ordering::SeqCst);
+            self.team.sleepers().wake_all();
         }
         self.ran.set(false);
     }
@@ -261,7 +256,7 @@ impl<'scope> ThreadCtx<'scope> {
                     cgen,
                     chunk_body,
                 );
-                slot.leave();
+                slot.leave(self.team());
             }
         }
         self.exit_cancellable_ws();
@@ -317,7 +312,7 @@ impl<'scope> ThreadCtx<'scope> {
                 self.claim_chunks(self.shared_chunks(slot, trip, chunk, guided), cgen, run)
             }
         }
-        slot.leave();
+        slot.leave(self.team());
         self.exit_cancellable_ws();
         if !nowait {
             self.barrier();

@@ -26,8 +26,8 @@
 //!    worksharing-slot, reduction and task-graph state in place (a
 //!    fresh lease starts from a new `Team`);
 //! 2. a doorbell **ring** per worker — publish the job pointer and
-//!    bump the channel epoch (spin-then-park wait on the worker side,
-//!    gated by `OMP_WAIT_POLICY`);
+//!    bump the channel epoch (the worker waits on the team's ladder,
+//!    [`crate::wait`]);
 //! 3. the master's own trip through the region;
 //! 4. `hot_join` — wait for the workers' completion signals, helping
 //!    with any still-pending tasks.
@@ -87,10 +87,11 @@ use crate::ctx::{
 use crate::icv::{self, Icvs, ProcBind, WaitPolicy};
 use crate::stats::{add, bump};
 use crate::team::{ForkSnap, Team};
+use crate::wait::{self, Ladder, Sleepers};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::{Cell, RefCell, UnsafeCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// How a `parallel` construct is launched; carries the clause values the
 /// paper's directive supports (`num_threads`, `if`, `proc_bind`).
@@ -369,11 +370,10 @@ fn worker_main(slot: Arc<WorkerSlot>) {
 }
 
 /// Decrement the team's outstanding-worker count and, if this was the
-/// last one, wake the joining master (`hot_join` idles through
-/// [`IdleWait`], whose park rung this `unpark` ends).
+/// last one, wake the joining master should it have parked.
 fn signal_completion(team: &Team) {
-    if team.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        team.master.unpark();
+    if team.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+        team.sleepers().wake_all();
     }
 }
 
@@ -419,122 +419,15 @@ fn run_region(team: &Arc<Team>, thread_num: usize, job: Job) {
 // Doorbell leases
 // ---------------------------------------------------------------------
 
-/// Spin → yield → park idle ladder, derived from `OMP_WAIT_POLICY`.
-///
-/// The yield rung is what makes hot teams fast on oversubscribed hosts:
-/// a yielding thread donates its timeslice to whichever sibling it is
-/// waiting for (master at the join, workers at their doorbells) without
-/// the futex round trip that parking costs, and without the timeslice
-/// theft that spinning costs. `active` spins indefinitely; `passive`
-/// parks almost immediately, as the spec intends; the default hybrid
-/// policy climbs all three rungs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct IdleWait {
-    /// Busy-spin rounds before yielding (`u32::MAX` = spin forever).
-    spin: u32,
-    /// `yield_now` rounds before parking.
-    yields: u32,
-}
-
-impl IdleWait {
-    /// Common policy table: only the hybrid rung differs between the
-    /// doorbell and join ladders, so it is the one parameter.
-    fn ladder(policy: WaitPolicy, oversubscribed: bool, hybrid: IdleWait) -> Self {
-        match policy {
-            // Spin-forever only when a core is actually free for it:
-            // oversubscribed active degrades to a yield loop (same
-            // heuristic the barrier applies), or it would burn whole
-            // timeslices the sibling being waited for needs.
-            WaitPolicy::Active if oversubscribed => IdleWait {
-                spin: 64,
-                yields: u32::MAX,
-            },
-            WaitPolicy::Active => IdleWait {
-                spin: u32::MAX,
-                yields: 0,
-            },
-            WaitPolicy::Passive => IdleWait { spin: 8, yields: 0 },
-            WaitPolicy::Hybrid => hybrid,
-        }
-    }
-
-    /// Ladder for a worker idling at its doorbell. On an oversubscribed
-    /// host the worker parks almost immediately: a freshly-woken worker
-    /// has the lowest virtual runtime, so any post-completion yield
-    /// phase keeps the CPU away from the master that is trying to reach
-    /// the next ring (measured: one such region costs ~20µs instead of
-    /// ~3µs), while a park/unpark round trip is cheap.
-    fn doorbell(policy: WaitPolicy, oversubscribed: bool) -> Self {
-        let hybrid = if oversubscribed {
-            IdleWait {
-                spin: 8,
-                yields: 32,
-            }
-        } else {
-            IdleWait {
-                spin: 512,
-                yields: 256,
-            }
-        };
-        Self::ladder(policy, oversubscribed, hybrid)
-    }
-
-    /// Ladder for the master's join. The master *wants* to donate its
-    /// timeslice to the workers it waits for, so the hybrid ladder
-    /// leans on yields (cheap directed switches on an oversubscribed
-    /// host) with the park only as a backstop for long regions.
-    fn join(policy: WaitPolicy, oversubscribed: bool) -> Self {
-        let hybrid = IdleWait {
-            spin: if oversubscribed { 0 } else { 512 },
-            yields: 4096,
-        };
-        Self::ladder(policy, oversubscribed, hybrid)
-    }
-
-    /// Execute idle round number `idle` (1-based, saturating).
-    ///
-    /// `timed_park` selects the park rung's flavor: the doorbell uses
-    /// an untimed `park` (pure token protocol — a direct ring bumps the
-    /// epoch before its `unpark`, a chain-forwarded wake only reaches a
-    /// worker whose channel the master already primed because the hit
-    /// path primes in reverse chain order, and the worker re-checks the
-    /// epoch around every park — so a park can never consume a token
-    /// against a stale epoch and strand the worker; timed parks were
-    /// measured to cost tens of µs in timer bookkeeping on some
-    /// kernels). The join keeps a timed park as a liveness backstop:
-    /// a dependence release can land work on a busy worker's deque,
-    /// and the master must wake up to steal it even though no
-    /// completion signal fires.
-    fn wait(&self, idle: u32, timed_park: bool) {
-        if self.spin == u32::MAX || idle < self.spin {
-            std::hint::spin_loop();
-        } else if idle - self.spin < self.yields {
-            std::thread::yield_now();
-        } else {
-            // Chaos: a delay here stretches the window between the
-            // caller's last condition check and the park — the exact
-            // schedule in which a forgotten wake token strands a waiter.
-            let _ = crate::chaos::chaos_point!(crate::chaos::Site::Park);
-            if timed_park {
-                std::thread::park_timeout(std::time::Duration::from_millis(1));
-            } else {
-                std::thread::park();
-            }
-        }
-    }
-}
-
 /// Per-bound-worker doorbell: the channel a hot master rings to
 /// dispatch the next region to a worker that stays attached between
 /// regions.
 ///
-/// Protocol: the master writes `job`, then bumps `epoch` (release), then
-/// `unpark`s the worker. The worker idles on `epoch` through the wait
-/// policy's spin → yield → park ladder ([`IdleWait`]); `unpark`'s token
-/// semantics make the park/ring race benign without any lock — an
-/// unpark delivered while the worker is still running simply makes its
-/// next park return immediately, and the worker re-checks the epoch
-/// around every park anyway. (A mutex+condvar doorbell was measured to
+/// Protocol: the master writes `job`, then bumps `epoch` (`SeqCst`),
+/// then wakes the channel's sleepers. The worker waits for the epoch to
+/// move on the team's ladder ([`crate::wait`]), parking in the
+/// channel's own sleeper set, so a ring to a worker that is still
+/// spinning costs one load. (A mutex+condvar doorbell was measured to
 /// cost a full context-switch round trip per ring on an oversubscribed
 /// host: the master blocks on the lock the about-to-park worker holds.)
 struct HotChannel {
@@ -542,37 +435,22 @@ struct HotChannel {
     thread_num: usize,
     /// Doorbell generation; bumped once per dispatched region.
     epoch: AtomicU64,
-    /// Master orders the worker back to the global pool.
-    release: AtomicBool,
-    /// The region closure for the current epoch. Written by the master
-    /// strictly between joins; read by the worker strictly between a
-    /// ring and its completion signal.
+    /// The region closure for the current epoch, `None` to release the
+    /// worker back to the global pool. Written by the master strictly
+    /// between joins; read by the worker strictly between a ring and
+    /// its completion signal.
     job: UnsafeCell<Option<Job>>,
-    /// The bound worker's thread handle, registered when it first
-    /// services the channel; `ring` unparks it. (The first region's job
-    /// is pre-armed before the channel is mailed, so the master never
-    /// needs to ring before registration.)
-    worker: OnceLock<std::thread::Thread>,
-    /// The next sibling in the team's **wake chain**: the master
-    /// unparks only the first worker, and each worker forwards the wake
-    /// before running its own share of the region. Wake syscalls thus
-    /// ride on threads that are about to park anyway instead of
-    /// preempting the master once per worker (which serialized the ring
-    /// loop into per-worker context-switch round trips). Sound only
-    /// because the hit path primes channels in **reverse** chain order:
-    /// a forwarded wake always finds its target's epoch already bumped.
+    /// The bound worker, while it is parked at the doorbell.
+    sleepers: Sleepers,
+    /// The next sibling in the team's **wake chain**: the master wakes
+    /// only the first worker, and each worker forwards the wake before
+    /// running its own share of the region. Wake syscalls thus ride on
+    /// threads that are about to park anyway instead of preempting the
+    /// master once per worker (which serialized the ring loop into
+    /// per-worker context-switch round trips). Sound only because the
+    /// hit path primes channels in **reverse** chain order: a forwarded
+    /// wake always finds its target's epoch already bumped.
     next: Option<Arc<HotChannel>>,
-    /// Idle ladder of the team's wait policy (`OMP_WAIT_POLICY`).
-    idle: IdleWait,
-}
-
-impl HotChannel {
-    /// Unpark the bound worker (token-based, cheap if it is not parked).
-    fn wake(&self) {
-        if let Some(w) = self.worker.get() {
-            w.unpark();
-        }
-    }
 }
 
 // SAFETY: the only non-Sync field is `job`; master writes and worker
@@ -595,7 +473,7 @@ fn prime(ch: &HotChannel, job: Option<Job>) {
     unsafe {
         *ch.job.get() = job;
     }
-    ch.epoch.fetch_add(1, Ordering::Release);
+    ch.epoch.fetch_add(1, Ordering::SeqCst);
 }
 
 /// Ring a bound worker's doorbell with the next region's job and wake it
@@ -606,55 +484,35 @@ fn ring(ch: &HotChannel, job: Option<Job>) {
     // Chaos: delay between publication and wake — a worker that can
     // only make progress through this wake must still get it.
     let _ = crate::chaos::chaos_point!(crate::chaos::Site::DoorbellRing);
-    ch.wake();
+    ch.sleepers.wake_all();
 }
 
 /// A bound worker's service loop: wait at the doorbell, run the region,
 /// signal completion, repeat — until released back to the pool.
 fn hot_worker_loop(ch: &HotChannel) {
-    let _ = ch.worker.set(std::thread::current());
     // The channel arrives pre-armed: epoch 1 with the first region's job
     // already published, so starting from 0 runs it immediately.
     let mut seen = 0u64;
+    let ladder = ch.team.ladder();
     loop {
-        // Doorbell wait: the wait policy's spin → yield → park ladder.
-        let mut idle = 0u32;
-        loop {
-            let e = ch.epoch.load(Ordering::Acquire);
-            if e != seen {
-                seen = e;
-                break;
-            }
-            idle = idle.saturating_add(1);
-            ch.idle.wait(idle, false);
-        }
-        if ch.release.load(Ordering::SeqCst) {
+        let mut epoch = seen;
+        wait::until(ladder, &ch.sleepers, || {
+            epoch = ch.epoch.load(Ordering::Acquire);
+            epoch != seen
+        });
+        seen = epoch;
+        // SAFETY: the master published the job before the epoch bump we
+        // just observed and will not touch the cell again until we
+        // signal completion below (or, on a release, at all).
+        let Some(job) = (unsafe { *ch.job.get() }) else {
             return;
-        }
+        };
         // Forward the wake down the chain before touching our own
         // share, so siblings start (and, on a multicore host, run)
         // concurrently with us.
         if let Some(next) = &ch.next {
-            next.wake();
+            next.sleepers.wake_all();
         }
-        // SAFETY: the master published the job before the epoch bump we
-        // just observed and will not touch the cell again until we
-        // signal completion below.
-        let Some(job) = (unsafe { *ch.job.get() }) else {
-            // Unreachable by the doorbell protocol: the job write
-            // happens-before the epoch bump we just observed (release
-            // store, acquire load). But a panic *here* — runtime-
-            // internal code, outside any region's catch_unwind — would
-            // kill the worker without signalling completion and hang
-            // the master's join forever. An empty ring degrades to a
-            // spurious wake instead: warn and re-wait at the doorbell.
-            eprintln!(
-                "ROMP WARNING: doorbell epoch {seen} rang without a job \
-                 (thread {}); treating as a spurious wake",
-                ch.thread_num
-            );
-            continue;
-        };
         icv::tls_clear_overrides();
         run_region(&ch.team, ch.thread_num, job);
         signal_completion(&ch.team);
@@ -676,10 +534,8 @@ fn hot_worker_loop(ch: &HotChannel) {
 struct HotKey {
     /// Requested team size (post `if`/nesting/limit clamping).
     n: usize,
-    /// The **raw** `OMP_WAIT_POLICY` ICV — deliberately not the
-    /// oversubscription-adjusted effective policy (see [`hot_fork`]), so
-    /// a policy change always rebuilds even when oversubscription would
-    /// mask it at the barrier.
+    /// The `OMP_WAIT_POLICY` ICV: the team's ladder is built from it
+    /// (and from the delivered size), so a change rebuilds.
     wait_policy: WaitPolicy,
     /// `dyn-var`: a change re-evaluates team sizing, so it rebuilds.
     dynamic: bool,
@@ -723,7 +579,6 @@ impl Drop for HotTeam {
     /// blocking on the condvar.
     fn drop(&mut self) {
         for ch in &self.channels {
-            ch.release.store(true, Ordering::SeqCst);
             ring(ch, None);
         }
         if self.slots.is_empty() {
@@ -786,18 +641,6 @@ fn drop_hot_leases_from(level: usize) {
     });
 }
 
-/// Effective wait policy for a team of `size`: oversubscribed teams
-/// (more threads than cores) park immediately — spinning at barriers
-/// steals the timeslice from the sibling that would release us (libomp
-/// applies the same heuristic).
-fn effective_wait_policy(size: usize, icvs: &Icvs) -> WaitPolicy {
-    if size > icv::hardware_threads() {
-        WaitPolicy::Passive
-    } else {
-        icvs.wait_policy
-    }
-}
-
 /// Fork on a doorbell lease at forking level `level` (0 = outermost; a
 /// nested master leases its own sub-team at its level) and run the
 /// region. With `keep` the lease comes from, and stays in, this
@@ -815,11 +658,6 @@ fn hot_fork(
     keep: bool,
     job: Job,
 ) -> Arc<Team> {
-    // The barrier and idle ladders adjust per the oversubscription
-    // heuristic, but the key carries the *raw* ICV (the adjustment is a
-    // pure function of it and the delivered size), so an
-    // `OMP_WAIT_POLICY` change always rebuilds — even when
-    // oversubscription would mask it at the barrier.
     let (parent, parent_thread) =
         crate::ctx::with_current(|r| (Arc::as_ptr(&r.team) as usize, r.thread_num), || (0, 0));
     let key = HotKey {
@@ -847,9 +685,9 @@ fn hot_fork(
                 // observe its own epoch bump the instant it lands and
                 // immediately forward the chain wake to its successor,
                 // so the successor's channel must already be primed by
-                // then — otherwise the forwarded unpark token is
-                // consumed by a stale-epoch re-park and, the doorbell
-                // park being untimed, the worker is stranded forever
+                // then — otherwise the forwarded wake finds a successor
+                // whose epoch has not moved, it parks again, and, the
+                // doorbell park being untimed, it is stranded forever
                 // (and the join with it).
                 bump(|s| &s.hot_team_hits);
                 if level > 0 {
@@ -865,7 +703,7 @@ fn hot_fork(
                     // this path's reverse-order priming exists to
                     // protect.
                     let _ = crate::chaos::chaos_point!(crate::chaos::Site::DoorbellRing);
-                    first.wake();
+                    first.sleepers.wake_all();
                 }
                 return ht.team.clone();
             }
@@ -908,9 +746,8 @@ fn hot_fork(
     if team.size() == 1 {
         bump(|s| &s.serialized_forks);
     }
-    let join_idle = IdleWait::join(icvs.wait_policy, team.size() > icv::hardware_threads());
     run_region(&team, 0, job);
-    hot_join(&team, join_idle);
+    hot_join(&team);
     // A lease that is not kept ends with its one region (Drop rings the
     // release and hands the slots back) — safe only now, after the join.
     // Any deeper leases this master grew *inside* the region are
@@ -936,10 +773,6 @@ fn new_lease(
 ) -> HotTeam {
     let workers = POOL.acquire(key.n.saturating_sub(1), icvs);
     let size = workers.len() + 1;
-    // Oversubscription keys on the *delivered* size: a
-    // thread-limit-capped team that fits the cores must not get
-    // park-early wait behavior just because more was requested.
-    let bell = IdleWait::doorbell(icvs.wait_policy, size > icv::hardware_threads());
     let team = Arc::new(Team::new(
         size,
         level + 1,
@@ -947,7 +780,10 @@ fn new_lease(
         // one thread (OpenMP 5.2 §1.2.2): a team delivered short at size
         // 1 under pool pressure is not an active region.
         active_level + usize::from(size > 1),
-        effective_wait_policy(size, icvs),
+        // Oversubscription keys on the *delivered* size: a
+        // thread-limit-capped team that fits the cores must not get
+        // park-early waits just because more was requested.
+        Ladder::new(icvs.wait_policy, size > icv::hardware_threads()),
         forking_ancestors(),
         snap,
         parent_final,
@@ -964,11 +800,9 @@ fn new_lease(
             team: team.clone(),
             thread_num: i,
             epoch: AtomicU64::new(1),
-            release: AtomicBool::new(false),
             job: UnsafeCell::new(Some(job)),
-            worker: OnceLock::new(),
+            sleepers: Sleepers::new(),
             next: next.take(),
-            idle: bell,
         });
         next = Some(ch.clone());
         channels.push(ch);
@@ -991,28 +825,27 @@ fn new_lease(
 /// pending tasks meanwhile (a worker may have left its share of the
 /// graph behind, and tasks the master spawned after the workers finished
 /// are its own to run). Doubles as the region-end rendezvous — regions
-/// have no closing barrier episode.
-fn hot_join(team: &Arc<Team>, idle: IdleWait) {
+/// have no closing barrier episode. The last worker's completion signal
+/// and the last task's completion wake it.
+fn hot_join(team: &Arc<Team>) {
     let mut seed = crate::lock::os_thread_id() | 1;
-    let mut rounds = 0u32;
-    loop {
-        let workers_done = team.remaining.load(Ordering::Acquire) == 0;
-        let pending = team.tasks.pending();
-        if workers_done && (pending == 0 || team.abort.load(Ordering::Relaxed)) {
-            break;
-        }
-        if pending > 0 {
-            if let Some(t) = team.tasks.pop_or_steal(0, &mut seed) {
-                execute_joining_task(team, t);
-                rounds = 0;
-                continue;
+    let tasks = &team.tasks;
+    wait::until_running(
+        team.ladder(),
+        team.sleepers(),
+        || {
+            team.remaining.load(Ordering::Acquire) == 0
+                && (tasks.pending() == 0 || team.abort.load(Ordering::Relaxed))
+        },
+        || {
+            if tasks.pending() > 0 {
+                tasks.pop_or_steal(0, &mut seed)
+            } else {
+                None
             }
-        }
-        rounds = rounds.saturating_add(1);
-        // The last worker's completion signal is an `unpark`, so the
-        // ladder's park rung is woken promptly (and timed regardless).
-        idle.wait(rounds, true);
-    }
+        },
+        |t| execute_joining_task(team, t),
+    );
 }
 
 /// Run one task on the joining master. The region stack is re-pushed so
@@ -1144,7 +977,7 @@ where
             1,
             level + 1,
             active_level,
-            icvs.wait_policy,
+            Ladder::new(icvs.wait_policy, false),
             forking_ancestors(),
             snap,
             parent_final,

@@ -121,8 +121,11 @@ counters! {
     /// workers at the same instant. (The name is kept for the
     /// benchmark's trace.)
     pool_shard_contention,
-    /// Lock acquisitions that had to spin (contended).
+    /// Lock acquisitions that had to wait (contended).
     contended_locks,
+    /// Waits that reached the park rung of their ladder
+    /// ([`crate::wait`]), counted once per wait.
+    wait_parks,
     /// Forks served by a cached hot team (doorbell fast path).
     hot_team_hits,
     /// Forks that looked for a cached hot team, found none and built one

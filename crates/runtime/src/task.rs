@@ -69,6 +69,7 @@
 //! then, so borrowed data outlives every task. This is the same
 //! argument `std::thread::scope` makes.
 
+use crate::wait::{self, Ladder, Sleepers};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -276,11 +277,13 @@ impl DepGraph {
     }
 }
 
-/// Per-team task state.
+/// Per-team task state, and the team's wait ladder and sleepers.
 pub(crate) struct TaskSystem {
     queues: Vec<TaskQueue>,
     /// Tasks created and not yet finished, team-wide (stalled included).
     pub pending: AtomicUsize,
+    pub(crate) sleepers: Sleepers,
+    pub(crate) ladder: Ladder,
     deps: Mutex<DepGraph>,
     /// Raised by `cancel parallel`: every not-yet-started task of the
     /// region is discarded instead of executed (OpenMP lets an
@@ -299,10 +302,12 @@ impl std::fmt::Debug for TaskSystem {
 }
 
 impl TaskSystem {
-    pub(crate) fn new(size: usize) -> Self {
+    pub(crate) fn new(size: usize, ladder: Ladder) -> Self {
         TaskSystem {
             queues: (0..size).map(|_| TaskQueue::new()).collect(),
             pending: AtomicUsize::new(0),
+            sleepers: Sleepers::new(),
+            ladder,
             deps: Mutex::new(DepGraph::default()),
             cancel_all: AtomicBool::new(false),
         }
@@ -325,12 +330,14 @@ impl TaskSystem {
         self.queues[thread_num].children.load(Ordering::Acquire)
     }
 
-    /// Put a ready task on `thread_num`'s deque.
+    /// Put a ready task on `thread_num`'s deque; wake a sleeper for it.
     fn enqueue(&self, thread_num: usize, task: RawTask) {
         let q = &self.queues[thread_num];
         let mut deque = q.deque.lock();
         deque.push_back(task);
         q.approx_len.store(deque.len(), Ordering::Relaxed);
+        drop(deque);
+        self.sleepers.wake_one();
     }
 
     /// Defer a task onto `thread_num`'s deque, or into the dependence
@@ -402,34 +409,17 @@ impl TaskSystem {
         self.execute(thread_num, task);
     }
 
-    /// The runtime's waiting loop: execute (and steal) tasks until
-    /// `done()` holds, with escalating idle backoff — spin, then
-    /// yield, then a short sleep — so a long wait on a task running
-    /// elsewhere does not burn a core. Every construct that waits on
-    /// task completion (`taskwait`, `taskgroup`, both barriers, the
-    /// undeferred dependence wait) funnels through here.
-    pub(crate) fn work_until(
-        &self,
-        thread_num: usize,
-        seed: &mut u64,
-        mut done: impl FnMut() -> bool,
-    ) {
-        let mut idle_spins = 0u32;
-        while !done() {
-            if let Some(t) = self.pop_or_steal(thread_num, seed) {
-                self.execute(thread_num, t);
-                idle_spins = 0;
-            } else {
-                idle_spins += 1;
-                if idle_spins > 1024 {
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                } else if idle_spins > 64 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        }
+    /// Execute (and steal) tasks until `done()` holds, on the team's
+    /// ladder: `taskwait`, `taskgroup`, the task help before a barrier,
+    /// the region-end drain and the undeferred dependence wait.
+    pub(crate) fn work_until(&self, thread_num: usize, seed: &mut u64, done: impl FnMut() -> bool) {
+        wait::until_running(
+            self.ladder,
+            &self.sleepers,
+            done,
+            || self.pop_or_steal(thread_num, seed),
+            |t| self.execute(thread_num, t),
+        );
     }
 
     /// Grab one task: own deque from the back, else steal from the
@@ -538,13 +528,18 @@ impl TaskSystem {
                 if let Some(id) = self.node {
                     self.sys.complete_node(id, self.thread_num);
                 }
-                self.sys.queues[self.parent]
+                // A count reaching zero can end a parked wait.
+                let mut last = self.sys.queues[self.parent]
                     .children
-                    .fetch_sub(1, Ordering::AcqRel);
+                    .fetch_sub(1, Ordering::SeqCst)
+                    == 1;
                 if let Some(g) = own.group {
-                    g.count.fetch_sub(1, Ordering::AcqRel);
+                    last |= g.count.fetch_sub(1, Ordering::SeqCst) == 1;
                 }
-                self.sys.pending.fetch_sub(1, Ordering::AcqRel);
+                last |= self.sys.pending.fetch_sub(1, Ordering::SeqCst) == 1;
+                if last {
+                    self.sys.sleepers.wake_all();
+                }
             }
         }
         let _finish = Finish {
@@ -570,9 +565,11 @@ impl TaskSystem {
     }
 
     /// Remove a finished task's dependence node and release successors
-    /// whose last predecessor this was onto the finisher's deque.
+    /// whose last predecessor this was onto the finisher's deque, or to
+    /// their waiting undeferred spawner.
     fn complete_node(&self, id: u64, thread_num: usize) {
         let mut released = Vec::new();
+        let mut undeferred_ready = false;
         {
             let mut g = self.deps.lock();
             // A finishing task's node is live by construction (only
@@ -594,15 +591,21 @@ impl TaskSystem {
                 if let Some(sn) = g.nodes.get_mut(&s) {
                     sn.unmet -= 1;
                     if sn.unmet == 0 {
-                        // No task = an undeferred task whose spawner is
-                        // polling; it will notice.
-                        released.extend(sn.task.take());
+                        // No task = an undeferred task whose spawner
+                        // waits on `unmet`.
+                        match sn.task.take() {
+                            Some(t) => released.push(t),
+                            None => undeferred_ready = true,
+                        }
                     }
                 }
             }
         }
         for t in released {
             self.enqueue(thread_num, t);
+        }
+        if undeferred_ready {
+            self.sleepers.wake_all();
         }
     }
 
@@ -776,13 +779,15 @@ pub(crate) unsafe fn make_raw_task<'a>(
 mod tests {
     use super::*;
 
+    const LADDER: Ladder = Ladder::new(crate::icv::WaitPolicy::Passive, false);
+
     fn raw(f: impl FnOnce() + Send + 'static) -> RawTask {
         unsafe { make_raw_task(Box::new(f), 0, false) }
     }
 
     #[test]
     fn push_execute_decrements_counters() {
-        let sys = TaskSystem::new(2);
+        let sys = TaskSystem::new(2, LADDER);
         let ran = Arc::new(AtomicUsize::new(0));
         let r2 = ran.clone();
         let task = raw(move || {
@@ -800,7 +805,7 @@ mod tests {
 
     #[test]
     fn lifo_pop_fifo_steal() {
-        let sys = TaskSystem::new(2);
+        let sys = TaskSystem::new(2, LADDER);
         let order = Arc::new(Mutex::new(Vec::new()));
         for i in 0..3 {
             let order = order.clone();
@@ -823,7 +828,7 @@ mod tests {
 
     #[test]
     fn counters_restored_even_on_panic() {
-        let sys = TaskSystem::new(1);
+        let sys = TaskSystem::new(1, LADDER);
         let ((), group) =
             in_taskgroup(|| unsafe { sys.push(0, raw(|| panic!("task boom")), TaskDeps::new()) });
         let mut seed = 1;
@@ -839,7 +844,7 @@ mod tests {
     #[test]
     fn group_counters_tracked() {
         // A task counts in its innermost group only.
-        let sys = TaskSystem::new(1);
+        let sys = TaskSystem::new(1, LADDER);
         let (inner, outer) =
             in_taskgroup(|| in_taskgroup(|| unsafe { sys.push(0, raw(|| {}), TaskDeps::new()) }).1);
         assert!(Arc::ptr_eq(inner.parent.as_ref().unwrap(), &outer));
@@ -853,7 +858,7 @@ mod tests {
 
     #[test]
     fn cancelled_group_discards_queued_and_stalled_tasks() {
-        let sys = TaskSystem::new(1);
+        let sys = TaskSystem::new(1, LADDER);
         let ran = Arc::new(AtomicUsize::new(0));
         let x = 0u8;
         // One ready task and one dependence-stalled behind it, both in
@@ -880,7 +885,7 @@ mod tests {
 
     #[test]
     fn cancel_all_discards_everything_not_started() {
-        let sys = TaskSystem::new(1);
+        let sys = TaskSystem::new(1, LADDER);
         let ran = Arc::new(AtomicUsize::new(0));
         for _ in 0..3 {
             let ran = ran.clone();
@@ -898,7 +903,7 @@ mod tests {
 
     #[test]
     fn out_then_in_stalls_reader_until_writer_finishes() {
-        let sys = TaskSystem::new(1);
+        let sys = TaskSystem::new(1, LADDER);
         let x = 0u8; // address token
         let log = Arc::new(Mutex::new(Vec::new()));
         let (l1, l2) = (log.clone(), log.clone());
@@ -920,7 +925,7 @@ mod tests {
 
     #[test]
     fn readers_run_concurrently_but_block_next_writer() {
-        let sys = TaskSystem::new(1);
+        let sys = TaskSystem::new(1, LADDER);
         let x = 0u8;
         let log = Arc::new(Mutex::new(Vec::new()));
         let mk = |tag: &'static str, log: &Arc<Mutex<Vec<&'static str>>>| {
@@ -945,7 +950,7 @@ mod tests {
 
     #[test]
     fn independent_addresses_do_not_order() {
-        let sys = TaskSystem::new(1);
+        let sys = TaskSystem::new(1, LADDER);
         let (x, y) = (0u8, 0u8);
         let a = raw(|| {});
         let b = raw(|| {});
@@ -959,7 +964,7 @@ mod tests {
 
     #[test]
     fn pending_counts_stalled_tasks() {
-        let sys = TaskSystem::new(1);
+        let sys = TaskSystem::new(1, LADDER);
         let x = 0u8;
         let a = raw(|| {});
         let b = raw(|| {});
@@ -973,7 +978,7 @@ mod tests {
 
     #[test]
     fn undeferred_waits_for_predecessors() {
-        let sys = TaskSystem::new(1);
+        let sys = TaskSystem::new(1, LADDER);
         let x = 0u8;
         let log = Arc::new(Mutex::new(Vec::new()));
         let (l1, l2) = (log.clone(), log.clone());
@@ -989,7 +994,7 @@ mod tests {
 
     #[test]
     fn same_address_in_and_out_is_not_a_self_cycle() {
-        let sys = TaskSystem::new(1);
+        let sys = TaskSystem::new(1, LADDER);
         let x = 0u8;
         let t = raw(|| {});
         unsafe { sys.push(0, t, TaskDeps::new().input(&x).output(&x)) };

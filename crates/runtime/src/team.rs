@@ -36,8 +36,9 @@
 
 use crate::affinity::TeamPlaces;
 use crate::barrier::TeamBarrier;
-use crate::icv::{ProcBind, WaitPolicy};
+use crate::icv::ProcBind;
 use crate::task::TaskSystem;
+use crate::wait::{self, Ladder, Sleepers};
 use parking_lot::{Mutex, RwLock};
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -90,58 +91,57 @@ impl WsSlot {
         }
     }
 
-    /// Enter this slot for construct generation `gen`, installing the
-    /// shared state with `init` if we win the installation race.
-    /// Returns `false` if the team aborted — or was cancelled (`cancel
-    /// parallel`) — while we waited: after cancellation threads skip
-    /// constructs unevenly, so an older generation may never drain and
-    /// a waiter must not spin on it forever. Callers disambiguate via
-    /// the team's flags (abort unwinds, cancel returns early).
-    pub(crate) fn enter(
-        &self,
-        gen: u64,
-        team_size: usize,
-        abort: &AtomicBool,
-        cancel: &AtomicBool,
-        init: impl FnOnce(&WsSlot),
-    ) -> bool {
+    /// Enter this slot for construct generation `gen` of `team`,
+    /// installing the shared state with `init` if we win the
+    /// installation race. Returns `false` if the team aborted — or was
+    /// cancelled (`cancel parallel`) — while we waited: after
+    /// cancellation threads skip constructs unevenly, so an older
+    /// generation may never drain and a waiter must not wait on it
+    /// forever. Callers disambiguate via the team's flags (abort
+    /// unwinds, cancel returns early).
+    pub(crate) fn enter(&self, gen: u64, team: &Team, init: impl FnOnce(&WsSlot)) -> bool {
         let mut init = Some(init);
-        let mut spins = 0u32;
+        let released =
+            || team.abort.load(Ordering::Relaxed) || team.cancel_parallel.load(Ordering::Relaxed);
         loop {
-            if abort.load(Ordering::Relaxed) || cancel.load(Ordering::Relaxed) {
-                return false;
-            }
-            let word = self.word.load(Ordering::Acquire);
-            let (cur, state) = (word >> STATE_BITS, word & STATE_MASK);
             // FREE slot of our generation: race to install. Older
             // generation: recycle, but only once it fully drained.
-            let installable = if cur == gen {
-                if state == STATE_READY {
-                    return true;
-                }
-                state == STATE_FREE
-            } else {
-                debug_assert!(
-                    cur < gen,
-                    "workshare slot generation ran backwards ({cur} > {gen}); \
-                     team threads encountered different construct sequences"
-                );
-                state == STATE_READY && self.done.load(Ordering::Acquire) == team_size
-            };
+            let mut word = 0;
+            let mut installable = false;
+            wait::until(team.ladder(), team.sleepers(), || {
+                word = self.word.load(Ordering::Acquire);
+                let (cur, state) = (word >> STATE_BITS, word & STATE_MASK);
+                installable = if cur == gen {
+                    state == STATE_FREE
+                } else {
+                    debug_assert!(
+                        cur < gen,
+                        "workshare slot generation ran backwards ({cur} > {gen}); \
+                         team threads encountered different construct sequences"
+                    );
+                    state == STATE_READY && self.done.load(Ordering::Acquire) == team.size
+                };
+                released() || installable || word == pack(gen, STATE_READY)
+            });
+            if released() {
+                return false;
+            }
+            if !installable {
+                return true; // our generation is READY: join it
+            }
             // The CAS expects the exact word loaded above, generation
             // included: if a sibling installed (and the team even
             // finished) `gen` since that load, it fails and the next
             // lap joins the READY construct.
-            if installable
-                && self
-                    .word
-                    .compare_exchange(
-                        word,
-                        pack(cur, STATE_INSTALLING),
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                    .is_ok()
+            if self
+                .word
+                .compare_exchange(
+                    word,
+                    pack(word >> STATE_BITS, STATE_INSTALLING),
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                )
+                .is_ok()
             {
                 self.done.store(0, Ordering::Relaxed);
                 // Unreachable panic: `init` is `Some` on entry and this
@@ -149,21 +149,18 @@ impl WsSlot {
                 // it. (Covered by the chaos soak's fork/join churn,
                 // which drives this CAS race continuously.)
                 (init.take().expect("installer runs once"))(self);
-                self.word.store(pack(gen, STATE_READY), Ordering::Release);
+                self.word.store(pack(gen, STATE_READY), Ordering::SeqCst);
+                team.sleepers().wake_all();
                 return true;
-            }
-            spins += 1;
-            if spins > 10_000 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
             }
         }
     }
 
     /// Mark this thread as finished with the construct it entered.
-    pub(crate) fn leave(&self) {
-        self.done.fetch_add(1, Ordering::AcqRel);
+    pub(crate) fn leave(&self, team: &Team) {
+        if self.done.fetch_add(1, Ordering::SeqCst) + 1 == team.size {
+            team.sleepers().wake_all();
+        }
     }
 
     /// Return the slot to its just-constructed state for generation
@@ -277,9 +274,6 @@ pub struct Team {
     /// `(thread_num, team_size)` per enclosing level, index 0 = initial
     /// implicit task. Used by `omp_get_ancestor_thread_num`.
     pub(crate) ancestors: Vec<(usize, usize)>,
-    /// The forking master's thread handle: the last worker to finish the
-    /// region `unpark`s it (see `pool::hot_join`).
-    pub(crate) master: std::thread::Thread,
     /// First panic payload, rethrown by the master after the join.
     pub(crate) panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
     /// Workers (not the master) that have not yet finished the region.
@@ -322,7 +316,7 @@ impl Team {
         size: usize,
         level: usize,
         active_level: usize,
-        wait_policy: WaitPolicy,
+        ladder: Ladder,
         ancestors: Vec<(usize, usize)>,
         snap: ForkSnap,
         parent_final: bool,
@@ -331,21 +325,20 @@ impl Team {
             size,
             level,
             active_level,
-            barrier: TeamBarrier::new(size, wait_policy),
+            barrier: TeamBarrier::new(size, ladder),
             abort: AtomicBool::new(false),
             cancel_parallel: AtomicBool::new(false),
             cancel_ws: AtomicU64::new(0),
             panic_payload: Mutex::new(None),
             remaining: AtomicUsize::new(size.saturating_sub(1)),
             slots: std::array::from_fn(|i| WsSlot::new(i as u64)),
-            tasks: TaskSystem::new(size),
+            tasks: TaskSystem::new(size, ladder),
             copy_cell: Mutex::new(None),
             reduce_cells: [Mutex::new(RedCell::new()), Mutex::new(RedCell::new())],
             unarrived: OwnLine(AtomicUsize::new(size)),
             ancestors,
             snap: RwLock::new(snap),
             parent_final,
-            master: std::thread::current(),
         }
     }
 
@@ -411,6 +404,16 @@ impl Team {
         *self.snap.write() = snap;
     }
 
+    /// The wait ladder of every wait in this team.
+    pub(crate) fn ladder(&self) -> Ladder {
+        self.tasks.ladder
+    }
+
+    /// Where this team's waiters park (see [`crate::wait`]).
+    pub(crate) fn sleepers(&self) -> &Sleepers {
+        &self.tasks.sleepers
+    }
+
     /// Slot for a construct generation.
     pub(crate) fn slot(&self, gen: u64) -> &WsSlot {
         &self.slots[(gen as usize) % WS_SLOTS]
@@ -423,7 +426,9 @@ impl Team {
         if slot.is_none() && !payload.is::<crate::ctx::SiblingPanic>() {
             *slot = Some(payload);
         }
-        self.abort.store(true, Ordering::Release);
+        drop(slot);
+        self.abort.store(true, Ordering::SeqCst);
+        self.sleepers().wake_all();
     }
 }
 
@@ -437,7 +442,7 @@ mod tests {
             size,
             1,
             1,
-            WaitPolicy::Hybrid,
+            Ladder::new(crate::icv::WaitPolicy::Hybrid, false),
             vec![(0, 1)],
             ForkSnap {
                 run_sched: crate::sched::Schedule::default(),
@@ -453,50 +458,40 @@ mod tests {
     #[test]
     fn slot_install_then_join() {
         let team = test_team(2);
-        let abort = AtomicBool::new(false);
-        let cancel = AtomicBool::new(false);
         let slot = team.slot(0);
         // First thread installs.
-        assert!(slot.enter(0, 2, &abort, &cancel, |s| {
+        assert!(slot.enter(0, &team, |s| {
             s.next.store(100, Ordering::Relaxed);
         }));
         // Second thread joins without re-initializing.
-        assert!(slot.enter(0, 2, &abort, &cancel, |_| panic!("double install")));
+        assert!(slot.enter(0, &team, |_| panic!("double install")));
         assert_eq!(slot.next.load(Ordering::Relaxed), 100);
-        slot.leave();
-        slot.leave();
+        slot.leave(&team);
+        slot.leave(&team);
     }
 
     #[test]
     fn slot_recycles_after_all_leave() {
         let team = test_team(1);
-        let abort = AtomicBool::new(false);
-        let cancel = AtomicBool::new(false);
         // Generations 0 and WS_SLOTS map to the same slot.
         let g2 = WS_SLOTS as u64;
         let slot = team.slot(0);
-        assert!(slot.enter(0, 1, &abort, &cancel, |s| s
-            .next
-            .store(7, Ordering::Relaxed)));
-        slot.leave();
-        assert!(slot.enter(g2, 1, &abort, &cancel, |s| s
-            .next
-            .store(9, Ordering::Relaxed)));
+        assert!(slot.enter(0, &team, |s| s.next.store(7, Ordering::Relaxed)));
+        slot.leave(&team);
+        assert!(slot.enter(g2, &team, |s| s.next.store(9, Ordering::Relaxed)));
         assert_eq!(slot.next.load(Ordering::Relaxed), 9);
-        slot.leave();
+        slot.leave(&team);
     }
 
     #[test]
     fn slot_enter_aborts() {
         let team = test_team(2);
-        let abort = AtomicBool::new(false);
-        let cancel = AtomicBool::new(false);
         let slot = team.slot(0);
-        assert!(slot.enter(0, 2, &abort, &cancel, |_| {}));
+        assert!(slot.enter(0, &team, |_| {}));
         // Generation WS_SLOTS can't recycle (done != size), but the abort
         // flag must still release the waiter.
-        abort.store(true, Ordering::SeqCst);
-        assert!(!slot.enter(WS_SLOTS as u64, 2, &abort, &cancel, |_| {}));
+        team.abort.store(true, Ordering::SeqCst);
+        assert!(!slot.enter(WS_SLOTS as u64, &team, |_| {}));
     }
 
     #[test]
@@ -505,32 +500,26 @@ mod tests {
         // older generation may never drain, and a waiter must still get
         // out (returning `false`, not unwinding).
         let team = test_team(2);
-        let abort = AtomicBool::new(false);
-        let cancel = AtomicBool::new(false);
         let slot = team.slot(0);
-        assert!(slot.enter(0, 2, &abort, &cancel, |_| {}));
-        cancel.store(true, Ordering::SeqCst);
-        assert!(!slot.enter(WS_SLOTS as u64, 2, &abort, &cancel, |_| {}));
+        assert!(slot.enter(0, &team, |_| {}));
+        team.cancel_parallel.store(true, Ordering::SeqCst);
+        assert!(!slot.enter(WS_SLOTS as u64, &team, |_| {}));
     }
 
     #[test]
     fn concurrent_install_race_single_winner() {
         let team = Arc::new(test_team(8));
-        let abort = Arc::new(AtomicBool::new(false));
-        let cancel = Arc::new(AtomicBool::new(false));
         let installs = Arc::new(AtomicUsize::new(0));
         let mut handles = vec![];
         for _ in 0..8 {
             let team = team.clone();
-            let abort = abort.clone();
-            let cancel = cancel.clone();
             let installs = installs.clone();
             handles.push(std::thread::spawn(move || {
                 let slot = team.slot(3);
-                assert!(slot.enter(3, 8, &abort, &cancel, |_| {
+                assert!(slot.enter(3, &team, |_| {
                     installs.fetch_add(1, Ordering::SeqCst);
                 }));
-                slot.leave();
+                slot.leave(&team);
             }));
         }
         for h in handles {
@@ -542,16 +531,12 @@ mod tests {
     #[test]
     fn recycle_resets_slots_panic_state_and_snapshot() {
         let team = test_team(2);
-        let abort = AtomicBool::new(false);
-        let cancel = AtomicBool::new(false);
         // Dirty the team: advance a slot generation, record a panic,
         // poison a reduce cell, consume the join counter.
         let slot = team.slot(0);
-        assert!(slot.enter(0, 2, &abort, &cancel, |s| s
-            .next
-            .store(11, Ordering::Relaxed)));
-        slot.leave();
-        slot.leave();
+        assert!(slot.enter(0, &team, |s| s.next.store(11, Ordering::Relaxed)));
+        slot.leave(&team);
+        slot.leave(&team);
         team.record_panic(Box::new("boom"));
         team.cancel_parallel.store(true, Ordering::SeqCst);
         team.cancel_ws.store(7, Ordering::SeqCst);
@@ -579,12 +564,10 @@ mod tests {
         // Slot generation is back at its initial value: a fresh thread
         // (generation counter 0) can install again.
         let slot = team.slot(0);
-        assert!(slot.enter(0, 2, &abort, &cancel, |s| s
-            .next
-            .store(99, Ordering::Relaxed)));
+        assert!(slot.enter(0, &team, |s| s.next.store(99, Ordering::Relaxed)));
         assert_eq!(slot.next.load(Ordering::Relaxed), 99);
-        slot.leave();
-        slot.leave();
+        slot.leave(&team);
+        slot.leave(&team);
     }
 
     #[test]

@@ -146,24 +146,6 @@ fn contended_critical_sections_under_stress() {
 }
 
 #[test]
-fn passive_wait_policy_regions_work() {
-    icv::with_global_mut(|i| i.wait_policy = WaitPolicy::Passive);
-    let sum = AtomicU64::new(0);
-    omp_parallel!(num_threads(4), |ctx| {
-        omp_for!(
-            ctx,
-            schedule(dynamic),
-            for i in 0..500 {
-                sum.fetch_add(i as u64, Ordering::Relaxed);
-            }
-        );
-        omp_barrier!(ctx);
-    });
-    icv::with_global_mut(|i| i.wait_policy = WaitPolicy::Hybrid);
-    assert_eq!(sum.load(Ordering::Relaxed), 499 * 500 / 2);
-}
-
-#[test]
 fn thread_limit_caps_team_size() {
     let prev = icv::with_global_mut(|i| std::mem::replace(&mut i.thread_limit, 3));
     let sizes = Mutex::new(Vec::new());
