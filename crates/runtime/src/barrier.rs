@@ -4,9 +4,10 @@
 //! and flips the global sense. One hot cache line, but minimal memory
 //! and cheap at the team sizes a fork-per-loop runtime runs.
 //!
-//! Waiters wait on the team's ladder ([`crate::wait`]); the release
-//! flips the sense with a `SeqCst` store and then wakes the team's
-//! sleepers, which costs one load while every waiter is still spinning.
+//! Waiters wait on the team's member ladder ([`crate::wait`]); the
+//! release flips the sense with a `SeqCst` store and then wakes the
+//! team's sleepers, which costs one load while every waiter is still
+//! spinning.
 //! Every wait watches an abort flag so that a panicking sibling unwinds
 //! the whole team instead of deadlocking it (see [`crate::pool`]).
 
@@ -115,6 +116,7 @@ impl TeamBarrier {
 mod tests {
     use super::*;
     use crate::icv::WaitPolicy;
+    use crate::wait::Role;
     use std::sync::atomic::AtomicU32;
     use std::sync::Arc;
     use std::time::Duration;
@@ -130,7 +132,7 @@ mod tests {
     impl Rig {
         fn new(size: usize, policy: WaitPolicy) -> Arc<Rig> {
             Arc::new(Rig {
-                barrier: TeamBarrier::new(size, Ladder::new(policy, false)),
+                barrier: TeamBarrier::new(size, Ladder::new(policy, false, Role::Member)),
                 abort: AtomicBool::new(false),
                 cancel: AtomicBool::new(false),
                 sleepers: Sleepers::new(),

@@ -16,6 +16,7 @@ use crate::lock::os_thread_id;
 use crate::sched::Schedule;
 use crate::task::{in_final, in_taskgroup, innermost_group, make_raw_task, TaskDeps};
 use crate::team::{Team, WsSlot};
+use crate::wait::Role;
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
@@ -546,10 +547,10 @@ impl<'scope> ThreadCtx<'scope> {
     /// dependence graph is still producing work — a stalled task is
     /// released onto its *finisher's* deque, so a parked sibling would
     /// otherwise never pick it up and the graph would drain serially on
-    /// one thread. (`work_until` parks on the team's ladder when nothing
-    /// is stealable, so waiting on one long task does not burn the core;
-    /// a push or the last completion wakes it.) Bails out on team abort
-    /// (the barrier wait reports it).
+    /// one thread. (`work_until` parks on the team's task ladder when
+    /// nothing is stealable, so waiting on one long task does not burn
+    /// the core; a push or the last completion wakes it.) Bails out on
+    /// team abort (the barrier wait reports it).
     fn help_tasks_while_pending(&self) {
         let mut seed = self.steal_seed.get();
         self.team.tasks.work_until(self.thread_num, &mut seed, || {
@@ -752,7 +753,7 @@ impl<'scope> ThreadCtx<'scope> {
                 // lock orders the publish against the waiter's
                 // registration.
                 let mut got = None;
-                crate::wait::until(self.team.ladder(), self.team.sleepers(), || {
+                crate::wait::until(self.team.ladder(Role::Member), self.team.sleepers(), || {
                     got = self
                         .team
                         .copy_cell

@@ -21,8 +21,8 @@
 //!   `guided`, `runtime`, `auto` schedules ([`sched`], [`loops`]).
 //! * **Barriers** — a centralized sense-reversing barrier ([`barrier`]).
 //! * **Waiting** — one spin → yield → park ladder, chosen by the wait
-//!   policy, under every blocking construct, with releasers that wake
-//!   only registered sleepers ([`wait`]).
+//!   policy and the waiter's role, under every blocking construct, with
+//!   releasers that wake only registered sleepers ([`wait`]).
 //! * **Reductions** — operator lattice and a team reduction slot
 //!   ([`reduction`]).
 //! * **Synchronization** — `omp_lock`/`omp_nest_lock` equivalents,

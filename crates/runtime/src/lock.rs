@@ -7,9 +7,9 @@
 //! sites; `critical` sections build on it (see [`mod@crate::critical`]).
 //!
 //! The implementation is a test-and-test-and-set lock: a contended
-//! `set` waits for the lock word to read unlocked on the runtime's one
-//! wait ladder ([`crate::wait`]), parking in the lock's own sleeper set,
-//! and `unset` wakes one sleeper.
+//! `set` polls the lock word on the runtime's one wait ladder
+//! ([`crate::wait`]), spaced by a doubling backoff, parking in the
+//! lock's own sleeper set, and `unset` wakes one sleeper.
 
 use crate::wait::{self, Ladder, Sleepers};
 use std::cell::Cell;
@@ -64,21 +64,16 @@ impl OmpLock {
             return;
         }
         crate::stats::bump(|s| &s.contended_locks);
-        let ladder = Ladder::current();
-        loop {
-            // Test-and-test-and-set: wait on a plain load first so the
-            // cache line stays shared while the lock is held.
-            wait::until(ladder, &self.sleepers, || {
-                self.state.load(Ordering::Relaxed) == UNLOCKED
-            });
-            if self
-                .state
-                .compare_exchange(UNLOCKED, LOCKED, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                return;
-            }
-        }
+        // Test-and-test-and-set: poll with a plain load first so the
+        // cache line stays shared while the lock is held, on a spaced
+        // ladder so a holder re-taking the lock keeps it uncontended.
+        wait::until(Ladder::current().spaced(), &self.sleepers, || {
+            self.state.load(Ordering::Relaxed) == UNLOCKED
+                && self
+                    .state
+                    .compare_exchange(UNLOCKED, LOCKED, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+        });
     }
 
     /// `omp_test_lock`: try to acquire without blocking.

@@ -18,6 +18,7 @@
 use crate::ctx::{SiblingPanic, ThreadCtx};
 use crate::sched::{guided_grab, Schedule, StaticChunks};
 use crate::team::{Team, WsSlot};
+use crate::wait::Role;
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,7 +83,7 @@ impl Ordered<'_> {
                 || team.cancel_ws.load(Ordering::Relaxed) == self.cgen + 1
         };
         let mut turn = false;
-        crate::wait::until(team.ladder(), team.sleepers(), || {
+        crate::wait::until(team.ladder(Role::Member), team.sleepers(), || {
             turn = self.slot.ordered_next.load(Ordering::Acquire) == me;
             turn || team.abort.load(Ordering::Relaxed) || cancelled()
         });
@@ -101,7 +102,7 @@ impl Ordered<'_> {
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_err()
         {
-            crate::wait::until(team.ladder(), team.sleepers(), || {
+            crate::wait::until(team.ladder(Role::Member), team.sleepers(), || {
                 !self.slot.claimed.load(Ordering::Relaxed) || team.abort.load(Ordering::Relaxed)
             });
             if team.abort.load(Ordering::Relaxed) {

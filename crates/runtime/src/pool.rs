@@ -26,8 +26,8 @@
 //!    worksharing-slot, reduction and task-graph state in place (a
 //!    fresh lease starts from a new `Team`);
 //! 2. a doorbell **ring** per worker — publish the job pointer and
-//!    bump the channel epoch (the worker waits on the team's ladder,
-//!    [`crate::wait`]);
+//!    bump the channel epoch (the worker waits on the team's idle
+//!    ladder, [`crate::wait`]);
 //! 3. the master's own trip through the region;
 //! 4. `hot_join` — wait for the workers' completion signals, helping
 //!    with any still-pending tasks.
@@ -87,7 +87,7 @@ use crate::ctx::{
 use crate::icv::{self, Icvs, ProcBind, WaitPolicy};
 use crate::stats::{add, bump};
 use crate::team::{ForkSnap, Team};
-use crate::wait::{self, Ladder, Sleepers};
+use crate::wait::{self, Role, Sleepers};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -425,7 +425,7 @@ fn run_region(team: &Arc<Team>, thread_num: usize, job: Job) {
 ///
 /// Protocol: the master writes `job`, then bumps `epoch` (`SeqCst`),
 /// then wakes the channel's sleepers. The worker waits for the epoch to
-/// move on the team's ladder ([`crate::wait`]), parking in the
+/// move on the team's idle ladder ([`crate::wait`]), parking in the
 /// channel's own sleeper set, so a ring to a worker that is still
 /// spinning costs one load. (A mutex+condvar doorbell was measured to
 /// cost a full context-switch round trip per ring on an oversubscribed
@@ -493,7 +493,7 @@ fn hot_worker_loop(ch: &HotChannel) {
     // The channel arrives pre-armed: epoch 1 with the first region's job
     // already published, so starting from 0 runs it immediately.
     let mut seen = 0u64;
-    let ladder = ch.team.ladder();
+    let ladder = ch.team.ladder(Role::Idle);
     loop {
         let mut epoch = seen;
         wait::until(ladder, &ch.sleepers, || {
@@ -534,7 +534,7 @@ fn hot_worker_loop(ch: &HotChannel) {
 struct HotKey {
     /// Requested team size (post `if`/nesting/limit clamping).
     n: usize,
-    /// The `OMP_WAIT_POLICY` ICV: the team's ladder is built from it
+    /// The `OMP_WAIT_POLICY` ICV: the team's ladders are built from it
     /// (and from the delivered size), so a change rebuilds.
     wait_policy: WaitPolicy,
     /// `dyn-var`: a change re-evaluates team sizing, so it rebuilds.
@@ -780,10 +780,10 @@ fn new_lease(
         // one thread (OpenMP 5.2 §1.2.2): a team delivered short at size
         // 1 under pool pressure is not an active region.
         active_level + usize::from(size > 1),
-        // Oversubscription keys on the *delivered* size: a
-        // thread-limit-capped team that fits the cores must not get
+        // The team keys its oversubscription on this *delivered* size:
+        // a thread-limit-capped team that fits the cores must not get
         // park-early waits just because more was requested.
-        Ladder::new(icvs.wait_policy, size > icv::hardware_threads()),
+        icvs.wait_policy,
         forking_ancestors(),
         snap,
         parent_final,
@@ -831,7 +831,7 @@ fn hot_join(team: &Arc<Team>) {
     let mut seed = crate::lock::os_thread_id() | 1;
     let tasks = &team.tasks;
     wait::until_running(
-        team.ladder(),
+        team.ladder(Role::Join),
         team.sleepers(),
         || {
             team.remaining.load(Ordering::Acquire) == 0
@@ -977,7 +977,7 @@ where
             1,
             level + 1,
             active_level,
-            Ladder::new(icvs.wait_policy, false),
+            icvs.wait_policy,
             forking_ancestors(),
             snap,
             parent_final,

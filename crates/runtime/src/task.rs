@@ -69,7 +69,8 @@
 //! then, so borrowed data outlives every task. This is the same
 //! argument `std::thread::scope` makes.
 
-use crate::wait::{self, Ladder, Sleepers};
+use crate::icv::WaitPolicy;
+use crate::wait::{self, Ladder, Role, Sleepers};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -277,13 +278,13 @@ impl DepGraph {
     }
 }
 
-/// Per-team task state, and the team's wait ladder and sleepers.
+/// Per-team task state, and the team's wait policy and sleepers.
 pub(crate) struct TaskSystem {
     queues: Vec<TaskQueue>,
     /// Tasks created and not yet finished, team-wide (stalled included).
     pub pending: AtomicUsize,
     pub(crate) sleepers: Sleepers,
-    pub(crate) ladder: Ladder,
+    policy: WaitPolicy,
     deps: Mutex<DepGraph>,
     /// Raised by `cancel parallel`: every not-yet-started task of the
     /// region is discarded instead of executed (OpenMP lets an
@@ -302,12 +303,12 @@ impl std::fmt::Debug for TaskSystem {
 }
 
 impl TaskSystem {
-    pub(crate) fn new(size: usize, ladder: Ladder) -> Self {
+    pub(crate) fn new(size: usize, policy: WaitPolicy) -> Self {
         TaskSystem {
             queues: (0..size).map(|_| TaskQueue::new()).collect(),
             pending: AtomicUsize::new(0),
             sleepers: Sleepers::new(),
-            ladder,
+            policy,
             deps: Mutex::new(DepGraph::default()),
             cancel_all: AtomicBool::new(false),
         }
@@ -325,19 +326,30 @@ impl TaskSystem {
         }
     }
 
+    /// The team's ladder for `role`: its wait policy's row, oversubscribed
+    /// when the team has more threads than the host has cores.
+    pub(crate) fn ladder(&self, role: Role) -> Ladder {
+        let oversubscribed = self.queues.len() > crate::icv::hardware_threads();
+        Ladder::new(self.policy, oversubscribed, role)
+    }
+
     /// Unfinished children of `thread_num`'s implicit task.
     pub(crate) fn children(&self, thread_num: usize) -> usize {
         self.queues[thread_num].children.load(Ordering::Acquire)
     }
 
-    /// Put a ready task on `thread_num`'s deque; wake a sleeper for it.
+    /// Put a ready task on `thread_num`'s deque and wake the team's
+    /// sleepers. All of them: a thread parked at a barrier, an ordered
+    /// turn or a slot install shares the set but cannot run the task,
+    /// so a wake for one could land on it and strand a task waiter that
+    /// could. While nobody sleeps this is one load.
     fn enqueue(&self, thread_num: usize, task: RawTask) {
         let q = &self.queues[thread_num];
         let mut deque = q.deque.lock();
         deque.push_back(task);
         q.approx_len.store(deque.len(), Ordering::Relaxed);
         drop(deque);
-        self.sleepers.wake_one();
+        self.sleepers.wake_all();
     }
 
     /// Defer a task onto `thread_num`'s deque, or into the dependence
@@ -414,7 +426,7 @@ impl TaskSystem {
     /// the region-end drain and the undeferred dependence wait.
     pub(crate) fn work_until(&self, thread_num: usize, seed: &mut u64, done: impl FnMut() -> bool) {
         wait::until_running(
-            self.ladder,
+            self.ladder(Role::Tasks),
             &self.sleepers,
             done,
             || self.pop_or_steal(thread_num, seed),
@@ -779,7 +791,7 @@ pub(crate) unsafe fn make_raw_task<'a>(
 mod tests {
     use super::*;
 
-    const LADDER: Ladder = Ladder::new(crate::icv::WaitPolicy::Passive, false);
+    const POLICY: WaitPolicy = WaitPolicy::Passive;
 
     fn raw(f: impl FnOnce() + Send + 'static) -> RawTask {
         unsafe { make_raw_task(Box::new(f), 0, false) }
@@ -787,7 +799,7 @@ mod tests {
 
     #[test]
     fn push_execute_decrements_counters() {
-        let sys = TaskSystem::new(2, LADDER);
+        let sys = TaskSystem::new(2, POLICY);
         let ran = Arc::new(AtomicUsize::new(0));
         let r2 = ran.clone();
         let task = raw(move || {
@@ -805,7 +817,7 @@ mod tests {
 
     #[test]
     fn lifo_pop_fifo_steal() {
-        let sys = TaskSystem::new(2, LADDER);
+        let sys = TaskSystem::new(2, POLICY);
         let order = Arc::new(Mutex::new(Vec::new()));
         for i in 0..3 {
             let order = order.clone();
@@ -828,7 +840,7 @@ mod tests {
 
     #[test]
     fn counters_restored_even_on_panic() {
-        let sys = TaskSystem::new(1, LADDER);
+        let sys = TaskSystem::new(1, POLICY);
         let ((), group) =
             in_taskgroup(|| unsafe { sys.push(0, raw(|| panic!("task boom")), TaskDeps::new()) });
         let mut seed = 1;
@@ -844,7 +856,7 @@ mod tests {
     #[test]
     fn group_counters_tracked() {
         // A task counts in its innermost group only.
-        let sys = TaskSystem::new(1, LADDER);
+        let sys = TaskSystem::new(1, POLICY);
         let (inner, outer) =
             in_taskgroup(|| in_taskgroup(|| unsafe { sys.push(0, raw(|| {}), TaskDeps::new()) }).1);
         assert!(Arc::ptr_eq(inner.parent.as_ref().unwrap(), &outer));
@@ -858,7 +870,7 @@ mod tests {
 
     #[test]
     fn cancelled_group_discards_queued_and_stalled_tasks() {
-        let sys = TaskSystem::new(1, LADDER);
+        let sys = TaskSystem::new(1, POLICY);
         let ran = Arc::new(AtomicUsize::new(0));
         let x = 0u8;
         // One ready task and one dependence-stalled behind it, both in
@@ -885,7 +897,7 @@ mod tests {
 
     #[test]
     fn cancel_all_discards_everything_not_started() {
-        let sys = TaskSystem::new(1, LADDER);
+        let sys = TaskSystem::new(1, POLICY);
         let ran = Arc::new(AtomicUsize::new(0));
         for _ in 0..3 {
             let ran = ran.clone();
@@ -903,7 +915,7 @@ mod tests {
 
     #[test]
     fn out_then_in_stalls_reader_until_writer_finishes() {
-        let sys = TaskSystem::new(1, LADDER);
+        let sys = TaskSystem::new(1, POLICY);
         let x = 0u8; // address token
         let log = Arc::new(Mutex::new(Vec::new()));
         let (l1, l2) = (log.clone(), log.clone());
@@ -925,7 +937,7 @@ mod tests {
 
     #[test]
     fn readers_run_concurrently_but_block_next_writer() {
-        let sys = TaskSystem::new(1, LADDER);
+        let sys = TaskSystem::new(1, POLICY);
         let x = 0u8;
         let log = Arc::new(Mutex::new(Vec::new()));
         let mk = |tag: &'static str, log: &Arc<Mutex<Vec<&'static str>>>| {
@@ -950,7 +962,7 @@ mod tests {
 
     #[test]
     fn independent_addresses_do_not_order() {
-        let sys = TaskSystem::new(1, LADDER);
+        let sys = TaskSystem::new(1, POLICY);
         let (x, y) = (0u8, 0u8);
         let a = raw(|| {});
         let b = raw(|| {});
@@ -964,7 +976,7 @@ mod tests {
 
     #[test]
     fn pending_counts_stalled_tasks() {
-        let sys = TaskSystem::new(1, LADDER);
+        let sys = TaskSystem::new(1, POLICY);
         let x = 0u8;
         let a = raw(|| {});
         let b = raw(|| {});
@@ -978,7 +990,7 @@ mod tests {
 
     #[test]
     fn undeferred_waits_for_predecessors() {
-        let sys = TaskSystem::new(1, LADDER);
+        let sys = TaskSystem::new(1, POLICY);
         let x = 0u8;
         let log = Arc::new(Mutex::new(Vec::new()));
         let (l1, l2) = (log.clone(), log.clone());
@@ -994,11 +1006,57 @@ mod tests {
 
     #[test]
     fn same_address_in_and_out_is_not_a_self_cycle() {
-        let sys = TaskSystem::new(1, LADDER);
+        let sys = TaskSystem::new(1, POLICY);
         let x = 0u8;
         let t = raw(|| {});
         unsafe { sys.push(0, t, TaskDeps::new().input(&x).output(&x)) };
         let mut seed = 1;
         assert!(sys.pop_or_steal(0, &mut seed).is_some(), "must be ready");
+    }
+
+    #[test]
+    fn a_push_wakes_a_task_waiter_parked_before_a_plain_waiter() {
+        // Thread 1 parks in a task wait, then thread 2 parks in a wait
+        // on something else (a barrier, an ordered turn) of the same
+        // team. A push onto thread 0's deque must reach thread 1, the
+        // one that can run it; a wake for the last sleeper alone would
+        // land on thread 2, which parks again, and strand thread 1.
+        let sys = Arc::new(TaskSystem::new(3, POLICY));
+        let ran = Arc::new(AtomicBool::new(false));
+        let released = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tasker = {
+            let (sys, ran) = (sys.clone(), ran.clone());
+            std::thread::spawn(move || {
+                let mut seed = 7;
+                sys.work_until(1, &mut seed, || ran.load(Ordering::SeqCst));
+                tx.send(()).unwrap();
+            })
+        };
+        let wait_registered = |n| {
+            while sys.sleepers.registered() < n {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        };
+        wait_registered(1);
+        let plain = {
+            let (sys, released) = (sys.clone(), released.clone());
+            std::thread::spawn(move || {
+                wait::until(sys.ladder(Role::Member), &sys.sleepers, || {
+                    released.load(Ordering::SeqCst)
+                });
+            })
+        };
+        wait_registered(2);
+        let r = ran.clone();
+        let task = raw(move || r.store(true, Ordering::SeqCst));
+        unsafe { sys.push(0, task, TaskDeps::new()) };
+        let woke = rx.recv_timeout(std::time::Duration::from_secs(10));
+        released.store(true, Ordering::SeqCst);
+        sys.sleepers.wake_all();
+        plain.join().unwrap();
+        assert!(woke.is_ok(), "the task waiter slept through the push");
+        tasker.join().unwrap();
+        assert_eq!(sys.pending(), 0);
     }
 }

@@ -36,9 +36,9 @@
 
 use crate::affinity::TeamPlaces;
 use crate::barrier::TeamBarrier;
-use crate::icv::ProcBind;
+use crate::icv::{ProcBind, WaitPolicy};
 use crate::task::TaskSystem;
-use crate::wait::{self, Ladder, Sleepers};
+use crate::wait::{self, Ladder, Role, Sleepers};
 use parking_lot::{Mutex, RwLock};
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -108,7 +108,7 @@ impl WsSlot {
             // generation: recycle, but only once it fully drained.
             let mut word = 0;
             let mut installable = false;
-            wait::until(team.ladder(), team.sleepers(), || {
+            wait::until(team.ladder(Role::Member), team.sleepers(), || {
                 word = self.word.load(Ordering::Acquire);
                 let (cur, state) = (word >> STATE_BITS, word & STATE_MASK);
                 installable = if cur == gen {
@@ -311,28 +311,30 @@ impl std::fmt::Debug for Team {
 }
 
 impl Team {
-    /// Build a team of `size` threads at nesting `level`.
+    /// Build a team of `size` threads at nesting `level` whose waits
+    /// follow `policy`.
     pub(crate) fn new(
         size: usize,
         level: usize,
         active_level: usize,
-        ladder: Ladder,
+        policy: WaitPolicy,
         ancestors: Vec<(usize, usize)>,
         snap: ForkSnap,
         parent_final: bool,
     ) -> Self {
+        let tasks = TaskSystem::new(size, policy);
         Team {
             size,
             level,
             active_level,
-            barrier: TeamBarrier::new(size, ladder),
+            barrier: TeamBarrier::new(size, tasks.ladder(Role::Member)),
             abort: AtomicBool::new(false),
             cancel_parallel: AtomicBool::new(false),
             cancel_ws: AtomicU64::new(0),
             panic_payload: Mutex::new(None),
             remaining: AtomicUsize::new(size.saturating_sub(1)),
             slots: std::array::from_fn(|i| WsSlot::new(i as u64)),
-            tasks: TaskSystem::new(size, ladder),
+            tasks,
             copy_cell: Mutex::new(None),
             reduce_cells: [Mutex::new(RedCell::new()), Mutex::new(RedCell::new())],
             unarrived: OwnLine(AtomicUsize::new(size)),
@@ -404,9 +406,9 @@ impl Team {
         *self.snap.write() = snap;
     }
 
-    /// The wait ladder of every wait in this team.
-    pub(crate) fn ladder(&self) -> Ladder {
-        self.tasks.ladder
+    /// This team's wait ladder for `role` (see [`crate::wait`]).
+    pub(crate) fn ladder(&self, role: Role) -> Ladder {
+        self.tasks.ladder(role)
     }
 
     /// Where this team's waiters park (see [`crate::wait`]).
@@ -442,7 +444,7 @@ mod tests {
             size,
             1,
             1,
-            Ladder::new(crate::icv::WaitPolicy::Hybrid, false),
+            WaitPolicy::Hybrid,
             vec![(0, 1)],
             ForkSnap {
                 run_sched: crate::sched::Schedule::default(),

@@ -6,8 +6,9 @@
 //!
 //! A wait climbs one ladder — poll with a `spin_loop` hint, then with
 //! `yield_now`, then park — whose rungs come from one table
-//! (`Ladder::new`). The task-running form runs a task whenever it
-//! finds one and climbs again from the bottom.
+//! (`Ladder::new`), keyed on the wait policy, the team's
+//! oversubscription and the waiter's `Role`. The task-running form
+//! runs a task whenever it finds one and climbs again from the bottom.
 //!
 //! A waiter on the park rung registers in the `Sleepers` set of what
 //! it waits on, re-checks its condition after a `SeqCst` fence and only
@@ -27,37 +28,82 @@ use std::thread::Thread;
 /// A rung count meaning "never leave this rung".
 const FOREVER: u32 = u32::MAX;
 
-/// How many polls a waiter spins, then yields, before it parks.
+/// The most `spin_loop` hints a spaced ladder puts between two polls.
+const MAX_SPACING: u32 = 1 << 10;
+
+/// Who waits: the third key of the ladder table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// A team member at a barrier, a worksharing construct or a lock.
+    Member,
+    /// A team member running tasks while it waits (`taskwait`,
+    /// `taskgroup`, a barrier's task help, the region-end drain).
+    Tasks,
+    /// A bound worker at its doorbell between regions.
+    Idle,
+    /// The master at a region's join.
+    Join,
+}
+
+/// How many `spin_loop` hints a waiter spins, then how many times it
+/// yields, before it parks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Ladder {
     spins: u32,
     yields: u32,
+    /// Poll only after a doubling number of hints (see [`Ladder::spaced`]).
+    spaced: bool,
 }
 
 impl Ladder {
     /// The wait-policy table. `active` never parks, and yields instead
-    /// of spinning on an oversubscribed team (more threads than cores).
-    /// `hybrid` spins long enough that a fine-grained program's waits
-    /// (barrier episodes, doorbell gaps, joins) end before the park
-    /// rung. `passive`, and `hybrid` oversubscribed, park after a few
-    /// polls: there a spinning or yielding waiter takes the timeslice of
-    /// the sibling it waits for (a worker yielding after its region
-    /// cost the master ~20 µs per region instead of ~3 µs).
-    pub(crate) const fn new(policy: WaitPolicy, oversubscribed: bool) -> Self {
-        let (spins, yields) = match (policy, oversubscribed) {
-            (WaitPolicy::Active, false) => (FOREVER, 0),
-            (WaitPolicy::Active, true) => (64, FOREVER),
-            (WaitPolicy::Hybrid, false) => (20_000, 4_096),
-            (WaitPolicy::Hybrid, true) | (WaitPolicy::Passive, _) => (8, 0),
+    /// of spinning on an oversubscribed team (more threads than cores);
+    /// `passive` parks after a few polls. `hybrid` spins a member ~0.4 ms
+    /// (20 000 hints), as long as fine-grained barriers take, and parks
+    /// it at once oversubscribed; a task waiter, an idle worker and the
+    /// joining master spin briefly, then yield their timeslice to the
+    /// siblings they wait for (a task waiter that spins polls every
+    /// deque and slows the thread still working). Oversubscribed, an
+    /// idle worker that yields keeps the CPU from the master (~20 µs a
+    /// region instead of ~3), so it parks after a few yields.
+    pub(crate) const fn new(policy: WaitPolicy, oversubscribed: bool, role: Role) -> Self {
+        use Role::{Idle, Join, Member, Tasks};
+        use WaitPolicy::{Active, Hybrid, Passive};
+        let (spins, yields) = match (policy, oversubscribed, role) {
+            (Active, false, _) => (FOREVER, 0),
+            (Active, true, _) => (64, FOREVER),
+            (Passive, _, _) => (8, 0),
+            (Hybrid, _, Tasks) => (64, 960),
+            (Hybrid, false, Member) => (20_000, 0),
+            (Hybrid, false, Idle) => (512, 256),
+            (Hybrid, false, Join) => (512, 4_096),
+            (Hybrid, true, Member) => (8, 0),
+            (Hybrid, true, Idle) => (8, 32),
+            (Hybrid, true, Join) => (0, 4_096),
         };
-        Ladder { spins, yields }
+        Ladder {
+            spins,
+            yields,
+            spaced: false,
+        }
+    }
+
+    /// This ladder with its spin-rung polls spaced by a doubling number
+    /// of hints (at most [`MAX_SPACING`]), for a lock word: a waiter
+    /// polling on every hint takes the lock the instant its holder drops
+    /// it, so a holder that re-takes it at once hands it over every time.
+    pub(crate) const fn spaced(self) -> Self {
+        Ladder {
+            spaced: true,
+            ..self
+        }
     }
 
     /// The innermost team's ladder, else the global wait policy's (a
     /// contended lock outside any region).
     pub(crate) fn current() -> Self {
-        let outside = || Ladder::new(crate::icv::wait_policy(), false);
-        crate::ctx::with_current(|r| r.team.ladder(), outside)
+        let outside = || Ladder::new(crate::icv::wait_policy(), false, Role::Member);
+        crate::ctx::with_current(|r| r.team.ladder(Role::Member), outside)
     }
 }
 
@@ -86,7 +132,8 @@ impl Sleepers {
         }
     }
 
-    /// Unpark one sleeper (a task push, an unlock).
+    /// Unpark one sleeper; only where every sleeper waits for the same
+    /// thing (a lock), or the wake can land on one that parks again.
     pub(crate) fn wake_one(&self) {
         if self.count.load(Ordering::SeqCst) > 0 {
             let mut threads = self.threads.lock();
@@ -95,6 +142,12 @@ impl Sleepers {
                 t.unpark();
             }
         }
+    }
+
+    /// Threads registered now.
+    #[cfg(test)]
+    pub(crate) fn registered(&self) -> usize {
+        self.count.load(Ordering::SeqCst)
     }
 
     fn register(&self) -> Registered<'_> {
@@ -131,7 +184,7 @@ pub(crate) fn until(ladder: Ladder, sleepers: &Sleepers, cond: impl FnMut() -> b
 
 /// `until`, running with `run` whatever `take` returns between polls.
 /// A waiter takes once more after it registered, so work pushed (with a
-/// `wake_one`) after its last poll is not slept through.
+/// wake) after its last poll is not slept through.
 pub(crate) fn until_running<T>(
     ladder: Ladder,
     sleepers: &Sleepers,
@@ -139,15 +192,27 @@ pub(crate) fn until_running<T>(
     mut take: impl FnMut() -> Option<T>,
     mut run: impl FnMut(T),
 ) {
+    // `polls` counts hints on the spin rung and polls after it; a
+    // spaced ladder spins as many hints as it spun before, so the
+    // spacing doubles.
     let mut polls = 0u32;
     loop {
         if cond() {
             return;
         }
         let mut work = take();
+        let mut step = 1;
         if work.is_none() {
             if ladder.spins == FOREVER || polls < ladder.spins {
-                std::hint::spin_loop();
+                if ladder.spaced {
+                    step = polls
+                        .saturating_add(1)
+                        .min(MAX_SPACING)
+                        .min(ladder.spins - polls);
+                }
+                for _ in 0..step {
+                    std::hint::spin_loop();
+                }
             } else if ladder.yields == FOREVER || polls - ladder.spins < ladder.yields {
                 std::thread::yield_now();
             } else {
@@ -173,7 +238,7 @@ pub(crate) fn until_running<T>(
                 run(w);
                 polls = 0;
             }
-            None => polls = polls.saturating_add(1),
+            None => polls = polls.saturating_add(step),
         }
     }
 }
@@ -188,22 +253,75 @@ mod tests {
     #[test]
     fn ladder_rows_order_the_policies() {
         let parks_after = |l: Ladder| u64::from(l.spins) + u64::from(l.yields);
-        let (active, hybrid, passive) = (
-            Ladder::new(WaitPolicy::Active, false),
-            Ladder::new(WaitPolicy::Hybrid, false),
-            Ladder::new(WaitPolicy::Passive, false),
-        );
-        assert!(parks_after(active) > parks_after(hybrid));
-        assert!(parks_after(hybrid) > parks_after(passive));
-        // The hybrid row keeps the old hot-site budgets: a barrier
-        // spun 20 000 times before parking, the doorbell and the join
-        // 512 times before their first yield.
-        assert!(hybrid.spins >= 20_000);
-        // Oversubscribed: active yields forever, hybrid parks like
-        // passive.
-        assert_eq!(Ladder::new(WaitPolicy::Active, true).yields, FOREVER);
-        assert_eq!(Ladder::new(WaitPolicy::Hybrid, true), passive);
-        assert_eq!(Ladder::new(WaitPolicy::Passive, true), passive);
+        let row = |p, o, r| Ladder::new(p, o, r);
+        for role in [Role::Member, Role::Tasks, Role::Idle, Role::Join] {
+            let (active, hybrid, passive) = (
+                row(WaitPolicy::Active, false, role),
+                row(WaitPolicy::Hybrid, false, role),
+                row(WaitPolicy::Passive, false, role),
+            );
+            assert!(parks_after(active) > parks_after(hybrid));
+            assert!(parks_after(hybrid) > parks_after(passive));
+            // Oversubscribed: active yields forever, passive parks at once.
+            assert_eq!(row(WaitPolicy::Active, true, role).yields, FOREVER);
+            assert_eq!(row(WaitPolicy::Passive, true, role), passive);
+        }
+        // The hybrid rows keep the budgets of the hand-written waits
+        // they replace: a barrier spun 20 000 times before parking, and
+        // 8 times oversubscribed; a task wait spun 64 times and yielded
+        // 960 times before it slept; the doorbell spun 512 times and
+        // yielded 256 times, the join spun 512 times and yielded 4 096
+        // times, and oversubscribed the doorbell took 8 and 32 and the
+        // join 0 and 4 096.
+        let hybrid = |o, r| {
+            let l = row(WaitPolicy::Hybrid, o, r);
+            (l.spins, l.yields)
+        };
+        assert_eq!(hybrid(false, Role::Member), (20_000, 0));
+        assert_eq!(hybrid(false, Role::Tasks), (64, 960));
+        assert_eq!(hybrid(false, Role::Idle), (512, 256));
+        assert_eq!(hybrid(false, Role::Join), (512, 4_096));
+        assert_eq!(hybrid(true, Role::Member), (8, 0));
+        assert_eq!(hybrid(true, Role::Tasks), (64, 960));
+        assert_eq!(hybrid(true, Role::Idle), (8, 32));
+        assert_eq!(hybrid(true, Role::Join), (0, 4_096));
+    }
+
+    #[test]
+    fn a_spaced_ladder_polls_less_but_parks_after_as_many_hints() {
+        let polls_before_park = |ladder: Ladder| {
+            let sleepers = Arc::new(Sleepers::new());
+            let (polls, done) = (
+                Arc::new(AtomicUsize::new(0)),
+                Arc::new(AtomicBool::new(false)),
+            );
+            let (s, p, d) = (sleepers.clone(), polls.clone(), done.clone());
+            let waiter = std::thread::spawn(move || {
+                until(ladder, &s, || {
+                    p.fetch_add(1, Ordering::SeqCst);
+                    d.load(Ordering::SeqCst)
+                });
+            });
+            while sleepers.registered() == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let n = polls.load(Ordering::SeqCst);
+            done.store(true, Ordering::SeqCst);
+            sleepers.wake_all();
+            waiter.join().unwrap();
+            n
+        };
+        let dense = Ladder {
+            spins: 4_096,
+            yields: 0,
+            spaced: false,
+        };
+        // One poll per hint, and the re-check after registering.
+        assert_eq!(polls_before_park(dense), 4_098);
+        // Spacings 1, 2, ..., 1 024, 1 024, 1 024 and 1 take the 4 096
+        // hints in 14 polls; then the poll that ends the rung and the
+        // re-check.
+        assert_eq!(polls_before_park(dense.spaced()), 16);
     }
 
     #[test]
@@ -212,9 +330,11 @@ mod tests {
         let flag = Arc::new(AtomicBool::new(false));
         let (s, f) = (sleepers.clone(), flag.clone());
         let waiter = std::thread::spawn(move || {
-            until(Ladder::new(WaitPolicy::Passive, false), &s, || {
-                f.load(Ordering::Acquire)
-            });
+            until(
+                Ladder::new(WaitPolicy::Passive, false, Role::Member),
+                &s,
+                || f.load(Ordering::Acquire),
+            );
         });
         // Let the waiter reach the park rung and register.
         while sleepers.count.load(Ordering::SeqCst) == 0 {
@@ -235,13 +355,17 @@ mod tests {
             .map(|_| {
                 let (s, g) = (sleepers.clone(), go.clone());
                 std::thread::spawn(move || {
-                    until(Ladder::new(WaitPolicy::Passive, false), &s, || {
-                        // Each waiter consumes one token.
-                        let n = g.load(Ordering::SeqCst);
-                        n > 0
-                            && g.compare_exchange(n, n - 1, Ordering::SeqCst, Ordering::SeqCst)
-                                .is_ok()
-                    });
+                    until(
+                        Ladder::new(WaitPolicy::Passive, false, Role::Member),
+                        &s,
+                        || {
+                            // Each waiter consumes one token.
+                            let n = g.load(Ordering::SeqCst);
+                            n > 0
+                                && g.compare_exchange(n, n - 1, Ordering::SeqCst, Ordering::SeqCst)
+                                    .is_ok()
+                        },
+                    );
                 })
             })
             .collect();
@@ -266,7 +390,7 @@ mod tests {
         let (s, w, d) = (sleepers.clone(), work.clone(), done.clone());
         let waiter = std::thread::spawn(move || {
             until_running(
-                Ladder::new(WaitPolicy::Passive, false),
+                Ladder::new(WaitPolicy::Passive, false, Role::Member),
                 &s,
                 || d.load(Ordering::SeqCst) == 3,
                 || {
