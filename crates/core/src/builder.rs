@@ -190,7 +190,8 @@ impl<'scope> Task<'_, 'scope> {
 /// use romp_core::prelude::*;
 /// use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 ///
-/// let _arm = romp_core::runtime::icv::set_cancellation_override(Some(true));
+/// // Arm `cancel-var` for this task and the regions it forks.
+/// let armed = romp_core::runtime::icv::set_local(|i| i.cancellation = true);
 /// let chunks = AtomicUsize::new(0);
 /// parallel().num_threads(2).run(|ctx| {
 ///     ctx.ws_for(0..100_000, Schedule::dynamic_chunk(64), false, |i| {
@@ -201,7 +202,7 @@ impl<'scope> Task<'_, 'scope> {
 ///     });
 /// });
 /// assert!(chunks.load(Relaxed) < 100_000);
-/// romp_core::runtime::icv::set_cancellation_override(None);
+/// drop(armed);
 /// ```
 pub fn cancel(ctx: &ThreadCtx<'_>, kind: CancelKind) -> bool {
     ctx.cancel(kind)

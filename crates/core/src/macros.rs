@@ -843,7 +843,8 @@ macro_rules! omp_ordered {
 /// use romp_core::prelude::*;
 /// use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 ///
-/// let _arm = romp_core::runtime::icv::set_cancellation_override(Some(true));
+/// // Arm `cancel-var` for this task and the regions it forks.
+/// let armed = romp_core::runtime::icv::set_local(|i| i.cancellation = true);
 /// let seen = AtomicUsize::new(0);
 /// omp_parallel!(num_threads(2), |ctx| {
 ///     omp_for!(ctx, schedule(dynamic, 8), for i in 0..10_000 {
@@ -854,7 +855,7 @@ macro_rules! omp_ordered {
 ///     });
 /// });
 /// assert!(seen.load(Relaxed) < 10_000); // the loop stopped early
-/// romp_core::runtime::icv::set_cancellation_override(None);
+/// drop(armed);
 /// ```
 #[macro_export]
 macro_rules! omp_cancel {

@@ -459,8 +459,9 @@ impl<A: IterSpace, B: IterSpace, C: IterSpace> IterSpace for Collapse3<A, B, C> 
 /// Implies an end barrier unless `nowait`.
 ///
 /// This is the function every front end bottoms out in; see the module
-/// docs.
-#[inline]
+/// docs. Always inlined, like `ThreadCtx::ws_for_normalized` (whose
+/// docs give the reason): a body's accumulators stay in registers.
+#[inline(always)]
 pub fn ws_space<S: IterSpace>(
     ctx: &ThreadCtx<'_>,
     space: &S,
@@ -478,7 +479,7 @@ pub fn ws_space<S: IterSpace>(
 /// Chunk-granular variant of [`ws_space`]: the body receives each
 /// claimed chunk's decoder whole, so hot kernels can iterate without
 /// per-index closure dispatch.
-#[inline]
+#[inline(always)]
 pub fn ws_space_chunks<S: IterSpace>(
     ctx: &ThreadCtx<'_>,
     space: &S,

@@ -30,8 +30,9 @@
 //! The kernel is also correct with cancellation *disarmed*
 //! (`OMP_CANCELLATION` unset): `cancel` degrades to a no-op and the
 //! loop scans everything — same answer, no early exit. The variants
-//! arm cancellation for their own fork via the per-thread `cancel-var`
-//! override so the workload always exercises the feature.
+//! arm cancellation for their own fork with a task-local `cancel-var`
+//! set ([`ArmCancellation`]) so the workload always exercises the
+//! feature.
 //!
 //! One timed run ([`romp::run`]) contains the cancelled scan and no
 //! further verification work: the first-match index is itself the
@@ -110,29 +111,27 @@ pub fn expected_index(class: Class) -> usize {
     })
 }
 
-/// RAII arming of `cancel-var` for the calling thread's forks (the
-/// per-thread override leaves the process-global ICV block untouched,
-/// so concurrently running code keeps its own setting). Used by the
-/// kernel variants and by the front-end parity tests around the
+/// RAII arming of `cancel-var` for the calling task and the regions it
+/// forks (a task-local set leaves the process-global ICV block
+/// untouched, so concurrently running code keeps its own setting). Used
+/// by the kernel variants and by the front-end parity tests around the
 /// translated fixture.
-pub struct ArmCancellation(Option<bool>);
+pub struct ArmCancellation {
+    _scope: romp_runtime::icv::LocalIcvs,
+}
 
 impl ArmCancellation {
     /// Arm cancellation until the guard drops.
     pub fn new() -> Self {
-        ArmCancellation(romp_runtime::icv::set_cancellation_override(Some(true)))
+        ArmCancellation {
+            _scope: romp_runtime::icv::set_local(|i| i.cancellation = true),
+        }
     }
 }
 
 impl Default for ArmCancellation {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Drop for ArmCancellation {
-    fn drop(&mut self) {
-        romp_runtime::icv::set_cancellation_override(self.0);
     }
 }
 
@@ -314,10 +313,10 @@ mod tests {
 
     #[test]
     fn disarmed_cancellation_still_verifies() {
-        // Force cancel-var off for this thread: the kernel's own
+        // Force cancel-var off for this task: the kernel's own
         // ArmCancellation::new() then... still arms (it overrides). So
         // drive the builder loop shape manually, disarmed.
-        let prev = romp_runtime::icv::set_cancellation_override(Some(false));
+        let disarm = romp_runtime::icv::set_local(|i| i.cancellation = false);
         let hay = haystack(Class::S);
         let nd = needle(&hay);
         let found = AtomicUsize::new(usize::MAX);
@@ -333,7 +332,7 @@ mod tests {
                 });
             });
         }
-        romp_runtime::icv::set_cancellation_override(prev);
+        drop(disarm);
         assert_eq!(found.load(Ordering::Relaxed), expected_index(Class::S));
     }
 

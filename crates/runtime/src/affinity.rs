@@ -40,10 +40,15 @@ use std::sync::{Arc, OnceLock};
 /// A parsed `OMP_PLACES` list: each place is a non-empty set of CPU ids.
 pub type PlaceList = Vec<Vec<usize>>;
 
-/// A team's place partition, computed once per fork (and per hot-team
-/// recycle) by [`team_places`]. Indexed by `thread_num`.
+/// A team's place partition, computed by [`update_team_places`] when a
+/// team is built and again when a hot team's fork changes one of its
+/// inputs. Indexed by `thread_num`.
 #[derive(Debug)]
 pub(crate) struct TeamPlaces {
+    /// The policy and the master's `(first, count, current place)` it
+    /// was computed from.
+    bind: ProcBind,
+    master: (usize, usize, usize),
     /// The full place list this partition indexes into.
     pub list: Arc<PlaceList>,
     /// Per-thread inherited sub-partition `(first_place, place_count)`;
@@ -57,98 +62,107 @@ pub(crate) struct TeamPlaces {
 /// Default place list when binding is requested (`proc_bind` ≠ false)
 /// but `OMP_PLACES` is unset: one place per hardware thread, the
 /// moral equivalent of `OMP_PLACES=cores`.
-fn default_places() -> Arc<PlaceList> {
+fn default_places() -> &'static Arc<PlaceList> {
     static DEFAULT: OnceLock<Arc<PlaceList>> = OnceLock::new();
-    DEFAULT
-        .get_or_init(|| {
-            Arc::new(
-                (0..crate::icv::hardware_threads())
-                    .map(|c| vec![c])
-                    .collect(),
-            )
-        })
-        .clone()
+    DEFAULT.get_or_init(|| {
+        Arc::new(
+            (0..crate::icv::hardware_threads())
+                .map(|c| vec![c])
+                .collect(),
+        )
+    })
 }
 
-/// Compute the place partition for a team of `size` threads forked
-/// under `bind`. Returns `None` when binding is off (`proc_bind=false`)
-/// or no usable place list exists — the region then runs unbound and
-/// pays no affinity cost at all.
+/// Bring `slot` up to date with the place partition for a team of
+/// `size` threads forked under `bind`: `None` when binding is off
+/// (`proc_bind=false`), the team is a serialized team of one (it keeps
+/// the enclosing partition) or no usable place list exists — the region
+/// then runs unbound and pays no affinity cost at all. A partition
+/// already in `slot` is kept when the policy, size, place list and the
+/// master's own partition all match, so a hot team's repeat fork
+/// computes and allocates nothing.
 ///
 /// The master's own sub-partition (and current place) come from the
 /// innermost enclosing region that carries places, so nested teams
 /// partition their parent's slice, not the whole machine; the initial
 /// thread partitions the full `OMP_PLACES` list (or the one-place-per-
 /// CPU default when binding is requested without places).
-pub(crate) fn team_places(bind: ProcBind, size: usize, icvs: &Icvs) -> Option<Arc<TeamPlaces>> {
-    if bind == ProcBind::False || size == 0 {
-        return None;
+pub(crate) fn update_team_places(
+    slot: &mut Option<Arc<TeamPlaces>>,
+    bind: ProcBind,
+    size: usize,
+    icvs: &Icvs,
+) {
+    if bind == ProcBind::False || size <= 1 {
+        *slot = None;
+        return;
     }
-    let (list, first, count, cur) = match crate::ctx::current_place_partition() {
-        Some(t) => t,
-        None => {
-            let list = icvs.places.clone().unwrap_or_else(default_places);
-            let n = list.len();
-            if n == 0 {
-                return None;
-            }
-            (list, 0, n, 0)
+    crate::ctx::with_place_partition(|inherited| {
+        let (list, first, count, cur) = inherited.unwrap_or_else(|| {
+            let list = icvs.places.as_ref().unwrap_or_else(|| default_places());
+            (list, 0, list.len(), 0)
+        });
+        if count == 0 {
+            *slot = None;
+            return;
         }
-    };
+        let unchanged = slot.as_ref().is_some_and(|p| {
+            p.bind == bind
+                && p.place_of.len() == size
+                && Arc::ptr_eq(&p.list, list)
+                && p.master == (first, count, cur)
+        });
+        if !unchanged {
+            *slot = Some(Arc::new(partition(bind, size, list, (first, count, cur))));
+        }
+    })
+}
+
+/// Split the master's partition `(first, count, cur)` of `list` over a
+/// team of `size` per `bind` (the module docs give the rules).
+fn partition(
+    bind: ProcBind,
+    size: usize,
+    list: &Arc<PlaceList>,
+    (first, count, cur): (usize, usize, usize),
+) -> TeamPlaces {
     debug_assert!(count >= 1 && first + count <= list.len());
-    let mut parts = Vec::with_capacity(size);
-    let mut place_of = Vec::with_capacity(size);
-    match bind {
-        ProcBind::Spread => {
-            if count >= size {
-                // Split the master's partition into `size` disjoint
-                // contiguous chunks (balanced to within one place).
-                for i in 0..size {
-                    let lo = first + i * count / size;
-                    let hi = first + (i + 1) * count / size;
-                    parts.push((lo, hi - lo));
-                    place_of.push(lo);
-                }
-            } else {
-                // More threads than places: wrap, one place each.
-                for i in 0..size {
-                    let p = first + i % count;
-                    parts.push((p, 1));
-                    place_of.push(p);
-                }
+    let (parts, place_of) = (0..size)
+        .map(|i| match bind {
+            // Split the master's partition into `size` disjoint
+            // contiguous chunks (balanced to within one place).
+            ProcBind::Spread if count >= size => {
+                let lo = first + i * count / size;
+                ((lo, first + (i + 1) * count / size - lo), lo)
             }
-        }
-        ProcBind::Close | ProcBind::True => {
+            // More threads than places: wrap, one place each.
+            ProcBind::Spread => {
+                let p = first + i % count;
+                ((p, 1), p)
+            }
             // Everybody keeps the master's partition; threads occupy
             // consecutive places starting from the master's.
-            let off = cur.saturating_sub(first) % count;
-            for i in 0..size {
-                parts.push((first, count));
-                place_of.push(first + (off + i) % count);
-            }
-        }
-        ProcBind::Master => {
-            for _ in 0..size {
-                parts.push((first, count));
-                place_of.push(cur);
-            }
-        }
-        ProcBind::False => unreachable!("filtered above"),
-    }
-    Some(Arc::new(TeamPlaces {
-        list,
+            ProcBind::Close | ProcBind::True => (
+                (first, count),
+                first + (cur.saturating_sub(first) + i) % count,
+            ),
+            ProcBind::Master => ((first, count), cur),
+            ProcBind::False => unreachable!("filtered by the caller"),
+        })
+        .unzip();
+    TeamPlaces {
+        bind,
+        master: (first, count, cur),
+        list: list.clone(),
         parts,
         place_of,
-    }))
+    }
 }
 
 /// Number of places in the effective place list (`OMP_PLACES`, or the
 /// one-place-per-hardware-thread default). Backs `omp_get_num_places`.
 pub fn place_list_len() -> usize {
-    match crate::icv::current().places {
-        Some(list) => list.len(),
-        None => default_places().len(),
-    }
+    crate::icv::with_current(|i| i.places.as_ref().unwrap_or_else(|| default_places()).len())
 }
 
 thread_local! {
@@ -164,15 +178,7 @@ thread_local! {
 pub(crate) fn apply(p: &TeamPlaces, thread_num: usize) {
     let place = p.place_of[thread_num];
     let key = (Arc::as_ptr(&p.list) as *const () as usize, place);
-    let stale = LAST_BIND.with(|c| {
-        if c.get() == key {
-            false
-        } else {
-            c.set(key);
-            true
-        }
-    });
-    if stale {
+    if LAST_BIND.with(|c| c.replace(key)) != key {
         bind_to_cpus(&p.list[place]);
     }
 }
@@ -294,6 +300,31 @@ mod tests {
         }
     }
 
+    /// A fresh partition, as a new team computes it.
+    fn team_places(bind: ProcBind, size: usize, icvs: &Icvs) -> Option<Arc<TeamPlaces>> {
+        let mut slot = None;
+        update_team_places(&mut slot, bind, size, icvs);
+        slot
+    }
+
+    #[test]
+    fn an_unchanged_fork_keeps_its_partition() {
+        let icvs = icvs_with_places(4);
+        let mut slot = team_places(ProcBind::Spread, 2, &icvs);
+        let first = slot.clone().unwrap();
+        update_team_places(&mut slot, ProcBind::Spread, 2, &icvs);
+        assert!(Arc::ptr_eq(slot.as_ref().unwrap(), &first), "recomputed");
+        update_team_places(&mut slot, ProcBind::Close, 2, &icvs);
+        assert_eq!(slot.as_ref().unwrap().parts, vec![(0, 4), (0, 4)]);
+        update_team_places(&mut slot, ProcBind::Close, 2, &icvs_with_places(2));
+        assert_eq!(slot.as_ref().unwrap().parts, vec![(0, 2), (0, 2)]);
+        update_team_places(&mut slot, ProcBind::Close, 1, &icvs);
+        assert!(
+            slot.is_none(),
+            "a team of one keeps the enclosing partition"
+        );
+    }
+
     #[test]
     fn spread_partitions_are_disjoint_and_cover() {
         // 4 places, 2 threads: each gets a disjoint contiguous half.
@@ -341,7 +372,7 @@ mod tests {
 
     #[test]
     fn bind_without_places_defaults_to_one_place_per_cpu() {
-        let p = team_places(ProcBind::Spread, 1, &Icvs::default()).unwrap();
+        let p = team_places(ProcBind::Spread, 2, &Icvs::default()).unwrap();
         assert_eq!(p.list.len(), crate::icv::hardware_threads());
     }
 

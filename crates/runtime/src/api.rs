@@ -2,12 +2,14 @@
 //!
 //! Free functions mirroring the OpenMP runtime-library routines (spec
 //! §18) so ported codes read like their C/Fortran originals. They consult
-//! the per-thread region stack, so — unlike [`crate::ThreadCtx`] methods —
-//! they work from anywhere, including inside tasks and library code that
-//! was not handed a context.
+//! the per-thread region stack and the current task's data environment,
+//! so — unlike [`crate::ThreadCtx`] methods — they work from anywhere,
+//! including inside tasks and library code that was not handed a
+//! context. The `omp_set_*` routines change the calling task's ICVs
+//! only (see [`crate::icv`]).
 
-use crate::ctx::with_current;
-use crate::icv::{self, tls_override_mut};
+use crate::ctx::{with_current, with_place_partition};
+use crate::icv;
 use crate::sched::Schedule;
 
 /// `omp_get_thread_num`: this thread's number in the innermost team
@@ -69,9 +71,8 @@ pub fn omp_get_team_size(level: usize) -> Option<usize> {
 /// `omp_get_max_threads`: team size a `parallel` construct encountered
 /// here would request.
 pub fn omp_get_max_threads() -> usize {
-    let icvs = icv::current();
     let level = omp_get_level();
-    icvs.nthreads_for_level(level)
+    icv::with_current(|i| i.nthreads_for_level(level))
 }
 
 /// `omp_get_num_procs`: hardware concurrency.
@@ -81,49 +82,46 @@ pub fn omp_get_num_procs() -> usize {
 
 /// `omp_get_thread_limit`.
 pub fn omp_get_thread_limit() -> usize {
-    icv::current().thread_limit
+    icv::with_current(|i| i.thread_limit)
 }
 
-/// `omp_set_num_threads`: set the calling thread's `nthreads-var`.
+/// `omp_set_num_threads`: set the calling task's `nthreads-var`.
 pub fn omp_set_num_threads(n: usize) {
-    tls_override_mut(|o| o.num_threads = Some(n.max(1)));
+    icv::set(|i| i.nthreads = vec![n.max(1)]);
 }
 
 /// `omp_set_dynamic`.
 pub fn omp_set_dynamic(dynamic: bool) {
-    tls_override_mut(|o| o.dynamic = Some(dynamic));
+    icv::set(|i| i.dynamic = dynamic);
 }
 
 /// `omp_get_dynamic`.
 pub fn omp_get_dynamic() -> bool {
-    icv::current().dynamic
+    icv::with_current(|i| i.dynamic)
 }
 
 /// `omp_set_max_active_levels`.
 pub fn omp_set_max_active_levels(levels: usize) {
-    tls_override_mut(|o| o.max_active_levels = Some(levels));
+    icv::set(|i| i.max_active_levels = levels);
 }
 
 /// `omp_get_max_active_levels`.
 pub fn omp_get_max_active_levels() -> usize {
-    icv::current().max_active_levels
+    icv::with_current(|i| i.max_active_levels)
 }
 
-/// `omp_set_schedule`: set the `run-sched-var` consulted by
-/// `schedule(runtime)` loops.
+/// `omp_set_schedule`: set the calling task's `run-sched-var`, which
+/// `schedule(runtime)` loops in the regions it forks from now on use.
 pub fn omp_set_schedule(sched: Schedule) {
-    tls_override_mut(|o| o.run_sched = Some(sched));
+    icv::set(|i| i.run_sched = sched);
 }
 
-/// `omp_get_schedule`: the `run-sched-var` of the current data
-/// environment — this thread's own `omp_set_schedule` override if any,
-/// else the enclosing team's fork-time snapshot (what a
-/// `schedule(runtime)` loop here actually uses), else the global ICV.
+/// `omp_get_schedule`: the calling task's `run-sched-var` — its own
+/// `omp_set_schedule` if it made one, else the one it inherited from
+/// its team (what a `schedule(runtime)` loop here uses) or, outside any
+/// region, the global one.
 pub fn omp_get_schedule() -> Schedule {
-    if let Some(s) = icv::tls_run_sched_override() {
-        return s;
-    }
-    with_current(|r| Some(r.team.run_sched()), || None).unwrap_or_else(|| icv::current().run_sched)
+    icv::with_current(|i| i.run_sched)
 }
 
 /// `omp_get_proc_bind`: the thread-affinity policy of the current
@@ -132,8 +130,10 @@ pub fn omp_get_schedule() -> Schedule {
 /// nesting level. Where the OS allows, the policy is enforced by
 /// place-partitioning the team at fork (see [`crate::affinity`]).
 pub fn omp_get_proc_bind() -> crate::icv::ProcBind {
-    with_current(|r| Some(r.team.proc_bind()), || None)
-        .unwrap_or_else(|| icv::current().proc_bind_for_level(omp_get_level()))
+    with_current(
+        |r| r.team.snap().proc_bind,
+        || icv::with_current(|i| i.proc_bind_for_level(0)),
+    )
 }
 
 /// `omp_get_num_places`: number of places in the place list
@@ -145,20 +145,22 @@ pub fn omp_get_num_places() -> usize {
 /// `omp_get_place_num`: the place this thread executes in, or `None`
 /// when it is unbound (the C API returns -1).
 pub fn omp_get_place_num() -> Option<usize> {
-    crate::ctx::current_place_partition().map(|(_, _, _, place)| place)
+    with_place_partition(|p| p.map(|(_, _, _, place)| place))
 }
 
 /// `omp_get_partition_num_places`: size of the place partition of the
 /// innermost implicit task (0 when unbound).
 pub fn omp_get_partition_num_places() -> usize {
-    crate::ctx::current_place_partition().map_or(0, |(_, _, count, _)| count)
+    with_place_partition(|p| p.map_or(0, |(_, _, count, _)| count))
 }
 
 /// `omp_get_partition_place_nums`: the place numbers of the innermost
 /// implicit task's partition (empty when unbound).
 pub fn omp_get_partition_place_nums() -> Vec<usize> {
-    crate::ctx::current_place_partition().map_or_else(Vec::new, |(_, first, count, _)| {
-        (first..first + count).collect()
+    with_place_partition(|p| {
+        p.map_or_else(Vec::new, |(_, first, count, _)| {
+            (first..first + count).collect()
+        })
     })
 }
 
@@ -175,13 +177,11 @@ pub fn omp_get_team_num() -> usize {
 }
 
 /// `omp_get_cancellation`: is the cancellation machinery armed
-/// (`cancel-var`, from `OMP_CANCELLATION` or
-/// [`icv::set_cancellation_override`])?
-/// Inside a region this reports the team's fork-time snapshot — what
-/// `cancel` in that region actually consults.
+/// (`cancel-var`, from `OMP_CANCELLATION` or [`icv::set_local`])?
+/// Reports the calling task's value; inside a region that is the one
+/// its team inherited, which `cancel` in that region consults.
 pub fn omp_get_cancellation() -> bool {
-    with_current(|r| Some(r.team.cancellable()), || None)
-        .unwrap_or_else(|| icv::current().cancellation)
+    crate::ctx::current_cancellable()
 }
 
 /// `omp_get_wtime` (re-exported from [`crate::wtime`]).
@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn nested_levels_reported() {
-        crate::icv::with_global_mut(|icvs| icvs.max_active_levels = 2);
+        let _nested = crate::icv::set_local(|icvs| icvs.max_active_levels = 2);
         fork(ForkSpec::with_num_threads(2), |outer| {
             let outer_tn = outer.thread_num();
             fork(ForkSpec::with_num_threads(2), move |_inner| {
@@ -249,23 +249,23 @@ mod tests {
                 assert_eq!(omp_get_team_size(1), Some(2));
             });
         });
-        crate::icv::with_global_mut(|icvs| icvs.max_active_levels = 1);
     }
 
     #[test]
     fn set_num_threads_is_thread_local() {
-        omp_set_num_threads(2);
-        assert_eq!(omp_get_max_threads(), 2);
+        // Another thread's initial task does not see this one's set.
         let other = std::thread::spawn(omp_get_max_threads).join().unwrap();
-        assert_ne!(other, 0);
-        // Clean up the TLS override for other tests on this thread.
-        crate::icv::TLS_OVERRIDE.with(|o| *o.borrow_mut() = None);
+        omp_set_num_threads(other + 1);
+        assert_eq!(omp_get_max_threads(), other + 1);
+        assert_eq!(
+            std::thread::spawn(omp_get_max_threads).join().unwrap(),
+            other
+        );
     }
 
     #[test]
     fn set_schedule_round_trips() {
         omp_set_schedule(Schedule::guided_chunk(3));
         assert_eq!(omp_get_schedule(), Schedule::Guided { chunk: 3 });
-        crate::icv::TLS_OVERRIDE.with(|o| *o.borrow_mut() = None);
     }
 }

@@ -11,6 +11,7 @@
 //! borrow anything that outlives the region, because the region's
 //! implicit end barrier drains all tasks before `fork` returns.
 
+use crate::affinity::PlaceList;
 use crate::barrier::BarrierLocal;
 use crate::lock::os_thread_id;
 use crate::sched::Schedule;
@@ -75,24 +76,24 @@ pub(crate) fn with_current<R>(f: impl FnOnce(&RegionInfo) -> R, default: impl Fn
     })
 }
 
-/// The calling thread's inherited place partition: `(place list, first
-/// place, place count, current place)` from the innermost enclosing
-/// region that carries places. `None` outside any bound region — the
-/// initial thread then partitions the full `OMP_PLACES` list. Regions
-/// forked with `proc_bind(false)` build no partition of their own, so
-/// the lookup walks outward past them (OpenMP inherits
+/// Run `f` on the calling thread's inherited place partition: `(place
+/// list, first place, place count, current place)` from the innermost
+/// enclosing region that carries places. `None` outside any bound
+/// region — the initial thread then partitions the full `OMP_PLACES`
+/// list. Regions forked with `proc_bind(false)` build no partition of
+/// their own, so the lookup walks outward past them (OpenMP inherits
 /// `place-partition-var` through unbound regions).
-#[allow(clippy::type_complexity)] // one tuple, one internal caller
-pub(crate) fn current_place_partition() -> Option<(Arc<Vec<Vec<usize>>>, usize, usize, usize)> {
+pub(crate) fn with_place_partition<R>(
+    f: impl FnOnce(Option<(&Arc<PlaceList>, usize, usize, usize)>) -> R,
+) -> R {
     REGION_STACK.with(|s| {
         let stack = s.borrow();
-        for r in stack.iter().rev() {
-            if let Some(p) = r.team.places() {
-                let (first, count) = p.parts[r.thread_num];
-                return Some((p.list.clone(), first, count, p.place_of[r.thread_num]));
-            }
-        }
-        None
+        let inherited = stack.iter().rev().find_map(|r| {
+            let p = r.team.snap().places.as_deref()?;
+            let (first, count) = p.parts[r.thread_num];
+            Some((&p.list, first, count, p.place_of[r.thread_num]))
+        });
+        f(inherited)
     })
 }
 
@@ -103,12 +104,8 @@ pub(crate) fn current_place_partition() -> Option<(Arc<Vec<Vec<usize>>>, usize, 
 pub(crate) fn innermost_league() -> Option<(usize, usize)> {
     REGION_STACK.with(|s| {
         let stack = s.borrow();
-        for r in stack.iter().rev() {
-            if r.team.is_league() {
-                return Some((r.team.size(), r.thread_num));
-            }
-        }
-        None
+        let r = stack.iter().rev().find(|r| r.team.snap().league)?;
+        Some((r.team.size(), r.thread_num))
     })
 }
 
@@ -156,13 +153,10 @@ pub fn cancellation_point_taskgroup() -> bool {
     innermost_group().is_some_and(|g| g.cancelled.load(Ordering::Acquire))
 }
 
-/// The effective `cancel-var` at the current execution point: the
-/// innermost region's fork-time snapshot, else the global ICV.
-fn current_cancellable() -> bool {
-    with_current(
-        |r| r.team.cancellable(),
-        || crate::icv::current().cancellation,
-    )
+/// The calling task's `cancel-var`: inside a region, the one its team
+/// inherited (what the region's `cancel` consults).
+pub(crate) fn current_cancellable() -> bool {
+    crate::icv::with_current(|i| i.cancellation)
 }
 
 /// Construct kind named by a `cancel` / `cancellation point` directive
@@ -386,7 +380,7 @@ impl<'scope> ThreadCtx<'scope> {
     /// team's place partition where the platform supports
     /// `sched_setaffinity`; advisory elsewhere.
     pub fn proc_bind(&self) -> crate::icv::ProcBind {
-        self.team.proc_bind()
+        self.team.snap().proc_bind
     }
 
     /// This thread's inherited place sub-partition, as place indices
@@ -395,7 +389,7 @@ impl<'scope> ThreadCtx<'scope> {
     /// `proc_bind(spread)` team, sibling threads report **disjoint**
     /// partitions — the slice their own nested teams will stay inside.
     pub fn place_partition(&self) -> Vec<usize> {
-        match self.team.places() {
+        match self.team.snap().places.as_deref() {
             None => Vec::new(),
             Some(p) => {
                 let (first, count) = p.parts[self.thread_num];
@@ -407,7 +401,11 @@ impl<'scope> ThreadCtx<'scope> {
     /// The place this thread is bound to (`omp_get_place_num`), as an
     /// index into the `OMP_PLACES` list; `None` when unbound.
     pub fn place_num(&self) -> Option<usize> {
-        self.team.places().map(|p| p.place_of[self.thread_num])
+        self.team
+            .snap()
+            .places
+            .as_ref()
+            .map(|p| p.place_of[self.thread_num])
     }
 
     /// League geometry (`omp_get_num_teams`, `omp_get_team_num`): when
@@ -616,7 +614,7 @@ impl<'scope> ThreadCtx<'scope> {
         if kind == CancelKind::Taskgroup {
             return cancel_taskgroup();
         }
-        if !self.team.cancellable() {
+        if !self.team.snap().icvs.cancellation {
             return false;
         }
         match kind {
@@ -679,7 +677,7 @@ impl<'scope> ThreadCtx<'scope> {
         ) {
             self.cancel(kind);
         }
-        if !self.team.cancellable() {
+        if !self.team.snap().icvs.cancellation {
             return false;
         }
         match kind {
@@ -971,7 +969,7 @@ impl<'scope> ThreadCtx<'scope> {
         T: Clone + Send + 'static,
         Op: crate::reduction::ReduceOp<T>,
     {
-        let watch = self.team.cancellable();
+        let watch = self.team.snap().icvs.cancellation;
         let cancelled = || watch && self.team.cancel_parallel.load(Ordering::Relaxed);
         if cancelled() {
             return partial;

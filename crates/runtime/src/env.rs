@@ -22,12 +22,12 @@
 //! default), never fatal: an HPC batch job must not die because of a typo
 //! in a site-wide profile. Every parser here is a pure function over the
 //! string so tests can cover it without touching the process environment.
-//! For the values where silent fallback is most likely to surprise —
-//! `OMP_THREAD_LIMIT=0` would quietly serialize every region if honored
-//! (the spec requires a *positive* thread limit, so `0` is rejected),
-//! and a malformed `OMP_PROC_BIND` or `OMP_PLACES` silently disables
-//! affinity — the rejection is additionally reported: once on stderr at startup,
-//! and in a `ROMP WARNINGS` block of the [`display_env`] banner.
+//! Every rejection is reported, through one parse-or-warn path: once on
+//! stderr at startup, and in a `ROMP WARNINGS` block of the
+//! [`display_env`] banner. Silent fallback surprises: `OMP_NUM_THREADS=0`
+//! or `OMP_THREAD_LIMIT=0` (the spec requires positive values) would
+//! otherwise quietly run on the default team size, and a malformed
+//! `OMP_PROC_BIND` or `OMP_PLACES` would quietly disable affinity.
 //!
 //! Defaults derived from hardware concurrency (`nthreads-var` with no
 //! `OMP_NUM_THREADS`, the `thread-limit-var` default) read a
@@ -215,76 +215,81 @@ pub fn icvs_from_lookup(get: impl Fn(&str) -> Option<String>) -> Icvs {
 /// [`icvs_from_lookup`] plus the list of rejected-value warnings the
 /// parse produced (empty when every set variable parsed cleanly).
 pub fn icvs_from_lookup_with_warnings(get: impl Fn(&str) -> Option<String>) -> (Icvs, Vec<String>) {
-    let mut warnings = Vec::new();
+    let mut env = Reader {
+        get,
+        warnings: Vec::new(),
+    };
     let mut icvs = Icvs::default();
-    if let Some(v) = get("OMP_NUM_THREADS")
-        .as_deref()
-        .and_then(parse_num_threads)
-    {
+    let positive_list = "positive integers, one per nesting level";
+    if let Some(v) = env.read("OMP_NUM_THREADS", positive_list, parse_num_threads) {
         icvs.nthreads = v;
     }
-    if let Some(v) = get("OMP_DYNAMIC").as_deref().and_then(parse_bool) {
+    if let Some(v) = env.read("OMP_DYNAMIC", "true or false", parse_bool) {
         icvs.dynamic = v;
     }
-    if let Some(v) = get("OMP_SCHEDULE").and_then(|s| Schedule::parse(&s).ok()) {
-        // `OMP_SCHEDULE=runtime` would be circular; keep the default then.
-        if v != Schedule::Runtime {
-            icvs.run_sched = v;
-        }
+    // `OMP_SCHEDULE=runtime` would be circular.
+    let schedule = |s: &str| Schedule::parse(s).ok().filter(|&v| v != Schedule::Runtime);
+    let kinds = "static|dynamic|guided|auto[,chunk]";
+    if let Some(v) = env.read("OMP_SCHEDULE", kinds, schedule) {
+        icvs.run_sched = v;
     }
-    if let Some(v) = get("OMP_MAX_ACTIVE_LEVELS").and_then(|s| s.trim().parse::<usize>().ok()) {
+    let count = |s: &str| s.trim().parse::<usize>().ok();
+    if let Some(v) = env.read("OMP_MAX_ACTIVE_LEVELS", "a non-negative integer", count) {
         icvs.max_active_levels = v;
-    } else if let Some(true) = get("OMP_NESTED").as_deref().and_then(parse_bool) {
+    } else if let Some(true) = env.read("OMP_NESTED", "true or false", parse_bool) {
         icvs.max_active_levels = usize::MAX;
     }
-    if let Some(raw) = get("OMP_THREAD_LIMIT") {
-        match parse_thread_limit(&raw) {
-            Some(v) => icvs.thread_limit = v,
-            None => warnings.push(format!(
-                "OMP_THREAD_LIMIT='{}' ignored: the thread limit must be a \
-                 positive integer (keeping {})",
-                raw.trim(),
-                icvs.thread_limit
-            )),
-        }
+    if let Some(v) = env.read("OMP_THREAD_LIMIT", "a positive integer", parse_thread_limit) {
+        icvs.thread_limit = v;
     }
-    if let Some(v) = get("OMP_WAIT_POLICY")
-        .as_deref()
-        .and_then(parse_wait_policy)
-    {
+    if let Some(v) = env.read("OMP_WAIT_POLICY", "active or passive", parse_wait_policy) {
         icvs.wait_policy = v;
     }
-    if let Some(raw) = get("OMP_PROC_BIND") {
-        match parse_proc_bind_list(&raw) {
-            Some(v) => icvs.proc_bind = v,
-            None => warnings.push(format!(
-                "OMP_PROC_BIND='{}' ignored: expected a comma-separated list of \
-                 true|false|master|primary|close|spread, one per nesting level \
-                 (keeping no binding)",
-                raw.trim()
-            )),
-        }
+    let binds = "true|false|master|primary|close|spread, one per nesting level";
+    if let Some(v) = env.read("OMP_PROC_BIND", binds, parse_proc_bind_list) {
+        icvs.proc_bind = v;
     }
-    if let Some(raw) = get("OMP_PLACES") {
-        match parse_places(&raw) {
-            Some(v) => icvs.places = Some(std::sync::Arc::new(v)),
-            None => warnings.push(format!(
-                "OMP_PLACES='{}' ignored: expected threads|cores|sockets or an \
-                 explicit {{a,b}},{{lo:count[:stride]}} list (affinity disabled)",
-                raw.trim()
-            )),
-        }
+    let places = "threads|cores|sockets or an explicit {a,b},{lo:count[:stride]} list";
+    if let Some(v) = env.read("OMP_PLACES", places, parse_places) {
+        icvs.places = Some(std::sync::Arc::new(v));
     }
-    if let Some(v) = get("OMP_STACKSIZE").as_deref().and_then(parse_stacksize) {
+    if let Some(v) = env.read("OMP_STACKSIZE", "a positive size[B|K|M|G]", parse_stacksize) {
         icvs.stacksize = Some(v);
     }
-    if let Some(v) = get("ROMP_HOT_TEAMS").as_deref().and_then(parse_bool) {
-        icvs.hot_teams = v;
-    }
-    if let Some(v) = get("OMP_CANCELLATION").as_deref().and_then(parse_bool) {
+    if let Some(v) = env.read("OMP_CANCELLATION", "true or false", parse_bool) {
         icvs.cancellation = v;
     }
-    (icvs, warnings)
+    if let Some(v) = env.read("ROMP_HOT_TEAMS", "true or false", parse_bool) {
+        icvs.hot_teams = v;
+    }
+    (icvs, env.warnings)
+}
+
+/// An environment lookup and the warnings its rejected values produced.
+struct Reader<G> {
+    get: G,
+    warnings: Vec<String>,
+}
+
+impl<G: Fn(&str) -> Option<String>> Reader<G> {
+    /// The one parse-or-warn path: an unset variable keeps its default
+    /// silently, a set one that does not `parse` keeps it and says so.
+    fn read<T>(
+        &mut self,
+        name: &str,
+        expected: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Option<T> {
+        let raw = (self.get)(name)?;
+        let parsed = parse(&raw);
+        if parsed.is_none() {
+            self.warnings.push(format!(
+                "{name}='{}' ignored: expected {expected} (keeping the default)",
+                raw.trim()
+            ));
+        }
+        parsed
+    }
 }
 
 /// Warnings produced when the process environment was first parsed into
@@ -561,6 +566,49 @@ mod tests {
         let (icvs, warnings) = env_warn(&[("OMP_THREAD_LIMIT", "16")]);
         assert_eq!(icvs.thread_limit, 16);
         assert!(warnings.is_empty(), "{warnings:?}");
+    }
+
+    #[test]
+    fn every_rejected_value_warns_once_and_keeps_the_default() {
+        let def = Icvs::default();
+        // Variable, rejected value, and "the ICV kept its default".
+        type Case = (&'static str, &'static str, fn(&Icvs, &Icvs) -> bool);
+        let cases: [Case; 13] = [
+            ("OMP_NUM_THREADS", "0", |a, b| a.nthreads == b.nthreads),
+            ("OMP_DYNAMIC", "sometimes", |a, b| a.dynamic == b.dynamic),
+            ("OMP_SCHEDULE", "fair,none", |a, b| {
+                a.run_sched == b.run_sched
+            }),
+            ("OMP_SCHEDULE", "runtime", |a, b| a.run_sched == b.run_sched),
+            ("OMP_MAX_ACTIVE_LEVELS", "-1", |a, b| {
+                a.max_active_levels == b.max_active_levels
+            }),
+            ("OMP_NESTED", "perhaps", |a, b| {
+                a.max_active_levels == b.max_active_levels
+            }),
+            ("OMP_THREAD_LIMIT", "0", |a, b| {
+                a.thread_limit == b.thread_limit
+            }),
+            ("OMP_WAIT_POLICY", "later", |a, b| {
+                a.wait_policy == b.wait_policy
+            }),
+            ("OMP_PROC_BIND", "banana", |a, b| a.proc_bind == b.proc_bind),
+            ("OMP_PLACES", "numa", |a, b| a.places == b.places),
+            ("OMP_STACKSIZE", "lots", |a, b| a.stacksize == b.stacksize),
+            ("OMP_CANCELLATION", "maybe", |a, b| {
+                a.cancellation == b.cancellation
+            }),
+            ("ROMP_HOT_TEAMS", "2", |a, b| a.hot_teams == b.hot_teams),
+        ];
+        for (name, bad, kept) in cases {
+            let (icvs, warnings) = env_warn(&[(name, bad)]);
+            assert!(kept(&icvs, &def), "{name}={bad:?} changed the ICVs");
+            assert_eq!(warnings.len(), 1, "{name}={bad:?} -> {warnings:?}");
+            assert!(
+                warnings[0].starts_with(&format!("{name}='{bad}' ignored")),
+                "{warnings:?}"
+            );
+        }
     }
 
     #[test]

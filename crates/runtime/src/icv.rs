@@ -1,23 +1,27 @@
 //! Internal control variables (ICVs), OpenMP 5.2 §2.
 //!
-//! A single global ICV block is initialized once from the `OMP_*`
-//! environment (see [`crate::env`]) and may be adjusted afterwards through
-//! the `omp_set_*` API (which lands in a per-thread `TlsOverride`) or
-//! through [`with_global_mut`]. Tests that must not perturb concurrently
-//! running tests drive per-thread knobs via the TLS override instead of
-//! mutating the global block.
+//! ICVs belong to a *data environment*, as in libomp's per-task
+//! `td_icvs`: every implicit and explicit task sees one immutable
+//! [`Icvs`] block behind an `Arc`.
 //!
-//! Simplification relative to the full spec: `nthreads-var` and friends
-//! are process-global plus a per-OS-thread override, rather than being
-//! carried per *data environment*. For the flat and one-level-nested
-//! regions the paper exercises this is observationally equivalent; the
-//! difference would only show up when a task changes an ICV and expects
-//! siblings not to see it.
+//! * The **initial task** sees the global block, built from the `OMP_*`
+//!   environment (see [`crate::env`]) and changed by [`with_global_mut`].
+//! * A **fork** hands the encountering task's block to the new team's
+//!   implicit tasks; an **explicit task** takes its generating task's.
+//! * `omp_set_*` and [`set_local`] give the *calling* task a modified
+//!   copy, seen by the tasks and regions it generates afterwards and by
+//!   nobody else: not its siblings, its parent, or the thread's next
+//!   region.
+//!
+//! A task that set nothing holds no block of its own and reads its
+//! innermost team's, so creating it copies nothing and touches no
+//! reference count; reading an ICV copies nothing either.
 
 use crate::sched::Schedule;
 use parking_lot::RwLock;
 use std::cell::RefCell;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// How threads wait at barriers and for work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +80,7 @@ pub struct Icvs {
     /// `place-partition-var` seed: the parsed `OMP_PLACES` list (each
     /// place a set of CPU ids). `None` = no places configured; binding
     /// requests then fall back to one place per hardware thread.
-    pub places: Option<std::sync::Arc<Vec<Vec<usize>>>>,
+    pub places: Option<Arc<Vec<Vec<usize>>>>,
     /// `stacksize-var` (`OMP_STACKSIZE`), bytes; applied to spawned
     /// workers.
     pub stacksize: Option<usize>,
@@ -92,7 +96,7 @@ pub struct Icvs {
     /// cancellation machinery armed? When false, `cancel` is a no-op
     /// and every `cancellation point` reports "not cancelled", per the
     /// spec. Programs that must arm it regardless of the environment
-    /// use [`set_cancellation_override`].
+    /// use [`set_local`].
     pub cancellation: bool,
 }
 
@@ -155,145 +159,96 @@ impl Icvs {
     }
 }
 
-fn global_cell() -> &'static RwLock<Icvs> {
-    static GLOBAL: OnceLock<RwLock<Icvs>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(crate::env::icvs_from_env()))
+/// The initial task's ICVs, built from the `OMP_*` environment on first
+/// use.
+fn global() -> &'static RwLock<Arc<Icvs>> {
+    static GLOBAL: OnceLock<RwLock<Arc<Icvs>>> = OnceLock::new();
+    GLOBAL.get_or_init(|| RwLock::new(Arc::new(crate::env::icvs_from_env())))
 }
 
-/// The global `wait-policy-var` (no thread overrides it), without
-/// copying the whole block as [`current`] does.
-pub(crate) fn wait_policy() -> WaitPolicy {
-    global_cell().read().wait_policy
-}
-
-/// Read a copy of the global ICVs (with any thread-local overrides from
-/// `omp_set_*` applied on top).
-pub fn current() -> Icvs {
-    let mut base = global_cell().read().clone();
-    TLS_OVERRIDE.with(|o| {
-        if let Some(ovr) = o.borrow().as_ref() {
-            if let Some(n) = ovr.num_threads {
-                base.nthreads = vec![n];
-            }
-            if let Some(d) = ovr.dynamic {
-                base.dynamic = d;
-            }
-            if let Some(m) = ovr.max_active_levels {
-                base.max_active_levels = m;
-            }
-            if let Some(s) = ovr.run_sched {
-                base.run_sched = s;
-            }
-            if let Some(h) = ovr.hot_teams {
-                base.hot_teams = h;
-            }
-            if let Some(c) = ovr.cancellation {
-                base.cancellation = c;
-            }
-            if let Some(pb) = ovr.proc_bind.as_ref() {
-                base.proc_bind = pb.clone();
-            }
-            if let Some(pl) = ovr.places.as_ref() {
-                base.places = Some(pl.clone());
-            }
-        }
-    });
-    base
-}
-
-/// Mutate the global block in place.
-pub fn with_global_mut<R>(f: impl FnOnce(&mut Icvs) -> R) -> R {
-    f(&mut global_cell().write())
-}
-
-/// Per-OS-thread ICV overrides set through the `omp_set_*` API.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct TlsOverride {
-    pub num_threads: Option<usize>,
-    pub dynamic: Option<bool>,
-    pub max_active_levels: Option<usize>,
-    pub run_sched: Option<Schedule>,
-    /// Per-thread hot-team opt-out. No `omp_set_*` sets this; it lets
-    /// tests drive one-region leases hermetically without mutating the
-    /// process-global block out from under concurrently-running tests.
-    pub hot_teams: Option<bool>,
-    /// Per-thread `cancel-var` override (see
-    /// [`set_cancellation_override`]). OpenMP fixes `cancel-var` at
-    /// startup; this romp extension lets early-exit kernels and tests
-    /// arm/disarm cancellation for the forks of one thread without
-    /// mutating the process-global block under concurrent tests.
-    pub cancellation: Option<bool>,
-    /// Per-thread `bind-var` override (see [`set_proc_bind_override`]):
-    /// lets tests and benches request a binding policy for the forks of
-    /// one thread without mutating the process-global block.
-    pub proc_bind: Option<Vec<ProcBind>>,
-    /// Per-thread place-list override (see [`set_places_override`]):
-    /// lets tests drive partition logic with a synthetic `OMP_PLACES`
-    /// list, hermetically.
-    pub places: Option<std::sync::Arc<Vec<Vec<usize>>>>,
-}
+/// Bumped by every [`with_global_mut`], so each thread can keep the
+/// global block's `Arc` in `SEEN` without taking the lock per read.
+static GLOBAL_GEN: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    pub(crate) static TLS_OVERRIDE: RefCell<Option<TlsOverride>> = const { RefCell::new(None) };
+    static SEEN: RefCell<Option<(u64, Arc<Icvs>)>> = const { RefCell::new(None) };
 }
 
-pub(crate) fn tls_override_mut(f: impl FnOnce(&mut TlsOverride)) {
-    TLS_OVERRIDE.with(|o| {
-        let mut b = o.borrow_mut();
-        f(b.get_or_insert_with(TlsOverride::default));
-    });
-}
-
-/// This thread's explicit `omp_set_schedule` override, if any.
-pub(crate) fn tls_run_sched_override() -> Option<Schedule> {
-    TLS_OVERRIDE.with(|o| o.borrow().as_ref().and_then(|t| t.run_sched))
-}
-
-/// Discard this thread's `omp_set_*` overrides. Pool workers call this
-/// before each region: an implicit task starts with a fresh data
-/// environment inherited from the team, so overrides a worker set while
-/// serving an earlier region must not leak into later teams.
-pub(crate) fn tls_clear_overrides() {
-    TLS_OVERRIDE.with(|o| *o.borrow_mut() = None);
-}
-
-/// Override `cancel-var` for forks from the calling thread (romp
-/// extension; OpenMP fixes `cancel-var` at process startup, which would
-/// make early-exit kernels depend on the site environment). `Some(v)`
-/// shadows the global ICV, `None` restores it. Returns the previous
-/// override so callers can scope the change.
-pub fn set_cancellation_override(v: Option<bool>) -> Option<bool> {
-    TLS_OVERRIDE.with(|o| {
-        let mut b = o.borrow_mut();
-        let slot = b.get_or_insert_with(TlsOverride::default);
-        std::mem::replace(&mut slot.cancellation, v)
+/// Run `f` on the global block: one atomic load, plus the lock only
+/// when [`with_global_mut`] has run since this thread last looked. A
+/// call from inside `f` reads the block the outer call reads.
+fn with_global<R>(f: impl FnOnce(&Arc<Icvs>) -> R) -> R {
+    let gen = GLOBAL_GEN.load(Ordering::Acquire);
+    SEEN.with(|seen| {
+        if let Ok(mut seen) = seen.try_borrow_mut() {
+            if !matches!(&*seen, Some((at, _)) if *at == gen) {
+                *seen = Some((gen, global().read().clone()));
+            }
+        }
+        f(&seen.borrow().as_ref().expect("filled above").1)
     })
 }
 
-/// Override the per-level `bind-var` list for forks from the calling
-/// thread (romp extension). `Some(v)` shadows the global ICV, `None`
-/// restores it. Returns the previous override so callers can scope the
-/// change.
-pub fn set_proc_bind_override(v: Option<Vec<ProcBind>>) -> Option<Vec<ProcBind>> {
-    TLS_OVERRIDE.with(|o| {
-        let mut b = o.borrow_mut();
-        let slot = b.get_or_insert_with(TlsOverride::default);
-        std::mem::replace(&mut slot.proc_bind, v)
+/// Run `f` on the calling task's ICVs, in place: the task's own block
+/// if it set one, else its innermost team's, else the global block.
+/// `f` runs with that state borrowed: it must not start a region.
+pub(crate) fn with_current<R>(f: impl FnOnce(&Arc<Icvs>) -> R) -> R {
+    crate::task::with_own_icvs(|own| match own {
+        Some(icvs) => f(icvs),
+        None => crate::ctx::REGION_STACK.with(|s| match s.borrow().last() {
+            Some(r) => f(&r.team.snap().icvs),
+            None => with_global(f),
+        }),
     })
 }
 
-/// Override the place list for forks from the calling thread (romp
-/// extension; tests use synthetic places so partition assertions don't
-/// depend on the host's CPU count). `Some(v)` shadows the global ICV,
-/// `None` restores it. Returns the previous override.
-pub fn set_places_override(
-    v: Option<std::sync::Arc<Vec<Vec<usize>>>>,
-) -> Option<std::sync::Arc<Vec<Vec<usize>>>> {
-    TLS_OVERRIDE.with(|o| {
-        let mut b = o.borrow_mut();
-        let slot = b.get_or_insert_with(TlsOverride::default);
-        std::mem::replace(&mut slot.places, v)
-    })
+/// The calling task's `wait-policy-var`, read in place.
+pub(crate) fn wait_policy() -> WaitPolicy {
+    with_current(|i| i.wait_policy)
+}
+
+/// The calling task's ICVs.
+pub fn current() -> Arc<Icvs> {
+    with_current(Arc::clone)
+}
+
+/// Mutate the global block, copy on write: every later top-level fork
+/// from a task that set nothing inherits the change; teams and tasks
+/// holding the old block keep it.
+pub fn with_global_mut<R>(f: impl FnOnce(&mut Icvs) -> R) -> R {
+    let mut icvs = global().write();
+    let out = f(Arc::make_mut(&mut icvs));
+    GLOBAL_GEN.fetch_add(1, Ordering::Release);
+    out
+}
+
+/// Apply `f` to the calling task's ICVs, copy on write (in place if
+/// nothing else holds the task's own block). The `omp_set_*` routines
+/// go through here.
+pub(crate) fn set(f: impl FnOnce(&mut Icvs)) {
+    let mut own = crate::task::replace_own_icvs(None).unwrap_or_else(current);
+    f(Arc::make_mut(&mut own));
+    crate::task::replace_own_icvs(Some(own));
+}
+
+/// Set any ICV — `cancel-var`, `bind-var`, the place list, hot teams —
+/// for the calling task until the returned guard drops (romp extension;
+/// `omp_set_*` reach only some). The scope is `omp_set_*`'s. The guard
+/// restores the task's previous ICVs; drop it in the same task.
+pub fn set_local(f: impl FnOnce(&mut Icvs)) -> LocalIcvs {
+    let prev = crate::task::with_own_icvs(|own| own.cloned());
+    set(f);
+    LocalIcvs(prev)
+}
+
+/// Scope of a [`set_local`]: restores the task's previous ICVs on drop.
+#[must_use = "the ICVs revert when the guard drops"]
+pub struct LocalIcvs(Option<Arc<Icvs>>);
+
+impl Drop for LocalIcvs {
+    fn drop(&mut self) {
+        crate::task::replace_own_icvs(self.0.take());
+    }
 }
 
 #[cfg(test)]
@@ -327,20 +282,32 @@ mod tests {
     }
 
     #[test]
-    fn tls_override_shadows_global() {
-        tls_override_mut(|o| o.num_threads = Some(3));
-        assert_eq!(current().nthreads, vec![3]);
-        TLS_OVERRIDE.with(|o| *o.borrow_mut() = None);
+    fn local_set_shadows_global() {
+        std::thread::spawn(|| {
+            set(|i| i.nthreads = vec![3]);
+            assert_eq!(current().nthreads, vec![3]);
+            let global = with_global(|g| g.nthreads.clone());
+            assert_ne!(
+                global,
+                vec![3],
+                "a task's set must not reach the global block"
+            );
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
     fn cancellation_override_shadows_and_restores() {
         assert!(!Icvs::default().cancellation);
-        let prev = set_cancellation_override(Some(true));
+        let before = current();
+        let arm = set_local(|i| i.cancellation = true);
         assert!(current().cancellation);
-        set_cancellation_override(prev);
-        assert_eq!(current().cancellation, global_cell().read().cancellation);
-        TLS_OVERRIDE.with(|o| *o.borrow_mut() = None);
+        drop(arm);
+        assert!(
+            Arc::ptr_eq(&current(), &before),
+            "the guard restores the environment"
+        );
     }
 
     #[test]
@@ -357,16 +324,30 @@ mod tests {
 
     #[test]
     fn proc_bind_and_places_overrides_shadow_and_restore() {
-        let prev = set_proc_bind_override(Some(vec![ProcBind::Spread]));
+        let before = current();
+        let places = Arc::new(vec![vec![0usize], vec![1]]);
+        let scope = set_local(|i| {
+            i.proc_bind = vec![ProcBind::Spread];
+            i.places = Some(places.clone());
+        });
         assert_eq!(current().proc_bind_for_level(0), ProcBind::Spread);
-        set_proc_bind_override(prev);
-        let places = std::sync::Arc::new(vec![vec![0usize], vec![1]]);
-        let prev = set_places_override(Some(places.clone()));
-        assert!(std::sync::Arc::ptr_eq(
-            current().places.as_ref().unwrap(),
-            &places
-        ));
-        set_places_override(prev);
-        TLS_OVERRIDE.with(|o| *o.borrow_mut() = None);
+        assert!(Arc::ptr_eq(current().places.as_ref().unwrap(), &places));
+        drop(scope);
+        assert!(Arc::ptr_eq(&current(), &before));
+    }
+
+    #[test]
+    fn global_change_reaches_a_task_that_set_nothing() {
+        std::thread::spawn(|| {
+            let seen = current();
+            // A write that changes nothing: concurrent tests see the
+            // same values, but the block is a new copy.
+            with_global_mut(|_| ());
+            let now = current();
+            assert!(!Arc::ptr_eq(&seen, &now), "copy on write");
+            assert_eq!(now.stacksize, seen.stacksize);
+        })
+        .join()
+        .unwrap();
     }
 }

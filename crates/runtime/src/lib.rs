@@ -46,8 +46,9 @@
 //!   `sched_setaffinity` pinning on Linux with graceful degradation
 //!   elsewhere ([`affinity`]).
 //! * **ICVs and environment** — `OMP_NUM_THREADS`, `OMP_SCHEDULE`,
-//!   `OMP_DYNAMIC`, `OMP_WAIT_POLICY`, `ROMP_HOT_TEAMS`, … ([`icv`],
-//!   [`mod@env`]).
+//!   `OMP_DYNAMIC`, `OMP_WAIT_POLICY`, `ROMP_HOT_TEAMS`, … ([`mod@env`]),
+//!   held per data environment: each task sees one immutable ICV block
+//!   that `omp_set_*` replaces for that task alone ([`icv`]).
 //! * **User API** — `omp_get_thread_num` and friends ([`api`]).
 //!
 //! ## Quick start

@@ -388,16 +388,16 @@ fn run_region(team: &Arc<Team>, thread_num: usize, job: Job) {
             thread_num,
         })
     });
-    // Pin this thread to its place before any user code runs. The
-    // placement rides in the fork snapshot, so a recycled hot team
-    // re-reads it every region; the per-thread memo in `apply` makes
-    // the unchanged case syscall-free.
-    if let Some(places) = team.places() {
-        crate::affinity::apply(&places, thread_num);
+    // Pin this thread to its place before any user code runs, every
+    // region: the per-thread memo in `apply` makes the unchanged case
+    // syscall-free.
+    if let Some(places) = &team.snap().places {
+        crate::affinity::apply(places, thread_num);
     }
     // Each member runs a fresh implicit task: outside any taskgroup,
-    // and final on *every* team thread when the region was forked from
-    // a final task. The enclosing task's environment comes back on exit.
+    // with the team's ICVs, and final on *every* team thread when the
+    // region was forked from a final task. The enclosing task's
+    // environment comes back on exit.
     let _task = crate::task::implicit_task(team.parent_final);
     let ctx: ThreadCtx<'_> = ThreadCtx::new(team.clone(), thread_num);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -513,7 +513,6 @@ fn hot_worker_loop(ch: &HotChannel) {
         if let Some(next) = &ch.next {
             next.sleepers.wake_all();
         }
-        icv::tls_clear_overrides();
         run_region(&ch.team, ch.thread_num, job);
         signal_completion(&ch.team);
     }
@@ -525,7 +524,7 @@ fn hot_worker_loop(ch: &HotChannel) {
 ///
 /// The effective `proc_bind`/places are deliberately **not** part of
 /// the key: the placement rides in the [`ForkSnap`], which
-/// `Team::recycle` rewrites on every hit, and `run_region` re-applies
+/// `Team::recycle` updates on every hit, and `run_region` re-applies
 /// it per thread through the [`crate::affinity`] memo — so a binding
 /// change re-pins the *reused* team instead of tearing it down
 /// (asserted by `hot_reuse_survives_proc_bind_change` in
@@ -630,34 +629,31 @@ thread_local! {
 fn drop_hot_leases_from(level: usize) {
     HOT_TEAMS_TLS.with(|cell| {
         let mut cache = cell.borrow_mut();
-        if cache.len() > level {
-            // Deepest first: a lease's parent team must still be alive
-            // (and its workers bound) while the lease's own release
-            // rings go out.
-            while cache.len() > level {
-                cache.pop();
-            }
+        // Deepest first: a lease's parent team must still be alive (and
+        // its workers bound) while the lease's own release rings go out.
+        while cache.len() > level {
+            cache.pop();
         }
     });
 }
 
-/// Fork on a doorbell lease at forking level `level` (0 = outermost; a
-/// nested master leases its own sub-team at its level) and run the
-/// region. With `keep` the lease comes from, and stays in, this
-/// thread's cache; otherwise it is built for this one region and ended
-/// after the join. Returns the team so the caller can rethrow a
-/// recorded panic.
+/// Take a doorbell lease at forking level `level` (0 = outermost; a
+/// nested master leases its own sub-team at its level) and ring it with
+/// the region's `job`. With `keep` the lease comes from, and stays in,
+/// this thread's cache; otherwise it is built for this one region and
+/// returned, to be ended after the join.
 #[allow(clippy::too_many_arguments)] // the fork's resolved clauses
-fn hot_fork(
+fn lease(
     n: usize,
     level: usize,
     active_level: usize,
-    icvs: &Icvs,
-    snap: ForkSnap,
+    icvs: &Arc<Icvs>,
+    bind: ProcBind,
+    league: bool,
     parent_final: bool,
     keep: bool,
     job: Job,
-) -> Arc<Team> {
+) -> (Arc<Team>, Option<HotTeam>) {
     let (parent, parent_thread) =
         crate::ctx::with_current(|r| (Arc::as_ptr(&r.team) as usize, r.thread_num), || (0, 0));
     let key = HotKey {
@@ -667,111 +663,100 @@ fn hot_fork(
         parent,
         parent_thread,
     };
-    // The lease to end after this region, if it is not kept.
-    let mut uncached: Option<HotTeam> = None;
-    let team = if keep {
-        HOT_TEAMS_TLS.with(|cell| {
-            let mut cache = cell.borrow_mut();
-            if cache.len() <= level {
-                cache.resize_with(level + 1, || None);
-            }
-            // A hit requires the cached team to have actually delivered
-            // the requested size (short teams are not cached — see
-            // below), so a capped build retries acquisition on every
-            // fork.
-            if let Some(ht) = cache[level].as_ref().filter(|ht| ht.key == key) {
-                // Hit: recycle in place and ring the doorbells. Prime in
-                // *reverse* chain order: a still-spinning worker can
-                // observe its own epoch bump the instant it lands and
-                // immediately forward the chain wake to its successor,
-                // so the successor's channel must already be primed by
-                // then — otherwise the forwarded wake finds a successor
-                // whose epoch has not moved, it parks again, and, the
-                // doorbell park being untimed, it is stranded forever
-                // (and the join with it).
-                bump(|s| &s.hot_team_hits);
-                if level > 0 {
-                    bump(|s| &s.hot_team_nested_hits);
-                }
-                ht.team.recycle(snap);
-                for ch in ht.channels.iter().rev() {
-                    prime(ch, Some(job));
-                }
-                if let Some(first) = ht.channels.first() {
-                    // Chaos: delay between the last prime and the
-                    // chain-head wake — the lost-wakeup-critical edge
-                    // this path's reverse-order priming exists to
-                    // protect.
-                    let _ = crate::chaos::chaos_point!(crate::chaos::Site::DoorbellRing);
-                    first.sleepers.wake_all();
-                }
-                return ht.team.clone();
-            }
-            // Rebuild: leases deeper than this level are parented by the
-            // team about to be dropped, so they must go first (deepest
-            // first — see `drop_hot_leases_from`).
-            while cache.len() > level + 1 {
-                cache.pop();
-            }
-            if cache[level].take().is_some() {
-                // Shape changed: drop the lease (workers return to the
-                // pool, possibly to be re-acquired two lines down).
-                bump(|s| &s.hot_team_resizes);
-            } else {
-                bump(|s| &s.hot_team_misses);
-            }
-            if level > 0 {
-                bump(|s| &s.hot_team_nested_misses);
-            }
-            let ht = new_lease(key, level, active_level, icvs, snap, false, job);
-            let team = ht.team.clone();
-            // A team that the pool delivered short (thread-limit
-            // pressure) is never cached — it could never hit (a hit
-            // requires delivered size == requested), so caching it would
-            // only make every subsequent same-shape fork tear it down as
-            // a bogus "resize".
-            if team.size() == n {
-                cache[level] = Some(ht);
-            } else {
-                uncached = Some(ht);
-            }
-            team
-        })
-    } else {
+    let snap = |size| ForkSnap::new(icvs, bind, league, size);
+    if !keep {
         let ht = new_lease(key, level, active_level, icvs, snap, parent_final, job);
+        return (ht.team.clone(), Some(ht));
+    }
+    HOT_TEAMS_TLS.with(|cell| {
+        let mut cache = cell.borrow_mut();
+        if cache.len() <= level {
+            cache.resize_with(level + 1, || None);
+        }
+        // A hit requires the cached team to have actually delivered
+        // the requested size (short teams are not cached — see
+        // below), so a capped build retries acquisition on every
+        // fork.
+        if let Some(ht) = cache[level].as_ref().filter(|ht| ht.key == key) {
+            // Hit: recycle in place and ring the doorbells. Prime in
+            // *reverse* chain order: a still-spinning worker can
+            // observe its own epoch bump the instant it lands and
+            // immediately forward the chain wake to its successor,
+            // so the successor's channel must already be primed by
+            // then — otherwise the forwarded wake finds a successor
+            // whose epoch has not moved, it parks again, and, the
+            // doorbell park being untimed, it is stranded forever
+            // (and the join with it).
+            bump(|s| &s.hot_team_hits);
+            if level > 0 {
+                bump(|s| &s.hot_team_nested_hits);
+            }
+            // SAFETY: between this master's join of the previous region
+            // (every worker signalled completion, no task is pending)
+            // and the ring below, which publishes the writes.
+            unsafe { ht.team.recycle(icvs, bind, league) };
+            for ch in ht.channels.iter().rev() {
+                prime(ch, Some(job));
+            }
+            if let Some(first) = ht.channels.first() {
+                // Chaos: delay between the last prime and the
+                // chain-head wake — the lost-wakeup-critical edge
+                // this path's reverse-order priming exists to
+                // protect.
+                let _ = crate::chaos::chaos_point!(crate::chaos::Site::DoorbellRing);
+                first.sleepers.wake_all();
+            }
+            return (ht.team.clone(), None);
+        }
+        // Rebuild: leases deeper than this level are parented by the
+        // team about to be dropped, so they must go first (deepest
+        // first — see `drop_hot_leases_from`).
+        while cache.len() > level + 1 {
+            cache.pop();
+        }
+        if cache[level].take().is_some() {
+            // Shape changed: drop the lease (workers return to the
+            // pool, possibly to be re-acquired two lines down).
+            bump(|s| &s.hot_team_resizes);
+        } else {
+            bump(|s| &s.hot_team_misses);
+        }
+        if level > 0 {
+            bump(|s| &s.hot_team_nested_misses);
+        }
+        let ht = new_lease(key, level, active_level, icvs, snap, false, job);
         let team = ht.team.clone();
-        uncached = Some(ht);
-        team
-    };
-    if team.size() == 1 {
-        bump(|s| &s.serialized_forks);
-    }
-    run_region(&team, 0, job);
-    hot_join(&team);
-    // A lease that is not kept ends with its one region (Drop rings the
-    // release and hands the slots back) — safe only now, after the join.
-    // Any deeper leases this master grew *inside* the region are
-    // parented by its team: deepest first, parent last.
-    if uncached.is_some() {
-        drop_hot_leases_from(level + 1);
-        drop(uncached);
-    }
-    team
+        // A team that the pool delivered short (thread-limit
+        // pressure) is never cached — it could never hit (a hit
+        // requires delivered size == requested), so caching it would
+        // only make every subsequent same-shape fork tear it down as
+        // a bogus "resize".
+        if team.size() == n {
+            cache[level] = Some(ht);
+            (team, None)
+        } else {
+            (team, Some(ht))
+        }
+    })
 }
 
 /// Take up to `key.n - 1` workers from the pool, build the team they
-/// deliver and bind each worker to a doorbell pre-armed with the first
-/// region's `job`.
+/// deliver (its snapshot from `snap` of the delivered size) and bind
+/// each worker to a doorbell pre-armed with the first region's `job`.
 fn new_lease(
     key: HotKey,
     level: usize,
     active_level: usize,
     icvs: &Icvs,
-    snap: ForkSnap,
+    snap: impl FnOnce(usize) -> ForkSnap,
     parent_final: bool,
     job: Job,
 ) -> HotTeam {
     let workers = POOL.acquire(key.n.saturating_sub(1), icvs);
+    // The team keys its oversubscription and its place partition on
+    // this *delivered* size: a thread-limit-capped team that fits the
+    // cores must not get park-early waits just because more was
+    // requested.
     let size = workers.len() + 1;
     let team = Arc::new(Team::new(
         size,
@@ -780,12 +765,8 @@ fn new_lease(
         // one thread (OpenMP 5.2 §1.2.2): a team delivered short at size
         // 1 under pool pressure is not an active region.
         active_level + usize::from(size > 1),
-        // The team keys its oversubscription on this *delivered* size:
-        // a thread-limit-capped team that fits the cores must not get
-        // park-early waits just because more was requested.
-        icvs.wait_policy,
         forking_ancestors(),
-        snap,
+        snap(size),
         parent_final,
     ));
     // Built back to front so each channel can point at its wake-chain
@@ -900,113 +881,120 @@ pub fn fork<'env, F>(spec: ForkSpec, f: F)
 where
     F: Fn(&ThreadCtx<'env>) + Sync,
 {
-    let mut icvs = icv::current();
-    // ICV inheritance for nested regions: the child team's
-    // `run-sched-var` comes from the enclosing team's fork-time
-    // snapshot (not this OS thread's view of the global ICV), unless
-    // this thread explicitly called `omp_set_schedule` in the region.
-    if icv::tls_run_sched_override().is_none() {
-        crate::ctx::with_current(|r| icvs.run_sched = r.team.run_sched(), || ());
-    }
+    fork_job(spec, make_job(&f));
+}
+
+/// [`fork`] past its one generic step: the region closure is a
+/// type-erased [`Job`] here, so this is compiled once, not per closure.
+fn fork_job(spec: ForkSpec, job: Job) {
     let (level, active_level) = forking_position();
     let parent_final = crate::task::in_final();
-    let mut n = match spec.if_clause {
-        Some(false) => 1,
-        _ => spec
-            .num_threads
-            .unwrap_or_else(|| icvs.nthreads_for_level(level)),
-    };
-    if active_level >= icvs.max_active_levels {
-        n = 1;
-    }
-    n = n.clamp(1, icvs.thread_limit.max(1));
     bump(|s| &s.forks);
-
-    let job = make_job(&f);
-    // The effective binding: clause beats the per-level `bind-var`
-    // list. A league defaults to `spread` so member teams land on
-    // disjoint place subsets.
-    let bind = spec.proc_bind.unwrap_or_else(|| {
-        let b = icvs.proc_bind_for_level(level);
-        if spec.league && b == ProcBind::False {
-            ProcBind::Spread
-        } else {
-            b
-        }
-    });
-    // The place partition is recomputed at *every* fork — including hot
-    // recycles, where it rides into the team through `recycle`'s snap
-    // rewrite — so placement never needs to participate in the cache
-    // key (see [`HotKey`]). Serialized regions keep the enclosing
-    // partition (the stack walk in `affinity::team_places` starts from
-    // the innermost *placed* region).
-    let places = if n > 1 {
-        crate::affinity::team_places(bind, n, &icvs)
-    } else {
-        None
-    };
-    let snap = ForkSnap {
-        run_sched: icvs.run_sched,
-        proc_bind: bind,
-        places,
-        league: spec.league,
-        cancellable: icvs.cancellation,
-    };
-
     // May this fork keep its lease? Not from a final task, and not at a
     // level the busy mask cannot track (the bound check comes first: it
     // guards the shift) or whose lease is mid-region on this thread.
     let cacheable = !parent_final
         && level < MAX_HOT_LEVELS
         && HOT_BUSY.with(|b| b.get()) & (1u64 << level) == 0;
-    if cacheable && !icvs.hot_teams {
-        // Hot teams were switched off between regions: stop hoarding the
-        // bound workers at this level and deeper (shallower leases
-        // belong to still-active enclosing regions).
-        drop_hot_leases_from(level);
-    }
-
-    // Serialized regions (`if(false)`, `num_threads(1)`, nesting beyond
-    // `max-active-levels`) run inline *without touching the cache* —
-    // evicting a multi-thread lease for a team of one would thrash
-    // workers on every serial/parallel alternation, and a serial region
-    // gains nothing from bound workers anyway.
-    if n == 1 {
-        bump(|s| &s.serialized_forks);
-        let team = Arc::new(Team::new(
-            1,
-            level + 1,
-            active_level,
-            icvs.wait_policy,
-            forking_ancestors(),
-            snap,
-            parent_final,
-        ));
-        run_region(&team, 0, job);
-        rethrow(&team);
-        return;
-    }
-
-    let keep = cacheable && icvs.hot_teams;
-    struct BusyGuard(usize);
-    impl Drop for BusyGuard {
-        fn drop(&mut self) {
-            HOT_BUSY.with(|b| b.set(b.get() & !(1u64 << self.0)));
+    // The encountering task's ICVs are read in place; the team inherits
+    // them, taking a reference only if it does not hold that block yet.
+    let (team, busy, uncached) = icv::with_current(|icvs| {
+        let mut n = match spec.if_clause {
+            Some(false) => 1,
+            _ => spec
+                .num_threads
+                .unwrap_or_else(|| icvs.nthreads_for_level(level)),
+        };
+        if active_level >= icvs.max_active_levels {
+            n = 1;
         }
-    }
-    let _busy = keep.then(|| {
-        HOT_BUSY.with(|b| b.set(b.get() | (1u64 << level)));
-        BusyGuard(level)
+        n = n.clamp(1, icvs.thread_limit.max(1));
+        // The effective binding: clause beats the per-level `bind-var`
+        // list. A league defaults to `spread` so member teams land on
+        // disjoint place subsets.
+        let bind = spec.proc_bind.unwrap_or_else(|| {
+            let b = icvs.proc_bind_for_level(level);
+            if spec.league && b == ProcBind::False {
+                ProcBind::Spread
+            } else {
+                b
+            }
+        });
+        if cacheable && !icvs.hot_teams {
+            // Hot teams were switched off between regions: stop
+            // hoarding the bound workers at this level and deeper
+            // (shallower leases belong to still-active enclosing
+            // regions).
+            drop_hot_leases_from(level);
+        }
+        // Serialized regions (`if(false)`, `num_threads(1)`, nesting
+        // beyond `max-active-levels`) run inline *without touching the
+        // cache* — evicting a multi-thread lease for a team of one
+        // would thrash workers on every serial/parallel alternation,
+        // and a serial region gains nothing from bound workers anyway.
+        if n == 1 {
+            bump(|s| &s.serialized_forks);
+            let snap = ForkSnap::new(icvs, bind, spec.league, 1);
+            let team = Team::new(
+                1,
+                level + 1,
+                active_level,
+                forking_ancestors(),
+                snap,
+                parent_final,
+            );
+            return (Arc::new(team), None, None);
+        }
+        let keep = cacheable && icvs.hot_teams;
+        let busy = keep.then(|| {
+            HOT_BUSY.with(|b| b.set(b.get() | (1u64 << level)));
+            BusyGuard(level)
+        });
+        let (team, uncached) = lease(
+            n,
+            level,
+            active_level,
+            icvs,
+            bind,
+            spec.league,
+            parent_final,
+            keep,
+            job,
+        );
+        if team.size() == 1 {
+            bump(|s| &s.serialized_forks);
+        }
+        (team, busy, uncached)
     });
-    let team = hot_fork(n, level, active_level, &icvs, snap, parent_final, keep, job);
+    run_region(&team, 0, job);
+    hot_join(&team);
+    // A lease that is not kept ends with its one region (Drop rings the
+    // release and hands the slots back) — safe only now, after the join.
+    // Any deeper leases this master grew *inside* the region are
+    // parented by its team: deepest first, parent last.
+    if uncached.is_some() {
+        drop_hot_leases_from(level + 1);
+        drop(uncached);
+    }
     if team.abort.load(Ordering::Acquire) {
         // Never reuse a team a panic tore through: release the workers
         // (and any sub-leases parented by them) and rebuild on the next
         // fork. A lease that was not kept is already gone.
-        if keep {
+        if busy.is_some() {
             drop_hot_leases_from(level);
         }
+        drop(busy);
         rethrow(&team);
+    }
+}
+
+/// Clears forking level `.0`'s `HOT_BUSY` bit, set from the ring, at
+/// the join.
+struct BusyGuard(usize);
+
+impl Drop for BusyGuard {
+    fn drop(&mut self) {
+        HOT_BUSY.with(|b| b.set(b.get() & !(1u64 << self.0)));
     }
 }
 
@@ -1102,10 +1090,10 @@ mod tests {
     fn hot_team_consecutive_forks_hit_the_cache() {
         // Run on a dedicated thread: the cache is per master thread, so
         // the counters below can only be disturbed by *this* thread.
-        // Force-enable hot teams via the TLS knob — the suite must pass
-        // even under ROMP_HOT_TEAMS=0 in the environment.
+        // Force-enable hot teams for this thread's task — the suite must
+        // pass even under ROMP_HOT_TEAMS=0 in the environment.
         std::thread::spawn(|| {
-            icv::tls_override_mut(|o| o.hot_teams = Some(true));
+            let _hot = icv::set_local(|i| i.hot_teams = true);
             fork(ForkSpec::with_num_threads(3), |_| {});
             let before = stats().snapshot();
             for _ in 0..20 {
@@ -1125,12 +1113,11 @@ mod tests {
     #[test]
     fn hot_team_disabled_runs_one_region_leases() {
         std::thread::spawn(|| {
-            // Drive one-region leases hermetically through this thread's TLS
-            // override: the global block stays untouched, so sibling
+            // Drive one-region leases hermetically through this task's
+            // own ICVs: the global block stays untouched, so sibling
             // tests asserting hot-team hit counts never see a
             // hot_teams=false window.
-            icv::TLS_OVERRIDE.with(|o| *o.borrow_mut() = None);
-            icv::tls_override_mut(|o| o.hot_teams = Some(false));
+            let _cold = icv::set_local(|i| i.hot_teams = false);
             let before = stats().snapshot();
             let hits = AtomicUsize::new(0);
             for _ in 0..5 {
@@ -1253,7 +1240,7 @@ mod tests {
         // to the idle list, and the next acquire must find them there
         // instead of spawning a full team.
         std::thread::spawn(|| {
-            icv::tls_override_mut(|o| o.hot_teams = Some(false));
+            let _cold = icv::set_local(|i| i.hot_teams = false);
             fork(ForkSpec::with_num_threads(3), |_| {});
             let before = stats().snapshot();
             fork(ForkSpec::with_num_threads(3), |_| {});
@@ -1277,7 +1264,7 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 std::thread::spawn(|| {
-                    icv::tls_override_mut(|o| o.hot_teams = Some(false));
+                    let _cold = icv::set_local(|i| i.hot_teams = false);
                     fork(ForkSpec::with_num_threads(2), |_| {});
                 })
             })
@@ -1288,7 +1275,7 @@ mod tests {
         // One big acquire from a fresh thread: it must gather the
         // released workers (or spawn, under the limit) and deliver.
         std::thread::spawn(|| {
-            icv::tls_override_mut(|o| o.hot_teams = Some(false));
+            let _cold = icv::set_local(|i| i.hot_teams = false);
             let hits = AtomicUsize::new(0);
             fork(ForkSpec::with_num_threads(4), |_| {
                 hits.fetch_add(1, Ordering::SeqCst);

@@ -19,10 +19,11 @@
 //! `parent` link; a task counts in its innermost group only, and
 //! cancelling a group also discards the unstarted members of the groups
 //! nested in it. Each thread has one current-task environment
-//! (innermost group, `final` flag): a region's implicit task starts a
-//! fresh one, a task runs in its own, a `taskgroup` swaps in a child
-//! group, and each restores the previous one when it ends. A task that
-//! captures nothing allocates nothing.
+//! (innermost group, `final` flag, the task's own ICVs if it set any —
+//! see [`crate::icv`]): a region's implicit task starts a fresh one, a
+//! task runs in its own, a `taskgroup` swaps in a child group, and each
+//! restores what it replaced when it ends. A task that captures nothing
+//! allocates nothing.
 //!
 //! Queues are `Mutex<VecDeque<…>>` rather than a lock-free Chase–Lev
 //! deque. A lock-free deque would be one more hand-rolled atomic
@@ -69,7 +70,7 @@
 //! then, so borrowed data outlives every task. This is the same
 //! argument `std::thread::scope` makes.
 
-use crate::icv::WaitPolicy;
+use crate::icv::{Icvs, WaitPolicy};
 use crate::wait::{self, Ladder, Role, Sleepers};
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -167,6 +168,8 @@ pub(crate) struct RawTask {
     parent: usize,
     /// A final task: tasks created while it runs are included.
     is_final: bool,
+    /// The generating task's own ICVs (`None`: it set none).
+    icvs: Option<Arc<Icvs>>,
 }
 
 /// One thread's ready deque plus a relaxed mirror of its length, so
@@ -520,6 +523,7 @@ impl TaskSystem {
             node,
             parent,
             is_final,
+            icvs,
         } = task;
         let discard = self.cancel_all.load(Ordering::Relaxed)
             || group.as_deref().is_some_and(TaskGroup::chain_cancelled);
@@ -559,7 +563,11 @@ impl TaskSystem {
             node,
             thread_num,
             parent,
-            prev: swap_env(TaskEnv { group, is_final }),
+            prev: swap_env(TaskEnv {
+                group,
+                is_final,
+                icvs,
+            }),
         };
         if discard {
             crate::stats::bump(|s| &s.tasks_discarded);
@@ -701,6 +709,9 @@ struct TaskEnv {
     /// Inside a final task: tasks created here are included
     /// (undeferred and themselves final).
     is_final: bool,
+    /// The task's own ICVs, once it set one (`None`: its innermost
+    /// team's, or the global block's outside any region).
+    icvs: Option<Arc<Icvs>>,
 }
 
 thread_local! {
@@ -708,6 +719,7 @@ thread_local! {
         RefCell::new(TaskEnv {
             group: None,
             is_final: false,
+            icvs: None,
         })
     };
 }
@@ -717,8 +729,8 @@ fn swap_env(env: TaskEnv) -> TaskEnv {
     ENV.with(|e| std::mem::replace(&mut *e.borrow_mut(), env))
 }
 
-/// Restores the task environment that an implicit task or a taskgroup
-/// replaced, when it ends (unwinding included).
+/// Restores the task environment that an implicit task replaced, when
+/// it ends (unwinding included).
 pub(crate) struct EnvScope(TaskEnv);
 
 impl Drop for EnvScope {
@@ -727,14 +739,24 @@ impl Drop for EnvScope {
     }
 }
 
-/// Begin an implicit task on this thread: outside any taskgroup, and
-/// final if the region was forked from a final task (so tasks spawned
-/// by any member come out included).
+/// Begin an implicit task on this thread: outside any taskgroup, with
+/// its team's ICVs, and final if the region was forked from a final
+/// task (so tasks spawned by any member come out included).
 pub(crate) fn implicit_task(is_final: bool) -> EnvScope {
     EnvScope(swap_env(TaskEnv {
-        group: None,
         is_final,
+        ..TaskEnv::default()
     }))
+}
+
+/// Run `f` on the current task's own ICVs (`None` if it set none).
+pub(crate) fn with_own_icvs<R>(f: impl FnOnce(Option<&Arc<Icvs>>) -> R) -> R {
+    ENV.with(|e| f(e.borrow().icvs.as_ref()))
+}
+
+/// Install `icvs` as the current task's own ICVs; returns the old ones.
+pub(crate) fn replace_own_icvs(icvs: Option<Arc<Icvs>>) -> Option<Arc<Icvs>> {
+    ENV.with(|e| std::mem::replace(&mut e.borrow_mut().icvs, icvs))
 }
 
 /// Is the current task a final task (so children must be included)?
@@ -752,21 +774,27 @@ pub(crate) fn innermost_group() -> Option<Arc<TaskGroup>> {
 /// current innermost one, is innermost while `body` runs. Returns the
 /// body's result and the group, whose members the caller waits for.
 pub(crate) fn in_taskgroup<R>(body: impl FnOnce() -> R) -> (R, Arc<TaskGroup>) {
+    /// Puts the enclosing group back (unwinding included). Only the
+    /// group: a `taskgroup` is not a task, so ICVs set in its body stay.
+    struct GroupScope(Option<Arc<TaskGroup>>);
+    impl Drop for GroupScope {
+        fn drop(&mut self) {
+            ENV.with(|e| e.borrow_mut().group = self.0.take());
+        }
+    }
     let group = Arc::new(TaskGroup {
         parent: innermost_group(),
         ..TaskGroup::default()
     });
-    let scope = EnvScope(swap_env(TaskEnv {
-        group: Some(group.clone()),
-        is_final: in_final(),
-    }));
+    let scope = GroupScope(ENV.with(|e| e.borrow_mut().group.replace(group.clone())));
     let out = body();
     drop(scope);
     (out, group)
 }
 
-/// Build a lifetime-erased task, child of `parent`'s implicit task and
-/// member of the current innermost taskgroup.
+/// Build a lifetime-erased task, child of `parent`'s implicit task,
+/// member of the current innermost taskgroup, with the current task's
+/// ICVs.
 ///
 /// # Safety
 ///
@@ -784,6 +812,7 @@ pub(crate) unsafe fn make_raw_task<'a>(
         node: None,
         parent,
         is_final,
+        icvs: with_own_icvs(|own| own.cloned()),
     }
 }
 

@@ -36,11 +36,12 @@
 
 use crate::affinity::TeamPlaces;
 use crate::barrier::TeamBarrier;
-use crate::icv::{ProcBind, WaitPolicy};
+use crate::icv::{Icvs, ProcBind};
 use crate::task::TaskSystem;
 use crate::wait::{self, Ladder, Role, Sleepers};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::any::Any;
+use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -192,18 +193,16 @@ impl RedCell {
     }
 }
 
-/// Per-fork snapshot of the master's data environment: ICV-derived
-/// values that are fixed for the duration of one region but change from
-/// region to region. A new team takes them at construction; a recycled
-/// hot team overwrites them at each fork ([`Team::recycle`]), which is
-/// why they live behind one `RwLock` instead of being plain fields.
-#[derive(Debug, Clone)]
+/// What a team takes from the fork that starts its region: the
+/// encountering task's ICVs, which the team's implicit tasks inherit,
+/// and what the fork resolved from them and its clauses. A recycled hot
+/// team updates it at each fork ([`Team::recycle`]).
+#[derive(Debug)]
 pub(crate) struct ForkSnap {
-    /// `run-sched-var` snapshot from the master's data environment at
-    /// fork time: `schedule(runtime)` loops must resolve identically on
-    /// every team thread, so the resolution source is bound to the team
-    /// (per OpenMP ICV inheritance), not read per-thread mid-loop.
-    pub run_sched: crate::sched::Schedule,
+    /// The encountering task's ICVs. `schedule(runtime)` loops resolve
+    /// `run_sched` here, so every team thread agrees; `cancellation`
+    /// arms the region's cancellation checks.
+    pub icvs: Arc<Icvs>,
     /// Effective thread affinity request for this region: the
     /// `proc_bind` clause if present, else the per-level `bind-var`
     /// ICV. Reported (`omp_get_proc_bind`) and enforced through
@@ -211,18 +210,38 @@ pub(crate) struct ForkSnap {
     pub proc_bind: ProcBind,
     /// Place partition for this region (None = unbound): per-thread
     /// place assignment plus the sub-partition each thread hands to its
-    /// own nested teams. Recomputed at every fork — including hot-team
-    /// recycles — so a binding change re-pins a reused team.
+    /// own nested teams. Kept across recycles while its inputs are
+    /// unchanged ([`crate::affinity::update_team_places`]).
     pub places: Option<Arc<TeamPlaces>>,
     /// Is this team a **league** of teams (a `teams` construct lowered
     /// onto an outer parallel region)? Reported through
     /// `omp_get_num_teams`/`omp_get_team_num`.
     pub league: bool,
-    /// `cancel-var` snapshot: is cancellation armed for this region?
-    /// Fork-time so a recycled hot team observes ICV changes, and so
-    /// the non-cancelled hot path can skip every flag check with one
-    /// boolean read per construct.
-    pub cancellable: bool,
+}
+
+impl ForkSnap {
+    /// The snapshot of a new team of `size` threads.
+    pub(crate) fn new(icvs: &Arc<Icvs>, bind: ProcBind, league: bool, size: usize) -> Self {
+        let mut snap = ForkSnap {
+            icvs: icvs.clone(),
+            proc_bind: bind,
+            places: None,
+            league,
+        };
+        snap.update(icvs, bind, league, size);
+        snap
+    }
+
+    /// Update for the next fork of the same team, cloning the ICVs'
+    /// `Arc` only when the pointer moved.
+    fn update(&mut self, icvs: &Arc<Icvs>, bind: ProcBind, league: bool, size: usize) {
+        if !Arc::ptr_eq(&self.icvs, icvs) {
+            self.icvs = icvs.clone();
+        }
+        self.proc_bind = bind;
+        self.league = league;
+        crate::affinity::update_team_places(&mut self.places, bind, size, icvs);
+    }
 }
 
 /// Shared state of one parallel region's team.
@@ -241,8 +260,10 @@ pub(crate) struct ForkSnap {
 /// removed; re-measure it after changing this list.
 #[repr(C, align(64))]
 pub struct Team {
-    /// Per-fork ICV snapshot (see [`ForkSnap`]); rewritten on recycle.
-    pub(crate) snap: RwLock<ForkSnap>,
+    /// What the fork handed the team (see [`ForkSnap`]). Only
+    /// [`Team::recycle`] writes it, so team threads read it without a
+    /// lock.
+    snap: UnsafeCell<ForkSnap>,
     /// Raised when any team thread panics; all barrier/slot waits watch it.
     pub(crate) abort: AtomicBool,
     /// Raised by `cancel parallel`: team threads skip remaining
@@ -296,6 +317,10 @@ pub struct Team {
     pub(crate) unarrived: OwnLine<AtomicUsize>,
 }
 
+// SAFETY: `snap` is the one field that is not `Sync`. It is written only
+// by `Team::recycle`, whose contract excludes every concurrent reader.
+unsafe impl Sync for Team {}
+
 /// A value alone on its cache line.
 #[repr(align(64))]
 pub(crate) struct OwnLine<T>(pub(crate) T);
@@ -312,17 +337,16 @@ impl std::fmt::Debug for Team {
 
 impl Team {
     /// Build a team of `size` threads at nesting `level` whose waits
-    /// follow `policy`.
+    /// follow the snapshot's `wait-policy-var`.
     pub(crate) fn new(
         size: usize,
         level: usize,
         active_level: usize,
-        policy: WaitPolicy,
         ancestors: Vec<(usize, usize)>,
         snap: ForkSnap,
         parent_final: bool,
     ) -> Self {
-        let tasks = TaskSystem::new(size, policy);
+        let tasks = TaskSystem::new(size, snap.icvs.wait_policy);
         Team {
             size,
             level,
@@ -339,7 +363,7 @@ impl Team {
             reduce_cells: [Mutex::new(RedCell::new()), Mutex::new(RedCell::new())],
             unarrived: OwnLine(AtomicUsize::new(size)),
             ancestors,
-            snap: RwLock::new(snap),
+            snap: UnsafeCell::new(snap),
             parent_final,
         }
     }
@@ -349,41 +373,23 @@ impl Team {
         self.size
     }
 
-    /// The team's `schedule(runtime)` resolution source (fork-time
-    /// snapshot of `run-sched-var`).
-    pub(crate) fn run_sched(&self) -> crate::sched::Schedule {
-        self.snap.read().run_sched
-    }
-
-    /// The region's effective `proc_bind` (clause, else `bind-var`).
-    pub(crate) fn proc_bind(&self) -> ProcBind {
-        self.snap.read().proc_bind
-    }
-
-    /// The region's place partition (`None` = threads run unbound).
-    pub(crate) fn places(&self) -> Option<Arc<TeamPlaces>> {
-        self.snap.read().places.clone()
-    }
-
-    /// Is this team a league of teams (`teams` construct)?
-    pub(crate) fn is_league(&self) -> bool {
-        self.snap.read().league
-    }
-
-    /// Is cancellation armed for this region (`cancel-var` snapshot)?
-    pub(crate) fn cancellable(&self) -> bool {
-        self.snap.read().cancellable
+    /// What the fork handed the team.
+    pub(crate) fn snap(&self) -> &ForkSnap {
+        // SAFETY: only `recycle` writes the cell, while no reader exists.
+        unsafe { &*self.snap.get() }
     }
 
     /// Recycle this hot team's shared state for the next region, in
     /// place of a fresh allocation.
     ///
-    /// Contract: the caller (the master, between its join and the next
-    /// doorbell ring) has verified that every worker finished the
-    /// previous region (`remaining == 0`) and that no task is pending,
-    /// so no other thread touches the team until the ring publishes
-    /// these writes.
-    pub(crate) fn recycle(&self, snap: ForkSnap) {
+    /// # Safety
+    ///
+    /// The caller is the master, between its join and the next doorbell
+    /// ring, and holds no reference from [`Self::snap`]: every worker
+    /// finished the previous region (`remaining == 0`) and no task is
+    /// pending, so no other thread touches the team until the ring
+    /// publishes these writes. The snapshot is rewritten without a lock.
+    pub(crate) unsafe fn recycle(&self, icvs: &Arc<Icvs>, bind: ProcBind, league: bool) {
         debug_assert_eq!(self.remaining.load(Ordering::Acquire), 0);
         self.abort.store(false, Ordering::Relaxed);
         self.cancel_parallel.store(false, Ordering::Relaxed);
@@ -403,7 +409,10 @@ impl Team {
             c.gen = u64::MAX;
             c.value = None;
         }
-        *self.snap.write() = snap;
+        // SAFETY: this function's contract. Every worker's last read of
+        // the snapshot precedes its completion signal, which the join
+        // acquired; its next read follows the ring's epoch bump.
+        unsafe { &mut *self.snap.get() }.update(icvs, bind, league, self.size);
     }
 
     /// This team's wait ladder for `role` (see [`crate::wait`]).
@@ -440,19 +449,13 @@ mod tests {
     use std::sync::Arc;
 
     fn test_team(size: usize) -> Team {
+        let icvs = Arc::new(Icvs::default());
         Team::new(
             size,
             1,
             1,
-            WaitPolicy::Hybrid,
             vec![(0, 1)],
-            ForkSnap {
-                run_sched: crate::sched::Schedule::default(),
-                proc_bind: ProcBind::False,
-                places: None,
-                league: false,
-                cancellable: false,
-            },
+            ForkSnap::new(&icvs, ProcBind::False, false, size),
             false,
         )
     }
@@ -545,23 +548,27 @@ mod tests {
         team.reduce_cells[0].lock().gen = 0;
         team.remaining.store(0, Ordering::SeqCst);
 
-        team.recycle(ForkSnap {
+        let icvs = Arc::new(Icvs {
             run_sched: crate::sched::Schedule::dynamic_chunk(5),
-            proc_bind: ProcBind::Spread,
-            places: None,
-            league: true,
-            cancellable: true,
+            cancellation: true,
+            ..Icvs::default()
         });
+        // SAFETY: no other thread has the team.
+        unsafe { team.recycle(&icvs, ProcBind::Spread, true) };
 
         assert!(!team.abort.load(Ordering::SeqCst));
         assert!(!team.cancel_parallel.load(Ordering::SeqCst));
         assert_eq!(team.cancel_ws.load(Ordering::SeqCst), 0);
-        assert!(team.cancellable());
+        assert!(team.snap().icvs.cancellation);
         assert!(team.panic_payload.lock().is_none());
         assert_eq!(team.remaining.load(Ordering::SeqCst), 1);
-        assert_eq!(team.run_sched(), crate::sched::Schedule::dynamic_chunk(5));
-        assert_eq!(team.proc_bind(), ProcBind::Spread);
-        assert!(team.is_league());
+        assert_eq!(
+            team.snap().icvs.run_sched,
+            crate::sched::Schedule::dynamic_chunk(5)
+        );
+        assert_eq!(team.snap().proc_bind, ProcBind::Spread);
+        assert!(team.snap().league);
+        assert!(Arc::ptr_eq(&team.snap().icvs, &icvs));
         assert_eq!(team.reduce_cells[0].lock().gen, u64::MAX);
         // Slot generation is back at its initial value: a fresh thread
         // (generation counter 0) can install again.

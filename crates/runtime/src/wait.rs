@@ -99,8 +99,8 @@ impl Ladder {
         }
     }
 
-    /// The innermost team's ladder, else the global wait policy's (a
-    /// contended lock outside any region).
+    /// The innermost team's ladder, else the calling task's wait
+    /// policy's (a contended lock outside any region).
     pub(crate) fn current() -> Self {
         let outside = || Ladder::new(crate::icv::wait_policy(), false, Role::Member);
         crate::ctx::with_current(|r| r.team.ladder(Role::Member), outside)

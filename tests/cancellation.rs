@@ -23,9 +23,9 @@
 //!   body early is still there to run the tasks a late member spawns
 //!   (the task-based tests here rely on it).
 //!
-//! Every test arms/disarms `cancel-var` through the per-thread
-//! override, so the suite is hermetic under any `OMP_CANCELLATION`
-//! environment — CI runs it both ways.
+//! Every test arms/disarms `cancel-var` for its own task
+//! (`icv::set_local`), so the suite is hermetic under any
+//! `OMP_CANCELLATION` environment — CI runs it both ways.
 
 // `rustfmt::skip`: the golden file must stay byte-identical to rompcc
 // output; formatting it would break `search_translation_matches_golden`.
@@ -253,7 +253,7 @@ proptest! {
         threads in 1usize..5,
         sched_idx in 0usize..3,
     ) {
-        let prev = romp::runtime::icv::set_cancellation_override(Some(false));
+        let disarmed = romp::runtime::icv::set_local(|i| i.cancellation = false);
         let scheds = [
             Schedule::static_block(),
             Schedule::dynamic_chunk(8),
@@ -288,7 +288,7 @@ proptest! {
             assert!(!cancel(ctx, CancelKind::Parallel));
             assert!(!cancellation_point(ctx, CancelKind::Parallel));
         });
-        romp::runtime::icv::set_cancellation_override(prev);
+        drop(disarmed);
         prop_assert_eq!(iters.load(Ordering::Relaxed), 512);
         prop_assert_eq!(sections_run.load(Ordering::Relaxed), 6);
         prop_assert_eq!(tasks_run.load(Ordering::Relaxed), 4);
@@ -714,10 +714,10 @@ fn omp_get_cancellation_reports_the_snapshot() {
         let _ = ctx;
         assert!(romp::runtime::omp_get_cancellation());
     });
-    let prev = romp::runtime::icv::set_cancellation_override(Some(false));
+    let disarmed = romp::runtime::icv::set_local(|i| i.cancellation = false);
     parallel().num_threads(2).run(|ctx| {
         let _ = ctx;
         assert!(!romp::runtime::omp_get_cancellation());
     });
-    romp::runtime::icv::set_cancellation_override(prev);
+    drop(disarmed);
 }

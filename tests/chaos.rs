@@ -176,7 +176,7 @@ fn task_graph_workload(threads: usize) {
 /// loop in one region. Results are unchecked: an injected cancel
 /// legally truncates any of them.
 fn worksharing_workload(threads: usize) {
-    let prev = icv::set_cancellation_override(Some(true));
+    let armed = icv::set_local(|i| i.cancellation = true);
     let hits = AtomicU64::new(0);
     let _ = catch_unwind(AssertUnwindSafe(|| {
         fork(ForkSpec::with_num_threads(threads), |ctx| {
@@ -193,7 +193,7 @@ fn worksharing_workload(threads: usize) {
             });
         });
     }));
-    icv::set_cancellation_override(prev);
+    drop(armed);
 }
 
 /// One in-region KACZ sweep per format — CSR row groups and the
@@ -228,7 +228,7 @@ fn kacz_workload(fx: &Fixture, threads: usize) {
 /// `CancelCheck` faults exercise the real cancellation machinery the
 /// solver's convergence exit uses.
 fn carp_workload(fx: &Fixture, threads: usize) {
-    let prev = icv::set_cancellation_override(Some(true));
+    let armed = icv::set_local(|i| i.cancellation = true);
     let op = SweepMat::Csr {
         mat: &fx.mat,
         coloring: &fx.coloring,
@@ -241,7 +241,7 @@ fn carp_workload(fx: &Fixture, threads: usize) {
     let _ = catch_unwind(AssertUnwindSafe(|| {
         std::hint::black_box(carp_cg(&op, &fx.norms, &fx.b, &opts));
     }));
-    icv::set_cancellation_override(prev);
+    drop(armed);
 }
 
 /// Run one seeded iteration: arm, drive the mixed workload on a fresh
@@ -408,7 +408,7 @@ fn panic_in_chunk_grab_unwinds_cleanly() {
 #[test]
 fn cancel_at_barrier_releases_the_team() {
     on_fresh_master(|| {
-        let prev = icv::set_cancellation_override(Some(true));
+        let armed = icv::set_local(|i| i.cancellation = true);
         let before = stats().snapshot();
         let guard = chaos::arm(
             ChaosPlan::bare(0xC1)
@@ -432,7 +432,7 @@ fn cancel_at_barrier_releases_the_team() {
             d.cancels_activated >= 1,
             "the injected request must activate real cancellation: {d:?}"
         );
-        icv::set_cancellation_override(prev);
+        drop(armed);
         assert_geometry(4);
     });
 }

@@ -275,9 +275,9 @@ fn guided_min_chunk_respected() {
 
 /// ICV coherence: inside a region, every team thread's
 /// `omp_get_schedule` must report the `run-sched-var` the team actually
-/// uses for `schedule(runtime)` loops — the master's fork-time value —
-/// even though `omp_set_schedule` is an override on the master thread
-/// only. Nested regions inherit the same snapshot.
+/// uses for `schedule(runtime)` loops — the encountering task's value —
+/// even though `omp_set_schedule` was called by that task alone. Nested
+/// regions inherit it too.
 #[test]
 fn run_sched_var_coherent_across_team_and_nesting() {
     use romp::runtime::omp_get_schedule;
@@ -311,13 +311,13 @@ fn worker_tls_overrides_do_not_leak_across_regions() {
     let leak = Schedule::guided_chunk(9);
     fork(ForkSpec::with_num_threads(4), |ctx| {
         if ctx.thread_num() != 0 {
-            // Workers override their own run-sched-var mid-region.
+            // Workers set their own run-sched-var mid-region.
             omp_set_schedule(leak);
             assert_eq!(omp_get_schedule(), leak);
         }
     });
     // New region on the same (pooled) workers: the master did not set
-    // anything, so no thread may still see the workers' old override.
+    // anything, so no thread may still see the workers' old set.
     let default = romp::runtime::icv::current().run_sched;
     for _ in 0..5 {
         fork(ForkSpec::with_num_threads(4), |ctx| {

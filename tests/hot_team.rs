@@ -91,7 +91,7 @@ fn consecutive_same_shape_regions_hit_the_cache() {
 fn omp_set_num_threads_between_regions_resizes_exactly() {
     on_fresh_thread(|| {
         // Warm a 2-thread team, then steer sizes through the nthreads-var
-        // (TLS override — no clause), checking exact geometry each time.
+        // (this task's own set — no clause), checking exact geometry each time.
         assert_geometry(2);
         let before = stats().snapshot();
         for &n in &[3usize, 2, 4, 2, 3] {
@@ -420,7 +420,7 @@ fn cancelled_hot_region_is_recycled_not_evicted() {
     // `Team::recycle` clears the cancel flags and the next same-shape
     // fork is a hit, reusing the bound workers.
     on_fresh_thread(|| {
-        romp::runtime::icv::set_cancellation_override(Some(true));
+        let _armed = icv::set_local(|i| i.cancellation = true);
         assert_geometry(3); // build + verify the lease
         let before = stats().snapshot();
         for round in 0..10 {
@@ -461,7 +461,6 @@ fn cancelled_hot_region_is_recycled_not_evicted() {
             d.workers_spawned, 0,
             "cancellation must not strand or respawn workers"
         );
-        romp::runtime::icv::set_cancellation_override(None);
     });
 }
 
@@ -472,8 +471,10 @@ fn cancelled_uncached_region_leaves_the_pool_sane() {
     // a cancelled region on a one-region lease must return every
     // worker to the pool.
     on_fresh_thread(|| {
-        romp::runtime::icv::set_cancellation_override(Some(true));
-        let prev = icv::with_global_mut(|i| std::mem::replace(&mut i.hot_teams, false));
+        let _armed = icv::set_local(|i| {
+            i.cancellation = true;
+            i.hot_teams = false;
+        });
         for round in 0..6 {
             let reached = AtomicUsize::new(0);
             fork(ForkSpec::with_num_threads(3), |ctx| {
@@ -487,8 +488,6 @@ fn cancelled_uncached_region_leaves_the_pool_sane() {
             assert_eq!(reached.load(Ordering::SeqCst), 3, "round {round}");
             assert_geometry(3);
         }
-        icv::with_global_mut(|i| i.hot_teams = prev);
-        romp::runtime::icv::set_cancellation_override(None);
     });
 }
 
@@ -526,8 +525,10 @@ fn hot_reuse_survives_proc_bind_change() {
     // therefore still hit, while the *reported* bind and the partition
     // each thread inherits move to the new policy.
     on_fresh_thread(|| {
-        let prev_p = icv::set_places_override(Some(four_places()));
-        let prev_b = icv::set_proc_bind_override(Some(vec![ProcBind::Spread]));
+        let spread = icv::set_local(|i| {
+            i.places = Some(four_places());
+            i.proc_bind = vec![ProcBind::Spread];
+        });
         fork(ForkSpec::with_num_threads(2), |ctx| {
             assert_eq!(omp_get_proc_bind(), ProcBind::Spread);
             // Spread splits the four places into disjoint halves.
@@ -539,7 +540,7 @@ fn hot_reuse_survives_proc_bind_change() {
             assert_eq!(ctx.place_partition(), want);
         });
         let before = stats().snapshot();
-        icv::set_proc_bind_override(Some(vec![ProcBind::Close]));
+        let close = icv::set_local(|i| i.proc_bind = vec![ProcBind::Close]);
         fork(ForkSpec::with_num_threads(2), |ctx| {
             assert_eq!(omp_get_proc_bind(), ProcBind::Close);
             // Close keeps the master's whole partition for everyone and
@@ -558,16 +559,18 @@ fn hot_reuse_survives_proc_bind_change() {
             d.workers_spawned, 0,
             "re-pinning must reuse the bound workers"
         );
-        icv::set_proc_bind_override(prev_b);
-        icv::set_places_override(prev_p);
+        drop(close);
+        drop(spread);
     });
 }
 
 #[test]
 fn spread_team_workers_inherit_disjoint_place_partitions() {
     on_fresh_thread(|| {
-        let prev_p = icv::set_places_override(Some(four_places()));
-        let prev_b = icv::set_proc_bind_override(Some(vec![ProcBind::Spread]));
+        let _spread = icv::set_local(|i| {
+            i.places = Some(four_places());
+            i.proc_bind = vec![ProcBind::Spread];
+        });
         let parts: Mutex<Vec<Vec<usize>>> = Mutex::new(Vec::new());
         fork(ForkSpec::with_num_threads(2), |ctx| {
             parts.lock().unwrap().push(ctx.place_partition());
@@ -586,8 +589,6 @@ fn spread_team_workers_inherit_disjoint_place_partitions() {
             vec![0, 1, 2, 3],
             "partitions must tile the place list: {parts:?}"
         );
-        icv::set_proc_bind_override(prev_b);
-        icv::set_places_override(prev_p);
     });
 }
 

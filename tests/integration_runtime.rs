@@ -191,7 +191,7 @@ fn schedule_runtime_respects_icv() {
         before.delta(&after).dispatched_chunks >= 32,
         "schedule(runtime) with run-sched=dynamic,2 must use the dispatcher"
     );
-    // Point the run-sched ICV back at the default for later tests on
-    // this thread (omp_set_schedule is a per-thread override).
+    // Point the run-sched ICV back at the default (omp_set_schedule
+    // set this thread's initial task's own copy).
     romp::runtime::omp_set_schedule(Schedule::static_block());
 }

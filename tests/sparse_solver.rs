@@ -350,9 +350,9 @@ fn convergence_exit_cancels_when_armed_breaks_when_not() {
         assert!(d.cancels_activated >= 1, "{d:?}");
     }
 
-    let prev = romp::runtime::icv::set_cancellation_override(Some(false));
+    let disarmed = romp::runtime::icv::set_local(|i| i.cancellation = false);
     let out = carp_cg(&op, &norms, &b, &opts);
-    romp::runtime::icv::set_cancellation_override(prev);
+    drop(disarmed);
     assert!(out.converged && out.rel_residual < 1e-7, "{out:?}");
     assert!(
         !out.cancelled,
